@@ -332,15 +332,22 @@ class ReachabilityCompression(QueryPreservingCompression):
         tol = self._tol_context(context, algorithm)
         if tol is not None:
             tol_answers: List[bool] = []
+            append = tol_answers.append
+            class_of, rewrite, reachable = self._class_of, self.rewrite, tol.reachable
             for q in queries:
                 if not isinstance(q, ReachabilityQuery):
                     raise TypeError(
                         f"expected a ReachabilityQuery, got {type(q).__name__}"
                     )
-                if q.source not in self._class_of or q.target not in self._class_of:
-                    tol_answers.append(False)
+                source, target = q.source, q.target
+                if source not in class_of or target not in class_of:
+                    append(False)
+                    continue
+                verdict, rewritten = rewrite(source, target)
+                if rewritten is None:
+                    append(verdict == "true")
                 else:
-                    tol_answers.append(self._answer_tol(q, tol))
+                    append(bool(reachable(rewritten[0], rewritten[1])))
             return tol_answers
         name = algorithm if algorithm is not None else "bfs"
         validated = name == "bfs"

@@ -371,14 +371,15 @@ class Epoch:
                     digest = self._digest
                     if digest is None:
                         digest = self._catalog.put(self._dense())
-                    built: TOLIndex = self._catalog.tol(digest)
+                    built: TOLIndex = self._catalog.tol(digest, gr=gr)
                     return built
-                return TOLIndex(
-                    self.artifact("reachability").compressed, backend=self.backend
-                )
+                return TOLIndex(gr, backend=self.backend)
 
             start = time.perf_counter()
             try:
+                # Fetched here, not inside build(): the build lock is
+                # re-entrant for this thread, not for a deadline helper.
+                gr = self.artifact("reachability").compressed
                 with trace_span("epoch.build", representation="tol",
                                 version=self.version):
                     if self.build_deadline_s is None:

@@ -349,7 +349,7 @@ class GraphEngine:
             and "reachability" not in self._maintainers
             and self._log.staleness == 0
         ):
-            index = self._catalog.tol(self.digest())
+            index = self._catalog.tol(self.digest(), gr=artifact.compressed)
         if index is None:
             index = TOLIndex(artifact.compressed, backend=self.backend)
         bump(self.counters, "tol_builds")

@@ -3,7 +3,7 @@
 Butterfly-style total-order labels (Zhu, Lin, Wang, Xiao, SIGMOD'14):
 every condensation node ``c`` carries two hub sets — ``L_out(c)`` (hubs
 ``c`` reaches) and ``L_in(c)`` (hubs reaching ``c``) — built by pruned
-BFS under one global *total order* of the nodes, so
+traversals under one global *total order* of the nodes, so
 
 ``u ⇝ v  iff  (L_out(u) ∪ {u}) ∩ (L_in(v) ∪ {v}) ≠ ∅``.
 
@@ -41,7 +41,8 @@ Answers are byte-identical to BFS on the indexed graph and to
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union
+from functools import partial
+from typing import Callable, Collection, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
@@ -58,6 +59,25 @@ class TOLError(RuntimeError):
     The router treats this as "fall back to BFS on ``Gr``" — the route
     changes, the answer never does.
     """
+
+
+def _csr_edges(csr: CSRGraph) -> List[Edge]:
+    """Node-level edge list of a frozen snapshot."""
+    indptr, indices = csr.fwd()
+    order = csr.node_order()
+    return [
+        (order[i], order[j])
+        for i in range(csr.n)
+        for j in indices[indptr[i]: indptr[i + 1]]
+    ]
+
+
+def _flat_edges(node_order: List[Node], flat: List[int]) -> List[Edge]:
+    """Decode a persisted ``tol_edges`` array (index pairs into *node_order*)."""
+    return [
+        (node_order[flat[i]], node_order[flat[i + 1]])
+        for i in range(0, len(flat), 2)
+    ]
 
 
 class TOLIndex:
@@ -87,142 +107,134 @@ class TOLIndex:
         #: beyond ``rebuild_ratio * (built entries + |comp|)`` trigger a
         #: rebuild request (the staleness counter of the ISSUE).
         self.rebuild_ratio = rebuild_ratio
-        #: Inserts repaired in place since the last full build.
-        self.repairs = 0
-        #: Label entries added by those repairs (the bloat counter).
-        self.repaired_entries = 0
-        if isinstance(graph, CSRGraph):
-            if backend != "csr":
-                raise ValueError("a frozen snapshot requires backend='csr'")
-            self._build_csr(graph)
-        elif backend == "csr":
-            self._build_csr(CSRGraph.from_digraph(graph))
+        # Each backend hands the kernel its condensation DAG as successor
+        # lists, plus a deferred source for the node-level edges.
+        if isinstance(graph, CSRGraph) and backend != "csr":
+            raise ValueError("a frozen snapshot requires backend='csr'")
+        if backend == "csr":
+            from repro.graph.kernels import csr_condensation
+
+            csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_digraph(graph)
+            cond = csr_condensation(csr)
+            indptr, indices = cond.indptr, cond.indices
+            self._build(
+                dict(zip(csr.node_order(), cond.comp)),
+                [indices[indptr[c]: indptr[c + 1]] for c in range(cond.ncomp)],
+                partial(_csr_edges, csr),  # frozen: safe to read later
+            )
         else:
-            self._build_dict(graph)
+            cond = condensation(graph)
+            edges = list(graph.edges())  # mutable: snapshot now, for later diffs
+            self._build(
+                dict(cond.scc_of),
+                [list(cond.dag.successors(c)) for c in range(cond.dag.order())],
+                lambda: edges,
+            )
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _init_state(
+    def _build(
         self,
         scc_of: Dict[Node, int],
-        ncomp: int,
-        edges: Iterable[Edge],
-        comp_edges: Iterable[Tuple[int, int]],
+        succ: List[List[int]],
+        edge_source: Callable[[], Collection[Edge]],
     ) -> None:
+        """The one label-construction kernel both backends feed.
+
+        *succ* is the condensation DAG as per-component successor lists.
+        For each hub in butterfly order — descending
+        ``(in_degree + 1) · (out_degree + 1)``, component id tie-break —
+        a pruned traversal forward plants the hub in ``L_in`` of every
+        node it reaches that the labels so far do not already connect it
+        to, and the mirror-image backward traversal fills ``L_out``.
+
+        The traversal only ever adds the hub itself to the *other* side's
+        labels, so whether a node is pruned depends on nothing the
+        traversal changes: the hub's own label set is constant (hoisted
+        out of the loop, tested with C-level ``set.isdisjoint``) and each
+        node is tested once.  The labelled set is therefore "everything
+        reachable from the hub through unpruned nodes" — a fixed point
+        independent of visit order, which is why a plain stack gives the
+        same labels, bit for bit, as a BFS queue would.
+        """
+        ncomp = len(succ)
+        pred: List[List[int]] = [[] for _ in range(ncomp)]
+        for c, row in enumerate(succ):
+            for d in row:
+                pred[d].append(c)
+        label_out: List[Set[int]] = [set() for _ in range(ncomp)]
+        label_in: List[Set[int]] = [set() for _ in range(ncomp)]
+        order = sorted(
+            range(ncomp),
+            key=lambda c: (-(len(pred[c]) + 1) * (len(succ[c]) + 1), c),
+        )
+        # One visited stamp serves both directions: in a DAG a hub's
+        # descendants and ancestors are disjoint.
+        mark = [-1] * ncomp
+        for hub in order:
+            mark[hub] = hub
+            for adjacency, mine, theirs in (
+                (succ, label_out[hub], label_in),
+                (pred, label_in[hub], label_out),
+            ):
+                stack = [hub]
+                while stack:
+                    for t in adjacency[stack.pop()]:
+                        if mark[t] != hub:
+                            mark[t] = hub
+                            labels = theirs[t]
+                            if mine.isdisjoint(labels):
+                                labels.add(hub)
+                                stack.append(t)  # else pruned: skip the subtree
         self._scc_of: Dict[Node, int] = scc_of
         self._ncomp = ncomp
-        self._label_out: Dict[int, Set[int]] = {c: set() for c in range(ncomp)}
-        self._label_in: Dict[int, Set[int]] = {c: set() for c in range(ncomp)}
-        #: Node-level edge set of the indexed graph — what refresh diffs.
-        self._edges: Set[Edge] = set(edges)
-        #: Condensation DAG adjacency, maintained under repairs.
-        self._succ: Dict[int, Set[int]] = {c: set() for c in range(ncomp)}
-        self._pred: Dict[int, Set[int]] = {c: set() for c in range(ncomp)}
-        for a, b in comp_edges:
-            if a != b:
-                self._succ[a].add(b)
-                self._pred[b].add(a)
+        self._label_out = label_out
+        self._label_in = label_in
         #: Repairs are only sound while the comp structure is the built
         #: one; a non-trivial SCC means inserts could merge components.
         self._dag = ncomp == len(scc_of)
-
-    def _finish_build(self) -> None:
         self._built_entries = self.entry_count()
+        self._seal(edge_source)
+
+    def _seal(self, edge_source: Callable[[], Collection[Edge]]) -> None:
+        """Reset the repair counters; defer the repair-only state.
+
+        The node-level edge set (what refresh diffs) and the condensation
+        adjacency sets (what repair sweeps walk) are needed only by
+        :meth:`apply_delta` / :meth:`edges`; a sealed per-epoch index is
+        never repaired, so they are materialised from *edge_source* on
+        first use (:meth:`_repair_state`) instead of on every build.
+        """
+        #: Inserts repaired in place since the last full build.
         self.repairs = 0
+        #: Label entries added by those repairs (the bloat counter).
         self.repaired_entries = 0
+        self._edge_source: Optional[Callable[[], Collection[Edge]]] = edge_source
+        self._edges: Set[Edge] = set()
+        self._succ: List[Set[int]] = []
+        self._pred: List[Set[int]] = []
 
-    def _butterfly_order(
-        self, ncomp: int, out_deg: List[int], in_deg: List[int]
-    ) -> List[int]:
-        """The total order: descending butterfly cost, comp id tie-break."""
-        return sorted(
-            range(ncomp),
-            key=lambda c: (-(in_deg[c] + 1) * (out_deg[c] + 1), c),
-        )
+    def _repair_state(self) -> Set[Edge]:
+        """The indexed edge set, materialising the repair state if deferred."""
+        source = self._edge_source
+        if source is not None:
+            scc_of = self._scc_of
+            self._edges = set(source())
+            self._succ = [set() for _ in range(self._ncomp)]
+            self._pred = [set() for _ in range(self._ncomp)]
+            for u, v in self._edges:
+                a, b = scc_of[u], scc_of[v]
+                if a != b:
+                    self._succ[a].add(b)
+                    self._pred[b].add(a)
+            self._edge_source = None
+        return self._edges
 
-    def _build_csr(self, csr: CSRGraph) -> None:
-        from repro.graph.csr import reverse_from_forward
-        from repro.graph.kernels import csr_condensation
-
-        cond = csr_condensation(csr)
-        comp = cond.comp
-        indexer = csr.indexer
-        node_of = indexer.node
-        scc_of = {node_of(i): comp[i] for i in range(csr.n)}
-        ncomp = cond.ncomp
-        indptr, indices = cond.indptr, cond.indices
-        rindptr, rindices = reverse_from_forward(ncomp, indptr, indices)
-        out_deg = [indptr[c + 1] - indptr[c] for c in range(ncomp)]
-        in_deg = [rindptr[c + 1] - rindptr[c] for c in range(ncomp)]
-        comp_edges = [
-            (c, indices[e])
-            for c in range(ncomp)
-            for e in range(indptr[c], indptr[c + 1])
-        ]
-        node_edges = [
-            (node_of(i), node_of(j))
-            for i in range(csr.n)
-            for j in csr.successors(i)
-        ]
-        self._init_state(scc_of, ncomp, node_edges, comp_edges)
-
-        def succ_of(c: int) -> List[int]:
-            return indices[indptr[c]: indptr[c + 1]]
-
-        def pred_of(c: int) -> List[int]:
-            return rindices[rindptr[c]: rindptr[c + 1]]
-
-        for hub in self._butterfly_order(ncomp, out_deg, in_deg):
-            self._pruned_bfs(hub, succ_of, forward=True)
-            self._pruned_bfs(hub, pred_of, forward=False)
-        self._finish_build()
-
-    def _build_dict(self, graph: DiGraph) -> None:
-        cond = condensation(graph)
-        dag = cond.dag
-        ncomp = dag.order()
-        out_deg = [0] * ncomp
-        in_deg = [0] * ncomp
-        for c in dag.nodes():
-            out_deg[c] = dag.out_degree(c)
-            in_deg[c] = dag.in_degree(c)
-        self._init_state(dict(cond.scc_of), ncomp, graph.edges(), dag.edges())
-
-        succ_of = dag.successors
-        pred_of = dag.predecessors
-        for hub in self._butterfly_order(ncomp, out_deg, in_deg):
-            self._pruned_bfs(hub, succ_of, forward=True)
-            self._pruned_bfs(hub, pred_of, forward=False)
-        self._finish_build()
-
-    def _covered(self, a: int, b: int) -> bool:
-        """Is ``a ⇝ b`` already answerable from the current labels?"""
-        la, lb = self._label_out[a], self._label_in[b]
-        if len(la) > len(lb):
-            la, lb = lb, la
-        return any(h in lb for h in la)
-
-    def _pruned_bfs(
-        self, hub: int, neighbors: Callable[[int], object], forward: bool
-    ) -> None:
-        seen: Set[int] = {hub}
-        queue: deque = deque((hub,))
-        while queue:
-            s = queue.popleft()
-            if s != hub:
-                if forward and self._covered(hub, s):
-                    continue  # prune: already covered, skip the subtree
-                if not forward and self._covered(s, hub):
-                    continue
-                if forward:
-                    self._label_in[s].add(hub)
-                else:
-                    self._label_out[s].add(hub)
-            for t in neighbors(s):
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
+    def _node_edges(self) -> Collection[Edge]:
+        """The indexed edges, without forcing the repair state."""
+        source = self._edge_source
+        return self._edges if source is None else source()
 
     # ------------------------------------------------------------------
     # Queries
@@ -241,23 +253,20 @@ class TOLIndex:
             raise TOLError(f"node not indexed: {u!r} -> {v!r}") from None
         if su == sv:
             return True
-        lo = self._label_out[su] | {su}
-        li = self._label_in[sv] | {sv}
-        if len(lo) > len(li):
-            lo, li = li, lo
-        return any(h in li for h in lo)
+        # Self-hubs are implicit: (L_out(u) ∪ {u}) ∩ (L_in(v) ∪ {v}) ≠ ∅,
+        # spelled without building either union.
+        lo = self._label_out[su]
+        li = self._label_in[sv]
+        return sv in lo or su in li or not lo.isdisjoint(li)
 
     # TwoHopIndex spelling, so cross-validation loops read uniformly.
     query = reachable
 
     def _reach_comp(self, a: int, b: int) -> bool:
-        if a == b:
-            return True
-        lo = self._label_out[a] | {a}
-        li = self._label_in[b] | {b}
-        if len(lo) > len(li):
-            lo, li = li, lo
-        return any(h in li for h in lo)
+        """:meth:`reachable` at component level, for distinct *a*, *b*."""
+        lo = self._label_out[a]
+        li = self._label_in[b]
+        return b in lo or a in li or not lo.isdisjoint(li)
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -268,7 +277,7 @@ class TOLIndex:
 
     def edges(self) -> FrozenSet[Edge]:
         """The indexed graph's edge set (for delta diffing)."""
-        return frozenset(self._edges)
+        return frozenset(self._repair_state())
 
     def apply_delta(
         self, added_nodes: Iterable[Node], added_edges: Iterable[Edge]
@@ -288,19 +297,17 @@ class TOLIndex:
         """
         if not self._dag:
             return False
+        edges = self._repair_state()
         for v in sorted(added_nodes, key=repr):
             if v in self._scc_of:
                 continue
-            c = self._ncomp
+            self._scc_of[v] = self._ncomp
             self._ncomp += 1
-            self._scc_of[v] = c
-            self._label_out[c] = set()
-            self._label_in[c] = set()
-            self._succ[c] = set()
-            self._pred[c] = set()
+            for table in (self._label_out, self._label_in, self._succ, self._pred):
+                table.append(set())
         budget = max(128, int(2 * (self._built_entries + self._ncomp)))
         for u, v in sorted(added_edges, key=repr):
-            if (u, v) in self._edges:
+            if (u, v) in edges:
                 continue
             if u not in self._scc_of or v not in self._scc_of:
                 return False  # endpoint the delta never declared
@@ -337,8 +344,8 @@ class TOLIndex:
     def _sweep(
         self,
         start: int,
-        adjacency: Dict[int, Set[int]],
-        labels: Dict[int, Set[int]],
+        adjacency: List[Set[int]],
+        labels: List[Set[int]],
         patch: Set[int],
         budget: int,
     ) -> bool:
@@ -388,17 +395,18 @@ class TOLIndex:
             "tol_in_indptr": in_indptr,
             "tol_in_hubs": in_hubs,
             "tol_edges": [
-                position[x] for e in sorted(self._edges, key=repr) for x in e
+                position[x]
+                for e in sorted(self._node_edges(), key=repr)
+                for x in e
             ],
         }
 
-    def _flatten_labels(
-        self, labels: Dict[int, Set[int]]
-    ) -> Tuple[List[int], List[int]]:
+    @staticmethod
+    def _flatten_labels(labels: List[Set[int]]) -> Tuple[List[int], List[int]]:
         indptr = [0]
         hubs: List[int] = []
-        for c in range(self._ncomp):
-            hubs.extend(sorted(labels[c]))
+        for label in labels:
+            hubs.extend(sorted(label))
             indptr.append(len(hubs))
         return indptr, hubs
 
@@ -408,10 +416,12 @@ class TOLIndex:
     ) -> "TOLIndex":
         """Rehydrate an index persisted with :meth:`to_arrays`.
 
-        Zero recomputation: labels, adjacency and counters all come off
-        the arrays.  Raises ``ValueError`` when the arrays do not fit
-        *node_order* or are internally inconsistent — the catalog treats
-        that as a corrupt variant and recomputes.
+        Zero recomputation: labels and counters come off the arrays; the
+        edge array is validated here but decoded only when a repair asks
+        for it (*node_order* is kept for that — do not mutate it).  Raises
+        ``ValueError`` when the arrays do not fit *node_order* or are
+        internally inconsistent — the catalog treats that as a corrupt
+        variant and recomputes.
         """
         ncomp, built_entries, dag_flag = arrays["tol_meta"]
         comp = arrays["tol_comp"]
@@ -427,26 +437,23 @@ class TOLIndex:
             raise ValueError("persisted edge endpoints out of range")
         self = cls.__new__(cls)
         self.rebuild_ratio = 1.0
-        scc_of = dict(zip(node_order, comp))
-        edges = [
-            (node_order[flat_edges[i]], node_order[flat_edges[i + 1]])
-            for i in range(0, len(flat_edges), 2)
-        ]
-        comp_edges = [(scc_of[u], scc_of[v]) for u, v in edges]
-        self._init_state(scc_of, ncomp, edges, comp_edges)
-        self._dag = bool(dag_flag) and self._dag
-        for side, labels in (("out", self._label_out), ("in", self._label_in)):
+        self._scc_of = dict(zip(node_order, comp))
+        self._ncomp = ncomp
+        self._dag = bool(dag_flag) and ncomp == len(self._scc_of)
+        tables = []
+        for side in ("out", "in"):
             indptr = arrays[f"tol_{side}_indptr"]
             hubs = arrays[f"tol_{side}_hubs"]
             if len(indptr) != ncomp + 1 or indptr[0] != 0 or indptr[-1] != len(hubs):
                 raise ValueError(f"persisted {side}-label offsets are inconsistent")
             if hubs and (min(hubs) < 0 or max(hubs) >= ncomp):
                 raise ValueError(f"persisted {side}-label hubs out of range")
-            for c in range(ncomp):
-                labels[c] = set(hubs[indptr[c]: indptr[c + 1]])
+            tables.append(
+                [set(hubs[indptr[c]: indptr[c + 1]]) for c in range(ncomp)]
+            )
+        self._label_out, self._label_in = tables
         self._built_entries = built_entries
-        self.repairs = 0
-        self.repaired_entries = 0
+        self._seal(partial(_flat_edges, node_order, flat_edges))
         return self
 
     def canonical_form(self) -> Tuple:
@@ -464,7 +471,7 @@ class TOLIndex:
             tuple(
                 tuple(sorted(self._label_in[c])) for c in range(self._ncomp)
             ),
-            tuple(sorted(self._edges, key=repr)),
+            tuple(sorted(self._node_edges(), key=repr)),
         )
 
     # ------------------------------------------------------------------
@@ -472,13 +479,11 @@ class TOLIndex:
     # ------------------------------------------------------------------
     def entry_count(self) -> int:
         """Total number of label entries — the index-size metric."""
-        return sum(len(s) for s in self._label_out.values()) + sum(
-            len(s) for s in self._label_in.values()
-        )
+        return sum(map(len, self._label_out)) + sum(map(len, self._label_in))
 
     def memory_cost(self) -> int:
         """Approximate bytes: entries + per-node bookkeeping (8B words)."""
-        return 8 * (self.entry_count() + 2 * self._ncomp + 2 * len(self._edges))
+        return 8 * (self.entry_count() + 2 * self._ncomp + 2 * len(self._node_edges()))
 
     def stats(self) -> Dict[str, Union[int, float]]:
         """Size and staleness counters (the obs/bench surface)."""
@@ -511,12 +516,7 @@ def refresh_index(index: TOLIndex, graph: Union[DiGraph, CSRGraph]) -> Optional[
     """
     if isinstance(graph, CSRGraph):
         new_nodes: Set[Node] = set(graph.node_order())
-        node_of = graph.node_of
-        new_edges: Set[Edge] = {
-            (node_of(i), node_of(j))
-            for i in range(graph.n)
-            for j in graph.successors(i)
-        }
+        new_edges: Set[Edge] = set(_csr_edges(graph))
     else:
         new_nodes = set(graph.nodes())
         new_edges = set(graph.edges())

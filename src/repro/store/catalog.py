@@ -846,14 +846,16 @@ class SnapshotCatalog:
                 self._write_variant(path, digest, comp.to_arrays(csr.node_order()))
             return comp
 
-    def tol(self, source: GraphSource) -> TOLIndex:
+    def tol(self, source: GraphSource, gr: Optional[DiGraph] = None) -> TOLIndex:
         """TOL reachability labels over ``Gr`` for *source* — cached.
 
-        Warm hit: label sets, condensation map and adjacency all
-        rehydrate from the variant file with zero recomputation.  Cold
-        miss: ``Gr`` comes through :meth:`reachability` (itself warm when
-        its variant exists), the labels are built over it, persisted,
-        returned.  The persisted arrays are aligned to ``Gr``'s canonical
+        Warm hit: label sets and condensation map rehydrate from the
+        variant file with zero recomputation.  Cold miss: the labels are
+        built over ``Gr``, persisted, returned.  *gr* is the canonical
+        ``Gr`` of *source* when the caller already holds it
+        (``reachability(source).compressed``); without it ``Gr`` comes
+        through :meth:`reachability`, which reads and decodes that variant
+        again.  The persisted arrays are aligned to ``Gr``'s canonical
         class ids, so a rehydrated index answers byte-identically to a
         cold build — but only for *canonical* artifacts: callers serving
         an incrementally-maintained ``Gr`` must build their index from
@@ -863,9 +865,10 @@ class SnapshotCatalog:
         path = self._variant_path(digest, "tol")
         with trace_span("catalog.variant", kind="tol") as span:
             arrays, writable = self._read_variant(path, digest)
-            if arrays is not None:
+            if gr is None:
                 gr = self.reachability(digest).compressed
-                order = sorted(gr.nodes())
+            order = sorted(gr.nodes())
+            if arrays is not None:
                 try:
                     index = TOLIndex.from_arrays(order, arrays)
                 except (KeyError, ValueError, IndexError):
@@ -877,21 +880,19 @@ class SnapshotCatalog:
             span.set(result="cold")
             obs_inc("catalog_variant_requests_total", ("tol", "cold"))
             t0 = time.perf_counter()
-            gr = self.reachability(digest).compressed
             index = TOLIndex(gr, backend="csr")
             obs_observe("catalog_variant_build_seconds",
                         time.perf_counter() - t0, ("tol",))
             if writable:
-                self._write_variant(path, digest,
-                                    index.to_arrays(sorted(gr.nodes())))
+                self._write_variant(path, digest, index.to_arrays(order))
             return index
 
     def warm(self, source: GraphSource) -> str:
         """Precompute and persist every variant of *source*; returns digest."""
         digest = self._resolve(source)
-        self.reachability(digest)
+        gr = self.reachability(digest).compressed
         self.bisimulation(digest)
-        self.tol(digest)
+        self.tol(digest, gr=gr)
         return digest
 
     # ------------------------------------------------------------------

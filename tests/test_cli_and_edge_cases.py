@@ -142,7 +142,9 @@ def test_regression_check_passes_within_tolerance(tmp_path, capsys):
     )
     (base / "BENCH_kernels.json").write_text(json.dumps(baseline))
     (cur / "BENCH_kernels.json").write_text(json.dumps(current))
-    assert bench_main(["check", "--baseline", str(base), "--current", str(cur)]) == 0
+    assert bench_main(
+        ["check", "--no-history", "--baseline", str(base), "--current", str(cur)]
+    ) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
 
@@ -163,7 +165,9 @@ def test_regression_check_fails_on_ratio_collapse_and_gate(tmp_path, capsys):
     )
     (base / "BENCH_engine.json").write_text(json.dumps(baseline))
     (cur / "BENCH_engine.json").write_text(json.dumps(collapsed))
-    assert bench_main(["check", "--baseline", str(base), "--current", str(cur)]) == 1
+    assert bench_main(
+        ["check", "--no-history", "--baseline", str(base), "--current", str(cur)]
+    ) == 1
     assert "FAIL" in capsys.readouterr().out
 
     # A failing semantic gate fails the check even with healthy ratios.

@@ -31,6 +31,7 @@ from repro.engine import GraphEngine
 from repro.engine.router import QueryRouter
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import random_dag
 from repro.index import TOLIndex, TwoHopIndex, refresh_index
 from repro.obs.metrics import MetricsRegistry, installed
 from repro.queries.reachability import ReachabilityQuery, evaluate_reachability
@@ -190,6 +191,23 @@ def test_catalog_variant_rehydrates_byte_identically(tmp_path):
             assert warm.reachable(*pair) == cold.reachable(*pair)
 
 
+def test_catalog_tol_with_callers_gr_skips_the_reachability_variant(tmp_path):
+    from repro.store.catalog import SnapshotCatalog
+
+    g = _random_digraph(random.Random(9), 50, 160)
+    catalog = SnapshotCatalog(tmp_path)
+    digest = catalog.put(g)
+    gr = catalog.reachability(digest).compressed
+    registry = MetricsRegistry()
+    with installed(registry):
+        cold = catalog.tol(digest, gr=gr)
+        warm = SnapshotCatalog(tmp_path).tol(digest, gr=gr)
+    requests = registry.get("catalog_variant_requests_total").values()
+    assert {labels[0] for labels in requests} == {"tol"}
+    assert cold.canonical_form() == warm.canonical_form()
+    assert warm.canonical_form() == catalog.tol(digest).canonical_form()
+
+
 # ----------------------------------------------------------------------
 # Cross-hash-seed byte-stability (string nodes, subprocess)
 # ----------------------------------------------------------------------
@@ -287,3 +305,90 @@ def test_session_tol_degradation_resets_on_next_apply(monkeypatch):
     engine.apply([("+", 0, 1)])  # clears the degradation marker
     assert engine.query_batch(queries[:5]) == want[:5]
     assert engine.tol() is not None
+
+
+# ----------------------------------------------------------------------
+# The build kernel: golden labels, closure, lazy repair state
+# ----------------------------------------------------------------------
+# tests/golden/tol_labels.json pins what the label build *persists*: the
+# sha256 of ``repr(canonical_form())`` per backend and of the ``tol.rpv``
+# bytes the catalog writes, for one DAG and one cyclic graph.  Catalogs
+# in the field hold exactly these labels: an edit that moves a hash here
+# changes what a warm hit rehydrates.
+GOLDEN_LABELS = Path(__file__).resolve().parent / "golden" / "tol_labels.json"
+
+_GOLDEN_SCRIPT = """
+import hashlib, json, tempfile
+from pathlib import Path
+from repro.graph.generators import gnm_random_graph, random_dag
+from repro.index import TOLIndex
+from repro.store.catalog import SnapshotCatalog
+
+out = {}
+for name, g in (("random_dag", random_dag(300, 900, seed=12)),
+                ("cyclic_gnm", gnm_random_graph(300, 400, seed=12))):
+    row = out[name] = {}
+    for backend in ("csr", "dict"):
+        form = repr(TOLIndex(g, backend=backend).canonical_form())
+        row[backend] = hashlib.sha256(form.encode()).hexdigest()
+    with tempfile.TemporaryDirectory() as root:
+        catalog = SnapshotCatalog(root)
+        catalog.tol(catalog.put(g))
+        (rpv,) = Path(root).rglob("tol.rpv")
+        row["tol.rpv"] = hashlib.sha256(rpv.read_bytes()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "7"])
+def test_golden_label_hashes_on_both_backends(hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(proc.stdout) == json.loads(GOLDEN_LABELS.read_text())
+
+
+@pytest.mark.parametrize("backend", ["csr", "dict"])
+def test_all_pairs_match_bfs_closure_including_hub_endpoints(backend):
+    rng = random.Random(41)
+    hub_pairs = 0
+    for trial in range(12):
+        n = rng.randrange(6, 28)
+        g = random_dag(n, rng.randrange(n // 2, 2 * n), seed=trial)
+        idx = TOLIndex(g, backend=backend)
+        for u in range(n):
+            su = idx._scc_of[u]
+            for v in range(n):
+                sv = idx._scc_of[v]
+                # The copy-free lookup must keep the implicit self-hub:
+                # pairs where one endpoint *is* the other's hub.
+                hub_pairs += sv in idx._label_out[su] or su in idx._label_in[sv]
+                assert idx.reachable(u, v) == evaluate_reachability(
+                    g, u, v, "bfs"
+                ), (u, v)
+    assert hub_pairs > 0, "no endpoint-is-hub pair was exercised"
+
+
+def test_rehydrated_and_fresh_indexes_repair_identically():
+    rng = random.Random(19)
+    n = 40
+    g = random_dag(n, 60, seed=19)
+    order = sorted(g.nodes())
+    fresh = TOLIndex(g)
+    warm = TOLIndex.from_arrays(order, fresh.to_arrays(order))
+    added = []
+    while len(added) < 6:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u < v and not g.has_edge(u, v) and (u, v) not in added:
+            added.append((u, v))
+    # First touch of the deferred repair state on both sides.
+    assert fresh.apply_delta([n], added + [(n - 1, n)]) is True
+    assert warm.apply_delta([n], added + [(n - 1, n)]) is True
+    assert fresh.repairs > 0
+    assert warm.canonical_form() == fresh.canonical_form()
+    assert warm.stats() == fresh.stats()
+    assert warm.edges() == fresh.edges() == frozenset(g.edges()) | set(
+        added + [(n - 1, n)]
+    )
