@@ -6,8 +6,9 @@ paper's tables/figures and the repo-internal benchmarks;
 ``BENCH_*.json`` files against committed baselines (the CI
 benchmark-regression gate, runnable locally);
 ``python -m repro.bench trend`` renders the persistent run-to-run ratio
-history that both of the above append to
-(``benchmarks/history/history.jsonl`` — see :mod:`repro.bench.history`).
+history (``benchmarks/history/history.jsonl`` — see
+:mod:`repro.bench.history`) that experiment runs append to, and ``check``
+when given ``--record``.
 """
 
 from __future__ import annotations
@@ -47,12 +48,17 @@ def _run_check(argv) -> int:
     )
     parser.add_argument(
         "--history", default=str(DEFAULT_HISTORY),
-        help="bench history JSONL to read trends from and append this "
-             "run's ratios to (default: benchmarks/history/history.jsonl)",
+        help="bench history JSONL to read trends from "
+             "(default: benchmarks/history/history.jsonl)",
+    )
+    parser.add_argument(
+        "--record", action="store_true",
+        help="also append this run's ratios to the history (the file is "
+             "tracked: the default leaves the working tree untouched)",
     )
     parser.add_argument(
         "--no-history", action="store_true",
-        help="neither read nor append the bench history",
+        help="do not read the bench history (no trend column)",
     )
     args = parser.parse_args(argv)
     if not 0.0 <= args.tolerance < 1.0:
@@ -70,7 +76,7 @@ def _run_check(argv) -> int:
     )
     for line in lines:
         print(line)
-    if not args.no_history:
+    if args.record:
         appended = 0
         for path in sorted(Path(args.current).glob("BENCH_*.json")):
             try:

@@ -18,6 +18,7 @@ Boolean pattern queries ``P`` is not needed.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, ClassVar, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.base import (
@@ -26,6 +27,7 @@ from repro.core.base import (
     decode_quotient_arrays,
 )
 from repro.core.bisimulation import bisimulation_partition, bisimulation_partition_naive
+from repro.graph.bitset import select
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.kernels import csr_bisimulation_blocks
@@ -53,6 +55,9 @@ class PatternCompression(QueryPreservingCompression):
         self._members = class_members
         self._original_nodes = original_nodes
         self._original_edges = original_edges
+        # Member lists in Gb's node order (= the dense ids of any
+        # MatchContext over Gb); built on the first answer().
+        self._member_rows: Optional[List[List[Node]]] = None
 
     # -- QueryPreservingCompression interface ---------------------------
     @property
@@ -161,13 +166,11 @@ class PatternCompression(QueryPreservingCompression):
         paper's ``P`` ("replaces [v]Rb with all the nodes v' in the class"),
         linear in the output size.
         """
-        expanded: Dict[Hashable, Set[Node]] = {}
-        for pattern_node, hypernodes in compressed_answer.items():
-            bucket: Set[Node] = set()
-            for h in hypernodes:
-                bucket.update(self._members[h])
-            expanded[pattern_node] = bucket
-        return expanded
+        members = self._members.__getitem__
+        return {
+            pattern_node: set(chain.from_iterable(map(members, hypernodes)))
+            for pattern_node, hypernodes in compressed_answer.items()
+        }
 
     # -- end-to-end evaluation ------------------------------------------
     def query(self, pattern, matcher) -> Dict[Hashable, Set[Node]]:
@@ -188,7 +191,8 @@ class PatternCompression(QueryPreservingCompression):
         """Answer a :class:`GraphPattern` on ``Gr`` and expand via ``P``.
 
         ``F`` is the identity (the pattern runs on ``Gr`` as is), so this is
-        ``Match`` on the compressed graph followed by :meth:`post_process`.
+        ``Match`` on the compressed graph followed by ``P`` — the same
+        answer as ``post_process(match(query, Gr))``, expanded in one pass.
         *context* is an optional :class:`repro.queries.matching.MatchContext`
         built over ``Gr`` — a session evaluating many patterns passes one so
         the candidate/reachability bitsets are shared across the batch.
@@ -197,9 +201,19 @@ class PatternCompression(QueryPreservingCompression):
             raise TypeError(f"expected a GraphPattern, got {type(query).__name__}")
         if algorithm not in (None, "match"):
             raise ValueError(f"unknown algorithm {algorithm!r}; expected 'match'")
-        from repro.queries.matching import match
+        from repro.queries.matching import MatchContext, match_bitsets
 
-        return self.post_process(match(query, self._gr, context))
+        if context is None:
+            context = MatchContext(self._gr)
+        rows = self._member_rows
+        if rows is None:
+            rows = self._member_rows = [self._members[h] for h in self._gr.nodes()]
+        # Match and P fused: block bitsets expand straight to original
+        # nodes, no intermediate set of hypernodes.
+        return {
+            u: set(chain.from_iterable(select(bits, rows)))
+            for u, bits in match_bitsets(query, self._gr, context).items()
+        }
 
     def answer_batch(self, queries: List[GraphPattern], *, context: Any = None,
                      algorithm: Optional[str] = None) -> List[Dict[Hashable, Set[Node]]]:

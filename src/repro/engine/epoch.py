@@ -312,7 +312,8 @@ class Epoch:
 
         Pattern and original targets get one sealed
         :class:`MatchContext` per epoch — built once, then read-only and
-        safely shared by every reader thread; reachability gets the
+        safely shared by every reader thread (the original one only on
+        request: see :meth:`evaluate_original`); reachability gets the
         epoch's sealed :class:`~repro.index.tol.TOLIndex` (``None`` when
         its build degraded — the evaluator then runs BFS on ``Gr``).
         """
@@ -422,6 +423,16 @@ class Epoch:
         BFS touches only the rows it visits, which is the whole point of
         pinning a view.  Pattern matching goes through the densified
         snapshot so it shares the ORIGINAL context's graph object.
+
+        A direct pattern query does not *create* the shared ORIGINAL
+        context: its ``G``-sized row tables (``n`` rows of ``n`` bits per
+        bound — 18 MB at 12 k nodes) would be built inside whichever
+        requests first used each bound (70 ms instead of 5) and then stay
+        pinned with the epoch.  Without one the query runs on a context of
+        its own that dies with the call, so every direct query costs the
+        same.  The shared context is used once somebody asked for it
+        (``context_for("original")`` — the fork pool's prewarm and the bench
+        warm-up do).
         """
         if isinstance(query, ReachabilityQuery):
             return evaluate_reachability(
@@ -431,7 +442,7 @@ class Epoch:
         if isinstance(query, GraphPattern):
             if algorithm not in (None, "match"):
                 raise ValueError(f"unknown algorithm {algorithm!r}; expected 'match'")
-            return match(query, self._dense(), self.context_for(ORIGINAL))
+            return match(query, self._dense(), self._contexts.get(ORIGINAL))
         raise TypeError(
             f"cannot evaluate {type(query).__name__} on the original graph; "
             "expected a ReachabilityQuery or GraphPattern"

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.graph.bitset import select
+
 Node = Hashable
 Edge = Tuple[Node, Node]
 
@@ -357,9 +359,4 @@ class NodeIndexer:
 
     def unpack(self, mask: int) -> List[Node]:
         """Inverse of :meth:`bitset` (ascending index order)."""
-        out: List[Node] = []
-        while mask:
-            low = mask & -mask
-            out.append(self._nodes[low.bit_length() - 1])
-            mask ^= low
-        return out
+        return list(select(mask, self._nodes))

@@ -9,6 +9,9 @@ reachability bitsets, so those are maintained incrementally — an edge change
 ``(u, v)`` only invalidates ``reach_j`` for nodes within ``j-1`` *reverse*
 hops of ``u`` (their bounded neighbourhood is the only thing that changed),
 and the ``*`` closure only when the change is not transitively redundant.
+Rows are rewritten in place (tables are lists indexed by dense id), and the
+context's round-0 preimage masks, which are derived from those rows, are
+dropped with every edit and rebuilt by the next ``Match``.
 The candidate fixpoint is then re-run on the refreshed bitsets; it is linear
 in the candidate sets and pattern size, and the unique-maximum-match
 property (Lemma 1 of [9]) guarantees the result equals a from-scratch
@@ -103,10 +106,15 @@ class IncrementalMatcher:
     def _refresh_after(self, op: str, u: Node, v: Node) -> None:
         ctx = self._context
         indexer = ctx.indexer
+        index = indexer.index
+        successors = self._graph.successors
+
+        # The preimage masks are derived from the rows edited below.
+        ctx._pre.clear()
 
         # Adjacency (reach_1): only u's row changed.
         if ctx._adjacency is not None:
-            ctx._adjacency[u] = indexer.bitset(self._graph.successors(u))
+            ctx._adjacency[index(u)] = indexer.bitset(successors(u))
             self.touched_nodes += 1
 
         # Bounded levels: reach_j changed only for nodes within j-1 reverse
@@ -121,10 +129,11 @@ class IncrementalMatcher:
                 lower = ctx._bounded[level - 1] if level > 1 else adj
                 table = ctx._bounded[level]
                 for w in balls[level - 1]:
-                    mask = adj[w]
-                    for c in self._graph.successors(w):
-                        mask |= lower[c]
-                    table[w] = mask
+                    i = index(w)
+                    mask = adj[i]
+                    for c in successors(w):
+                        mask |= lower[index(c)]
+                    table[i] = mask
                     self.touched_nodes += 1
 
         # Star closure: skip the rebuild when the change is transitively
@@ -132,9 +141,7 @@ class IncrementalMatcher:
         # otherwise.  Deletions always rebuild — deciding redundancy exactly
         # would itself need the new closure.
         if ctx._star is not None and self._uses_star:
-            star = ctx._star
-            v_bit = 1 << indexer.index(v)
-            if op == "+" and star[u] & v_bit:
+            if op == "+" and ctx._star[index(u)] >> index(v) & 1:
                 return
             ctx._star = None
             ctx.star_reach()

@@ -8,29 +8,65 @@ carry the required label, and every pattern edge ``(u, u')`` with bound
 Lemma 1 [9]: when a match exists, a unique *maximum* match ``SM`` exists;
 the answer to ``Qp`` is ``SM``, or the empty relation otherwise.
 
-Algorithm: greatest-fixpoint candidate refinement over per-bound
-reachability bitsets.
+Algorithm
+---------
+Greatest-fixpoint candidate refinement over bitsets, scheduled by a
+worklist (:func:`match_bitsets`; :func:`match` and
+:func:`repro.queries.simulation.simulation` are its two entries).
 
-* ``cand(u)`` starts as all data nodes with label ``fv(u)``;
-* for every pattern edge ``(u, u')`` with bound ``b``, remove ``v`` from
-  ``cand(u)`` if no node of ``cand(u')`` lies within ``b`` nonempty hops of
-  ``v`` (one AND of ``v``'s bound-``b`` reachability bitset with
-  ``cand(u')``);
-* iterate until stable; if any candidate set empties, there is no match.
+*Tables.*  Data nodes are addressed by their dense id (position in the
+graph's node order) throughout.  ``cand(u)`` is one big integer whose bit
+``i`` says "data node ``i`` may still match pattern node ``u``".
+``reach_b`` is a **list indexed by dense id**: ``reach_b[i]`` is the
+bitset of nodes within ``1..b`` nonempty hops of node ``i`` (``reach_*``:
+any nonempty path).  The tables depend only on the data graph, so
+:class:`MatchContext` builds each once and shares it across the many
+patterns of a run; neither the builders nor the kernel hash a node or
+translate an id per element — original nodes are named only when the final
+candidate sets are expanded (:func:`repro.graph.bitset.select`).
 
-The per-bound reachability bitsets — ``reach_b(v)`` = nodes reachable from
-``v`` via nonempty paths of length ``<= b`` — are the expensive part; they
-depend only on the data graph, so :class:`MatchContext` caches them across
-the many patterns of one benchmark run.  Correctness is cross-validated
-against :func:`match_naive`, a direct depth-bounded-BFS implementation of
-the definition.
+*Round 0 is a table lookup.*  ``cand(u)`` starts as the label mask of
+``fv(u)``.  While ``cand(u')`` is still the full label mask of ``fv(u')``,
+the candidates of ``u`` that satisfy edge ``(u, u', b)`` are exactly
+``cand(u) & pre[b, fv(u')]``, where ``pre[b, l]`` = nodes whose
+``reach_b`` row meets the label mask of ``l`` — a property of the data
+graph alone, built once per context (:meth:`MatchContext.preimage`).  So
+the first pass over every pattern edge is one AND per edge.
+
+*Worklist invariant.*  Call an edge ``(u, u', b)`` *settled* when every
+``i`` in ``cand(u)`` has ``reach_b[i] & cand(u') != 0``.  After round 0
+every edge whose target still holds its full label mask is settled.  The
+worklist holds the pattern nodes whose candidate set shrank since the
+edges entering them were last scanned; every edge whose target is not on
+the worklist is settled.  Popping ``u'`` rescans only the edges entering
+``u'`` — candidates only ever shrink, so an edge can become unsettled in
+no other way (the Henzinger–Henzinger–Kopke scheduling) — and pushes each
+source that lost candidates.  The scan is one pass over the ids of
+``cand(u)`` testing ``reach_b[i] & cand(u')``; the ids that fail are
+folded back into the mask in one step.  An empty candidate set means no
+match; an empty worklist means every edge is settled, i.e. the candidate
+sets form a match relation.
+
+*Why the order does not matter.*  A candidate is deleted only when it
+violates the definition against the *current* sets, which contain the
+maximum match ``SM`` (induction: they start as supersets, and a member of
+``SM`` always has its witness inside ``SM``, so it is never deleted).  Any
+schedule therefore ends in a match relation that contains ``SM`` — which
+by maximality (Lemma 1) *is* ``SM``.  Worklist order, the round-0
+shortcut and the old edge-by-edge global loop all reach the same sets;
+:func:`match_naive`, a direct depth-bounded-BFS implementation of the
+definition, and ``backend="dict"`` are kept as the cross-validation
+references.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Union
+from functools import reduce
+from operator import or_
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
+from repro.graph.bitset import bitset_of, iter_bits, mask_of_flags, select
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph, NodeIndexer
 from repro.obs.metrics import inc as obs_inc
@@ -77,7 +113,8 @@ class MatchContext:
 
     Build one per data graph and pass it to repeated :func:`match` calls;
     the benchmarks rely on this to evaluate hundreds of patterns without
-    recomputing closures.
+    recomputing closures.  Every reachability table is a list indexed by
+    dense node id (``indexer`` fixes the id ↔ node bijection).
 
     ``backend="csr"`` (default) freezes the graph once (lazily, or adopts a
     pre-frozen/snapshot-loaded *csr*) and builds candidate and adjacency
@@ -129,9 +166,12 @@ class MatchContext:
         self.backend = backend
         self.indexer = csr.indexer if csr is not None else NodeIndexer(graph.node_list())
         self._csr = csr
-        self._adjacency: Optional[Dict[Node, int]] = None
-        self._bounded: Dict[int, Dict[Node, int]] = {}
-        self._star: Optional[Dict[Node, int]] = None
+        self._adjacency: Optional[List[int]] = None
+        self._bounded: Dict[int, List[int]] = {}
+        self._star: Optional[List[int]] = None
+        # Derived from the tables above: whoever edits or drops those must
+        # drop these too (invalidate, IncrementalMatcher._refresh_after).
+        self._pre: Dict[Tuple[Bound, str], int] = {}
         self._label_bits: Dict[str, int] = {}
         self._label_masks: Optional[Dict[str, int]] = None
         # Reentrant: bounded_reach(k) builds bounded_reach(k-1) while held.
@@ -177,34 +217,28 @@ class MatchContext:
         return cached
 
     # -- reachability ------------------------------------------------------
-    def adjacency_bitsets(self) -> Dict[Node, int]:
-        """``reach_1``: successor bitsets."""
+    def adjacency_bitsets(self) -> List[int]:
+        """``reach_1``: successor bitsets, indexed by dense node id."""
         if self._adjacency is None:
             with self._cache_lock:
                 if self._adjacency is None:
                     self._adjacency = self._build_adjacency()
         return self._adjacency
 
-    def _build_adjacency(self) -> Dict[Node, int]:
+    def _build_adjacency(self) -> List[int]:
         if self.backend == "csr":
-            csr = self.frozen()
-            indptr, indices = csr.fwd()
-            bits = [1 << i for i in range(csr.n)]
-            node_of = self.indexer.node
-            adjacency: Dict[Node, int] = {}
-            for i in range(csr.n):
-                mask = 0
-                for ei in range(indptr[i], indptr[i + 1]):
-                    mask |= bits[indices[ei]]
-                adjacency[node_of(i)] = mask
-            return adjacency
-        return {
-            v: self.indexer.bitset(self.graph.successors(v))
-            for v in self.graph.nodes()
-        }
+            indptr, indices = self.frozen().fwd()
+            bit = (1).__lshift__
+            return [
+                reduce(or_, map(bit, indices[indptr[i]:indptr[i + 1]]), 0)
+                for i in range(len(indptr) - 1)
+            ]
+        bitset = self.indexer.bitset
+        successors = self.graph.successors
+        return [bitset(successors(v)) for v in self.indexer.node_order()]
 
-    def bounded_reach(self, bound: int) -> Dict[Node, int]:
-        """``reach_bound``: nodes within 1..bound hops, as bitsets.
+    def bounded_reach(self, bound: int) -> List[int]:
+        """``reach_bound``: nodes within 1..bound hops, as bitsets by id.
 
         ``reach_k(v) = reach_1(v) ∪ ⋃_{c ∈ succ(v)} reach_{k-1}(c)``,
         computed by ``bound - 1`` rounds of adjacency composition.
@@ -214,46 +248,44 @@ class MatchContext:
             return cached
         with self._cache_lock:
             cached = self._bounded.get(bound)
-            if cached is not None:
-                return cached
-            adj = self.adjacency_bitsets()
-            if bound == 1:
-                self._bounded[1] = adj
-                return adj
-            prev = self.bounded_reach(bound - 1)
-            current: Dict[Node, int] = {}
-            if self.backend == "csr":
-                csr = self.frozen()
-                indptr, indices = csr.fwd()
-                node_of = self.indexer.node
-                for i in range(csr.n):
-                    v = node_of(i)
-                    mask = adj[v]
-                    for ei in range(indptr[i], indptr[i + 1]):
-                        mask |= prev[node_of(indices[ei])]
-                    current[v] = mask
-            else:
-                for v in self.graph.nodes():
-                    mask = adj[v]
-                    for c in self.graph.successors(v):
-                        mask |= prev[c]
-                    current[v] = mask
-            self._bounded[bound] = current
-            return current
+            if cached is None:
+                cached = self._build_bounded(bound)
+                self._bounded[bound] = cached
+            return cached
 
-    def star_reach(self) -> Dict[Node, int]:
+    def _build_bounded(self, bound: int) -> List[int]:
+        adj = self.adjacency_bitsets()
+        if bound == 1:
+            return adj  # one table, two names: row edits reach both
+        row_of = self.bounded_reach(bound - 1).__getitem__
+        if self.backend == "csr":
+            indptr, indices = self.frozen().fwd()
+            return [
+                reduce(or_, map(row_of, indices[indptr[i]:indptr[i + 1]]), adj[i])
+                for i in range(len(adj))
+            ]
+        indices_of = self.indexer.indices
+        successors = self.graph.successors
+        return [
+            reduce(or_, map(row_of, indices_of(successors(v))), adj[i])
+            for i, v in enumerate(self.indexer.node_order())
+        ]
+
+    def star_reach(self) -> List[int]:
         """``reach_*``: strict descendants (nonempty paths), via condensation."""
         if self._star is not None:
             return self._star
         with self._cache_lock:
             if self._star is None:
-                if self.backend == "csr":
-                    self._star = self._star_reach_csr()
-                else:
-                    self._star = self._star_reach_dict()
+                self._star = self._build_star()
             return self._star
 
-    def _star_reach_dict(self) -> Dict[Node, int]:
+    def _build_star(self) -> List[int]:
+        if self.backend == "csr":
+            return self._star_reach_csr()
+        return self._star_reach_dict()
+
+    def _star_reach_dict(self) -> List[int]:
         """Reference implementation over the mutable dict backend."""
         cond = condensation(self.graph)
         full: Dict[int, int] = {
@@ -265,16 +297,16 @@ class MatchContext:
             for c in cond.dag.successors(s):
                 mask |= full[c] | below[c]
             below[s] = mask
-        star: Dict[Node, int] = {}
+        star = [0] * len(self.indexer)
         for s, members in cond.members.items():
             mask = below[s]
             if s in cond.cyclic:
                 mask |= full[s]
-            for v in members:
-                star[v] = mask
+            for i in self.indexer.indices(members):
+                star[i] = mask
         return star
 
-    def _star_reach_csr(self) -> Dict[Node, int]:
+    def _star_reach_csr(self) -> List[int]:
         """Closure over the frozen condensation, exploiting that component
         ids come out in reverse topological order (children before parents —
         no explicit sort)."""
@@ -282,35 +314,46 @@ class MatchContext:
 
         csr = self.frozen()
         cond = csr_condensation(csr)
-        ncomp = cond.ncomp
         comp_ptr, comp_nodes = cond.comp_ptr, cond.comp_nodes
         indptr, indices = cond.indptr, cond.indices
-        full = [0] * ncomp
-        for c in range(ncomp):
-            mask = 0
-            for v in comp_nodes[comp_ptr[c] : comp_ptr[c + 1]]:
-                mask |= 1 << v
-            full[c] = mask
-        below = [0] * ncomp
-        for c in range(ncomp):  # ascending id = children already final
-            mask = 0
-            for ei in range(indptr[c], indptr[c + 1]):
-                d = indices[ei]
-                mask |= full[d] | below[d]
-            below[c] = mask
-        node_of = self.indexer.node
         cyclic = cond.cyclic
-        star: Dict[Node, int] = {}
-        for c in range(ncomp):
-            mask = below[c]
-            if cyclic[c]:
-                mask |= full[c]
-            for v in comp_nodes[comp_ptr[c] : comp_ptr[c + 1]]:
-                star[node_of(v)] = mask
+        bit = (1).__lshift__
+        closed: List[int] = []  # members | everything below, per finished component
+        star = [0] * csr.n
+        for c in range(cond.ncomp):  # ascending id = children already final
+            members = comp_nodes[comp_ptr[c]:comp_ptr[c + 1]]
+            below = reduce(or_, map(closed.__getitem__, indices[indptr[c]:indptr[c + 1]]), 0)
+            full = reduce(or_, map(bit, members), below)
+            closed.append(full)
+            mask = full if cyclic[c] else below
+            for v in members:
+                star[v] = mask
         return star
 
-    def reach(self, bound: Bound) -> Dict[Node, int]:
+    def reach(self, bound: Bound) -> List[int]:
         return self.star_reach() if bound == STAR else self.bounded_reach(bound)
+
+    def preimage(self, bound: Bound, label: str) -> int:
+        """``pre[bound, label]``: nodes with a *label* node within *bound* hops.
+
+        Bit ``i`` is set iff ``reach(bound)[i]`` meets
+        ``label_candidates(label)`` — the survivors of any pattern edge
+        ``(u, u', bound)`` with ``fv(u') = label`` while ``cand(u')`` is
+        still the full label mask.  Built once per context and shared like
+        the tables it is derived from.
+        """
+        key = (bound, label)
+        cached = self._pre.get(key)
+        if cached is None:
+            with self._cache_lock:
+                cached = self._pre.get(key)
+                if cached is None:
+                    cached = self._build_preimage(bound, label)
+                    self._pre[key] = cached
+        return cached
+
+    def _build_preimage(self, bound: Bound, label: str) -> int:
+        return mask_of_flags(map(self.label_candidates(label).__and__, self.reach(bound)))
 
     # -- sharing contract -------------------------------------------------
     @property
@@ -440,7 +483,55 @@ class MatchContext:
             self._adjacency = None
             self._bounded.clear()
             self._star = None
+            self._pre.clear()
             self._label_bits.clear()
+
+
+def match_bitsets(
+    pattern: GraphPattern,
+    graph: Union[DiGraph, CSRGraph],
+    context: MatchContext,
+) -> Dict[Node, int]:
+    """The refinement kernel: pattern node → candidate bitset of the maximum
+    match, ``{}`` when there is none (module docstring, "Algorithm").
+
+    :func:`match` before the ids are named — bit ``i`` stands for
+    ``context.indexer.node(i)`` — for consumers that expand the ids
+    themselves (``PatternCompression.answer`` maps block ids of ``Gb``
+    straight to original nodes).
+    """
+    if graph is not context.graph and graph is not context._csr:
+        raise ValueError("context was built for a different graph")
+    labels = pattern.nodes
+    full = {u: context.label_candidates(label) for u, label in labels.items()}
+    if not all(full.values()):
+        return {}
+    cand = dict(full)
+    edges_into: Dict[Node, List[Tuple[Node, Bound]]] = {u: [] for u in labels}
+    for (u, child), bound in pattern.edges.items():
+        # Round 0: the target still holds its whole label mask.
+        cand[u] &= context.preimage(bound, labels[child])
+        edges_into[child].append((u, bound))
+    if not all(cand.values()):
+        return {}
+
+    # The worklist: targets whose entering edges may be unsettled (a dict as
+    # a set with a deterministic pop order).
+    pending = dict.fromkeys(u for u in labels if cand[u] != full[u])
+    while pending:
+        child = pending.popitem()[0]
+        for u, bound in edges_into[child]:
+            rows = context.reach(bound)
+            target = cand[child]  # re-read: a self-loop shrinks it mid-loop
+            mask = cand[u]
+            dead = [i for i in iter_bits(mask) if not rows[i] & target]
+            if dead:
+                mask ^= bitset_of(dead)
+                if not mask:
+                    return {}
+                cand[u] = mask
+                pending[u] = None
+    return cand
 
 
 def match(
@@ -450,7 +541,7 @@ def match(
 ) -> MatchResult:
     """The maximum match of *pattern* in *graph* (empty dict if none).
 
-    Runs the greatest-fixpoint refinement described in the module docstring.
+    Runs the worklist refinement described in the module docstring.
     The same function evaluates patterns on original and compressed graphs —
     exactly the "any algorithm runs on Gr as is" property the paper claims —
     and accepts either backend: a mutable :class:`DiGraph` or a frozen
@@ -460,38 +551,11 @@ def match(
     if pattern.order() == 0:
         return {}
     ctx = context if context is not None else MatchContext(graph)
-    if graph is not ctx.graph and graph is not ctx._csr:
-        raise ValueError("context was built for a different graph")
-
-    cand: Dict[Node, int] = {}
-    for u in pattern.nodes:
-        bits = ctx.label_candidates(pattern.label(u))
-        if not bits:
-            return {}
-        cand[u] = bits
-
-    edges = list(pattern.edges.items())
-    changed = True
-    while changed:
-        changed = False
-        for (u, u_child), bound in edges:
-            reach = ctx.reach(bound)
-            target = cand[u_child]
-            survivors = 0
-            mask = cand[u]
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                v = ctx.indexer.node(low.bit_length() - 1)
-                if reach[v] & target:
-                    survivors |= low
-            if survivors != cand[u]:
-                if not survivors:
-                    return {}
-                cand[u] = survivors
-                changed = True
-
-    return {u: set(ctx.indexer.unpack(bits)) for u, bits in cand.items()}
+    nodes = ctx.indexer.node_order()
+    return {
+        u: set(select(bits, nodes))
+        for u, bits in match_bitsets(pattern, graph, ctx).items()
+    }
 
 
 def boolean_match(

@@ -1,18 +1,24 @@
 """Plain graph simulation [12] — the all-bounds-1 pattern queries.
 
 The paper's second special case of pattern queries (Section 2.1): every
-pattern edge must be matched by a single data edge.  This module gives a
-dedicated evaluator in the style of Henzinger–Henzinger–Kopke, plus a naive
-reference.  ``simulation(p, g)`` always agrees with
-``match(p.with_all_bounds(1), g)``; tests enforce this.
+pattern edge must be matched by a single data edge.  :func:`simulation` is
+the bound-1 entry to the one refinement kernel of
+:mod:`repro.queries.matching`
+(:func:`~repro.queries.matching.match_bitsets`,
+Henzinger–Henzinger–Kopke worklist scheduling over bitsets): it runs
+``match`` with every bound read as 1, whatever ``fe`` says, so the kernel
+only ever touches the ``reach_1`` table.  ``simulation(p, g)`` always
+agrees with ``match(p.with_all_bounds(1), g)`` and with the naive
+reference below; tests enforce both.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Set
+from typing import Dict, Hashable, Optional, Set, Union
 
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.queries.matching import MatchContext, MatchResult
+from repro.queries.matching import MatchContext, MatchResult, match
 from repro.queries.pattern import GraphPattern
 
 Node = Hashable
@@ -20,55 +26,15 @@ Node = Hashable
 
 def simulation(
     pattern: GraphPattern,
-    graph: DiGraph,
+    graph: Union[DiGraph, CSRGraph],
     context: Optional[MatchContext] = None,
 ) -> MatchResult:
     """Maximum simulation of *pattern* in *graph* (empty dict if none).
 
-    Worklist refinement: when ``cand(u')`` shrinks, only the pattern edges
-    entering ``u'`` are re-examined — the HHK scheduling idea, with bitsets
-    doing the per-node successor checks.
+    Accepts what :func:`~repro.queries.matching.match` accepts: a mutable
+    graph or a frozen snapshot, with or without a shared context.
     """
-    if pattern.order() == 0:
-        return {}
-    ctx = context if context is not None else MatchContext(graph)
-    if ctx.graph is not graph:
-        raise ValueError("context was built for a different graph")
-    adjacency = ctx.adjacency_bitsets()
-    indexer = ctx.indexer
-
-    cand: Dict[Node, int] = {}
-    for u in pattern.nodes:
-        bits = ctx.label_candidates(pattern.label(u))
-        if not bits:
-            return {}
-        cand[u] = bits
-
-    # Pattern edges indexed by their target, for worklist scheduling.
-    edges_into: Dict[Node, list] = {u: [] for u in pattern.nodes}
-    for (u, u_child) in pattern.edges:
-        edges_into[u_child].append(u)
-
-    worklist = set(pattern.nodes)
-    while worklist:
-        u_child = worklist.pop()
-        target = cand[u_child]
-        for u in edges_into[u_child]:
-            survivors = 0
-            mask = cand[u]
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                v = indexer.node(low.bit_length() - 1)
-                if adjacency[v] & target:
-                    survivors |= low
-            if survivors != cand[u]:
-                if not survivors:
-                    return {}
-                cand[u] = survivors
-                worklist.add(u)
-
-    return {u: set(indexer.unpack(bits)) for u, bits in cand.items()}
+    return match(pattern.with_all_bounds(1), graph, context)
 
 
 def simulation_naive(pattern: GraphPattern, graph: DiGraph) -> MatchResult:

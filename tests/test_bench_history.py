@@ -217,3 +217,17 @@ class TestCLI:
         assert main(["trend", "--history",
                      str(tmp_path / "none.jsonl")]) == 0
         assert "history is empty" in capsys.readouterr().out
+
+    def test_check_appends_to_the_history_only_with_record(self, tmp_path, capsys):
+        from repro.bench.__main__ import main
+
+        (tmp_path / "BENCH_service.json").write_text(
+            json.dumps(_service_payload(2.0)))
+        path = tmp_path / "history.jsonl"
+        args = ["check", "--baseline", str(tmp_path), "--current", str(tmp_path),
+                "--history", str(path)]
+        assert main(args) == 0
+        assert not path.exists()  # the default run writes nothing
+        assert main(args + ["--record"]) == 0
+        assert [r["source"] for r in load_history(path)] == ["check"]
+        assert "1 experiment(s) appended" in capsys.readouterr().out

@@ -98,9 +98,11 @@ def test_match_context_star_cache_reuse():
     star1 = ctx.star_reach()
     star2 = ctx.star_reach()
     assert star1 is star2  # cached
-    # Cycle members reach themselves; the sink does not.
-    assert star1[1] & (1 << ctx.indexer.index(1))
-    assert not star1[4]
+    # Rows are indexed by dense id.  Cycle members reach themselves; the
+    # sink does not.
+    row = ctx.indexer.index
+    assert star1[row(1)] & (1 << row(1))
+    assert not star1[row(4)]
 
 
 def test_compression_stats_equality_semantics():

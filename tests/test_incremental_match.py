@@ -7,7 +7,7 @@ import pytest
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnm_random_graph
 from repro.queries.incremental_match import IncrementalMatcher
-from repro.queries.matching import match
+from repro.queries.matching import MatchContext, match
 from repro.queries.pattern import STAR, GraphPattern
 from repro.datasets.patterns import random_pattern
 
@@ -36,6 +36,56 @@ def test_randomized_batches_match_from_scratch():
                 (work.add_edge if op == "+" else work.remove_edge)(u, v)
             got = inc.apply(batch)
             assert got == match(q, work), f"trial {trial} step {step}"
+
+
+def test_every_update_of_a_mixed_batch_matches_a_fresh_context():
+    """The matcher edits the context's rows in place; whatever the context
+    derives from them (the round-0 preimage masks) must follow each edit.
+
+    Update by update — a batch-level check can hide a stale mask behind a
+    later update that happens to refresh it — on both backends of the
+    fresh context, and with a deletion that turns a matched node into a
+    sink: a stale ``pre[1, B]`` would keep it matched.
+    """
+    g = DiGraph.from_edges([("a1", "b1"), ("a2", "b1"), ("a2", "b2"),
+                            ("b1", "c1"), ("b2", "c1")])
+    for v in g.nodes():
+        g.set_label(v, v[0].upper())
+    q = GraphPattern.from_parts({0: "A", 1: "B", 2: "C"}, [(0, 1, 1), (1, 2, 2)])
+    inc = IncrementalMatcher(q, g)
+    assert inc.current()[0] == {"a1", "a2"}
+    updates = [
+        ("-", "a1", "b1"),  # a1 becomes a sink: it must leave the match
+        ("+", "a1", "b2"),  # ...and come back
+        ("-", "b2", "c1"),  # b2 a sink: a1 loses its only witness
+        ("+", "c1", "c1"),
+        ("-", "b1", "c1"),  # no B reaches a C any more: no match at all
+        ("+", "b2", "c1"),
+        ("-", "a2", "b1"),
+    ]
+    sizes = []
+    for update in updates:
+        got = inc.apply([update])
+        for backend in ("csr", "dict"):
+            fresh = MatchContext(inc.graph, backend=backend)
+            assert got == match(q, inc.graph, fresh), (update, backend)
+        sizes.append(len(got.get(0, ())))
+    assert sizes == [1, 2, 1, 1, 0, 2, 2]  # the sink deletions moved the answer
+
+    rng = random.Random(29)
+    for trial in range(12):
+        n = rng.randrange(6, 18)
+        g = gnm_random_graph(n, rng.randrange(n, 3 * n), num_labels=2, seed=trial)
+        q = random_pattern(g, 3, 4, max_bound=3, star_prob=0.3, seed=trial)
+        inc = IncrementalMatcher(q, g)
+        for step in range(12):
+            edges = inc.graph.edge_list()
+            if edges and rng.random() < 0.5:
+                update = ("-", *rng.choice(edges))
+            else:
+                update = ("+", rng.randrange(n), rng.randrange(n))
+            got = inc.apply([update])
+            assert got == match(q, inc.graph, MatchContext(inc.graph)), (trial, step)
 
 
 def test_insertion_grows_and_deletion_shrinks_matches():

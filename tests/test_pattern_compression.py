@@ -5,7 +5,7 @@ import random
 from repro.core.pattern import compress_pattern, quotient_by_partition
 from repro.graph.partition import Partition
 from repro.graph.generators import gnm_random_graph
-from repro.queries.matching import boolean_match, match, match_naive
+from repro.queries.matching import MatchContext, boolean_match, match, match_naive
 from repro.queries.pattern import GraphPattern
 from repro.datasets.patterns import random_pattern
 
@@ -72,7 +72,14 @@ def test_preservation_randomized_including_cycles_and_star():
             star_prob=0.3,
             seed=trial,
         )
-        assert pc.query(q, match) == match_naive(q, g)
+        expected = match_naive(q, g)
+        assert pc.query(q, match) == expected
+        # The fused match + P of the router entry point, with and without a
+        # shared context over Gb (csr ids and dict ids name the same blocks).
+        assert pc.answer(q) == expected
+        for backend in ("csr", "dict"):
+            ctx = MatchContext(pc.compressed, backend=backend)
+            assert pc.answer(q, context=ctx) == expected
 
 
 def test_naive_and_stratified_compressions_agree():

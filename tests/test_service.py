@@ -99,6 +99,24 @@ def test_epoch_retire_without_readers_frees_immediately():
     assert first.freed
 
 
+def test_direct_pattern_query_does_not_pin_an_original_context():
+    """``on="original"`` pattern queries run on a throwaway context: the
+    G-sized tables are neither built inside some first request nor kept with
+    the epoch.  The shared context is used once somebody asked for it."""
+    g = _mixed_graph(4)
+    service = EngineService(g.copy())
+    patterns = [q for q in _workload(g, seed=9, pairs=0, patterns=5)]
+    routed = [freeze_answer(service.query(p)) for p in patterns]
+    with service.pin() as epoch:
+        direct = [freeze_answer(epoch.evaluate_original(p)) for p in patterns]
+        assert "original" not in epoch._contexts
+        shared = epoch.context_for("original")
+        assert shared.sealed and epoch.context_for("original") is shared
+        again = [freeze_answer(epoch.evaluate_original(p)) for p in patterns]
+        assert shared._adjacency is not None  # the shared tables did the work
+    assert direct == routed == again
+
+
 def test_service_close_and_errors():
     g = _mixed_graph(4)
     service = EngineService(g)
