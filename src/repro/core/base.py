@@ -17,26 +17,40 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Hashable, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, Hashable, Iterator, List, Optional, Tuple
 
+from repro.graph.csr import flatten_rows, split_rows
 from repro.graph.digraph import DiGraph
 
 Node = Hashable
+
+
+def quotient_rows(graph: DiGraph) -> Tuple[List[int], List[int]]:
+    """Row form ``(indptr, targets)`` of a quotient graph over ids ``0..k-1``.
+
+    Row ``c`` lists the successors of hypernode ``c`` in increasing order —
+    the layout :func:`decode_quotient_arrays` hands back to
+    :meth:`DiGraph.from_rows` one ``set(row)`` at a time.
+    """
+    return flatten_rows(map(sorted, map(graph.successors, range(graph.order()))))
 
 
 def decode_quotient_arrays(
     node_order: List[Node],
     id_array: List[int],
     nhyper: int,
-    flat_edges: List[int],
-) -> Tuple[Dict[Node, int], Dict[int, List[Node]], List[Tuple[int, int]]]:
+    indptr: List[int],
+    targets: List[int],
+) -> Tuple[Dict[Node, int], Dict[int, List[Node]], Iterator[List[int]]]:
     """Validate and decode a persisted quotient (shared ``from_arrays`` core).
 
-    Returns ``(class_of, class_members, edge_pairs)`` with members grouped
-    in node order.  Raises ``ValueError`` on any shape or range
-    inconsistency — arrays of the wrong length, hypernode ids not covering
-    exactly ``0..nhyper-1``, an odd-length or out-of-range edge array — so
-    the :mod:`repro.store` catalog can treat a malformed variant file as
+    Returns ``(class_of, class_members, rows)`` with members grouped in
+    node order and ``rows[c]`` the successors of hypernode ``c``.  Raises
+    ``ValueError`` on any shape or range inconsistency — arrays of the
+    wrong length, hypernode ids not covering exactly ``0..nhyper-1``,
+    offsets that do not run monotonically from 0 to ``len(targets)``, a
+    target out of range, a row that is not strictly increasing — so the
+    :mod:`repro.store` catalog can treat a malformed variant file as
     corrupt and recompute instead of rehydrating a broken artifact.
     """
     if len(id_array) != len(node_order):
@@ -49,20 +63,11 @@ def decode_quotient_arrays(
         # a memberless hypernode or out-of-range id means the arrays
         # belong to another graph (empty graphs must claim nhyper == 0)
         raise ValueError(f"persisted id map does not cover 0..{nhyper - 1}")
-    if len(flat_edges) % 2:
-        raise ValueError("persisted edge array has odd length")
-    if flat_edges and (min(flat_edges) < 0 or max(flat_edges) >= nhyper):
-        # DiGraph.add_edge would silently create a phantom hypernode
-        raise ValueError("persisted quotient edge endpoint out of range")
-    class_of: Dict[Node, int] = {}
-    class_members: Dict[int, List[Node]] = {cid: [] for cid in range(nhyper)}
+    rows = split_rows(indptr, targets, nhyper, nhyper, "quotient edge")
+    members: List[List[Node]] = [[] for _ in range(nhyper)]
     for v, cid in zip(node_order, id_array):
-        class_of[v] = cid
-        class_members[cid].append(v)
-    edge_pairs = [
-        (flat_edges[k], flat_edges[k + 1]) for k in range(0, len(flat_edges), 2)
-    ]
-    return class_of, class_members, edge_pairs
+        members[cid].append(v)
+    return dict(zip(node_order, id_array)), dict(enumerate(members)), rows
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from repro.core.base import (
     CompressionStats,
     QueryPreservingCompression,
     decode_quotient_arrays,
+    quotient_rows,
 )
 from repro.core.bisimulation import bisimulation_partition, bisimulation_partition_naive
 from repro.graph.bitset import select
@@ -114,11 +115,13 @@ class PatternCompression(QueryPreservingCompression):
         hypernode labels are not stored — they are recovered from the base
         graph's labels (bisimilar nodes share their label by definition).
         """
+        indptr, targets = quotient_rows(self._gr)
         return {
             "stats": [self._original_nodes, self._original_edges],
             "nblocks": [self._gr.order()],
-            "block_of": [self._class_of[v] for v in node_order],
-            "gb_edges": [i for edge in sorted(self._gr.edges()) for i in edge],
+            "block_of": list(map(self._class_of.__getitem__, node_order)),
+            "gb_indptr": indptr,
+            "gb_targets": targets,
         }
 
     @classmethod
@@ -138,15 +141,16 @@ class PatternCompression(QueryPreservingCompression):
         recomputes.
         """
         nblocks = arrays["nblocks"][0]
-        class_of, class_members, edge_pairs = decode_quotient_arrays(
-            node_order, arrays["block_of"], nblocks, arrays["gb_edges"]
+        class_of, class_members, rows = decode_quotient_arrays(
+            node_order,
+            arrays["block_of"],
+            nblocks,
+            arrays["gb_indptr"],
+            arrays["gb_targets"],
         )
-        label_of_node = dict(zip(node_order, node_labels))
-        gr = DiGraph()
-        for bid in range(nblocks):
-            gr.add_node(bid, label_of_node[class_members[bid][0]])
-        for bi, bj in edge_pairs:
-            gr.add_edge(bi, bj)
+        label_of_node = dict(zip(node_order, node_labels, strict=True))
+        labels = [label_of_node[members[0]] for members in class_members.values()]
+        gr = DiGraph.from_rows(range(nblocks), labels, rows)
         return cls(
             compressed=gr,
             class_of=class_of,

@@ -39,12 +39,14 @@ the gap the paper glosses over without giving up "any algorithm runs on
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Callable, ClassVar, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.base import (
     CompressionStats,
     QueryPreservingCompression,
     decode_quotient_arrays,
+    quotient_rows,
 )
 from repro.core.equivalence import canonical_classes
 from repro.graph.csr import CSRGraph
@@ -138,13 +140,15 @@ class ReachabilityCompression(QueryPreservingCompression):
         stored aligned to it so no node ids need encoding — the catalog's
         base snapshot already owns them.
         """
+        indptr, targets = quotient_rows(self._gr)
         arrays = {
             "stats": [self._original_nodes, self._original_edges],
             "nclasses": [self._gr.order()],
-            "class_of": [self._class_of[v] for v in node_order],
-            "scc_of": [self._scc_of[v] for v in node_order],
+            "class_of": list(map(self._class_of.__getitem__, node_order)),
+            "scc_of": list(map(self._scc_of.__getitem__, node_order)),
             "cyclic_sccs": sorted(self._cyclic),
-            "gr_edges": [i for edge in sorted(self._gr.edges()) for i in edge],
+            "gr_indptr": indptr,
+            "gr_targets": targets,
         }
         if self._scc_graph_size is not None:
             arrays["scc_graph_size"] = [self._scc_graph_size]
@@ -170,8 +174,12 @@ class ReachabilityCompression(QueryPreservingCompression):
                 "persisted arrays do not match the base graph's node count"
             )
         nclasses = arrays["nclasses"][0]
-        class_of, class_members, edge_pairs = decode_quotient_arrays(
-            node_order, arrays["class_of"], nclasses, arrays["gr_edges"]
+        class_of, class_members, rows = decode_quotient_arrays(
+            node_order,
+            arrays["class_of"],
+            nclasses,
+            arrays["gr_indptr"],
+            arrays["gr_targets"],
         )
         sccs = arrays["scc_of"]
         if sccs and (min(sccs) < 0 or max(sccs) >= len(node_order)):
@@ -180,12 +188,8 @@ class ReachabilityCompression(QueryPreservingCompression):
         if not set(arrays["cyclic_sccs"]) <= set(sccs):
             # a cyclic SCC has members, so its id must appear in scc_of
             raise ValueError("persisted cyclic SCC ids not among the SCC ids")
-        gr = DiGraph()
-        for cid in range(nclasses):
-            gr.add_node(cid, DEFAULT_LABEL)
-        for ci, cj in edge_pairs:
-            gr.add_edge(ci, cj)
-        scc_of = dict(zip(node_order, arrays["scc_of"]))
+        gr = DiGraph.from_rows(range(nclasses), repeat(DEFAULT_LABEL, nclasses), rows)
+        scc_of = dict(zip(node_order, sccs))
         size = arrays.get("scc_graph_size")
         return cls(
             compressed=gr,

@@ -27,7 +27,9 @@ The two backends split responsibilities:
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, List, NamedTuple, Tuple
+from itertools import accumulate, chain, compress
+from operator import ge, le
+from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from repro.graph.digraph import DiGraph, NodeIndexer
 
@@ -87,6 +89,41 @@ def reverse_from_forward(
             fill[j] += 1
         start = end
     return rindptr, rindices
+
+
+def flatten_rows(rows: Iterable[Sequence[int]]) -> Tuple[List[int], List[int]]:
+    """``(indptr, values)`` of a sequence of rows — the persisted row form."""
+    rows = list(rows)
+    return [0, *accumulate(map(len, rows))], list(chain.from_iterable(rows))
+
+
+def split_rows(
+    indptr: List[int], values: List[int], nrows: int, bound: int, what: str
+) -> Iterator[List[int]]:
+    """The rows of a persisted ``(indptr, values)`` pair, validated first.
+
+    The inverse of :func:`flatten_rows` for untrusted input (variant files):
+    raises ``ValueError`` unless *indptr* has ``nrows + 1`` entries running
+    monotonically from 0 to ``len(values)``, every value lies in
+    ``range(bound)`` and every row is strictly increasing — consumers build
+    ``set(row)``, which would silently swallow a duplicate and leave edge
+    and entry counts disagreeing with what the writer recorded.  Every
+    check is one C-level pass over the arrays, not a loop per row.
+    """
+    if (
+        len(indptr) != nrows + 1
+        or indptr[0] != 0
+        or indptr[-1] != len(values)
+        or not all(map(le, indptr, indptr[1:]))
+    ):
+        raise ValueError(f"persisted {what} offsets are inconsistent")
+    if values and (min(values) < 0 or max(values) >= bound):
+        raise ValueError(f"persisted {what} out of range")
+    # A value may fail to exceed its predecessor only where a new row starts.
+    descents = compress(range(1, len(values)), map(ge, values, values[1:]))
+    if not set(indptr).issuperset(descents):
+        raise ValueError(f"persisted {what} rows are not strictly increasing")
+    return map(values.__getitem__, map(slice, indptr, indptr[1:]))
 
 
 class CSRGraph:

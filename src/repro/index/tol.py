@@ -44,7 +44,7 @@ from collections import deque
 from functools import partial
 from typing import Callable, Collection, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, flatten_rows, split_rows
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import condensation
 from repro.obs.metrics import inc as obs_inc
@@ -69,14 +69,6 @@ def _csr_edges(csr: CSRGraph) -> List[Edge]:
         (order[i], order[j])
         for i in range(csr.n)
         for j in indices[indptr[i]: indptr[i + 1]]
-    ]
-
-
-def _flat_edges(node_order: List[Node], flat: List[int]) -> List[Edge]:
-    """Decode a persisted ``tol_edges`` array (index pairs into *node_order*)."""
-    return [
-        (node_order[flat[i]], node_order[flat[i + 1]])
-        for i in range(0, len(flat), 2)
     ]
 
 
@@ -377,51 +369,43 @@ class TOLIndex:
 
         *node_order* must enumerate the indexed graph's nodes in its
         canonical order (for ``Gr`` that is ``range(|Gr|)``); per-node
-        maps are aligned to it, and edges are encoded as index pairs into
-        it, so arbitrary node ids never need encoding.
+        maps are aligned to it, so arbitrary node ids never need encoding.
+        The indexed graph's edges are *not* part of the arrays: whoever
+        persists an index also holds the graph it was built over, and
+        hands its edges back to :meth:`from_arrays`.
         """
-        position = {v: i for i, v in enumerate(node_order)}
-        if len(position) != len(self._scc_of) or any(
-            v not in self._scc_of for v in position
+        if (
+            len(node_order) != len(self._scc_of)
+            or set(node_order) != self._scc_of.keys()
         ):
             raise ValueError("node_order does not enumerate the indexed graph")
-        out_indptr, out_hubs = self._flatten_labels(self._label_out)
-        in_indptr, in_hubs = self._flatten_labels(self._label_in)
+        out_indptr, out_hubs = flatten_rows(map(sorted, self._label_out))
+        in_indptr, in_hubs = flatten_rows(map(sorted, self._label_in))
         return {
             "tol_meta": [self._ncomp, self._built_entries, int(self._dag)],
-            "tol_comp": [self._scc_of[v] for v in node_order],
+            "tol_comp": list(map(self._scc_of.__getitem__, node_order)),
             "tol_out_indptr": out_indptr,
             "tol_out_hubs": out_hubs,
             "tol_in_indptr": in_indptr,
             "tol_in_hubs": in_hubs,
-            "tol_edges": [
-                position[x]
-                for e in sorted(self._node_edges(), key=repr)
-                for x in e
-            ],
         }
-
-    @staticmethod
-    def _flatten_labels(labels: List[Set[int]]) -> Tuple[List[int], List[int]]:
-        indptr = [0]
-        hubs: List[int] = []
-        for label in labels:
-            hubs.extend(sorted(label))
-            indptr.append(len(hubs))
-        return indptr, hubs
 
     @classmethod
     def from_arrays(
-        cls, node_order: List[Node], arrays: Dict[str, List[int]]
+        cls,
+        node_order: List[Node],
+        arrays: Dict[str, List[int]],
+        edge_source: Callable[[], Collection[Edge]],
     ) -> "TOLIndex":
         """Rehydrate an index persisted with :meth:`to_arrays`.
 
-        Zero recomputation: labels and counters come off the arrays; the
-        edge array is validated here but decoded only when a repair asks
-        for it (*node_order* is kept for that — do not mutate it).  Raises
-        ``ValueError`` when the arrays do not fit *node_order* or are
-        internally inconsistent — the catalog treats that as a corrupt
-        variant and recomputes.
+        Zero recomputation: labels and counters come off the arrays.
+        *edge_source* returns the edges of the graph the index was built
+        over; it is called only when a repair or :meth:`edges` first asks
+        (a sealed per-epoch index never does), so that graph must not
+        change while the index is in use.  Raises ``ValueError`` when the
+        arrays do not fit *node_order* or are internally inconsistent —
+        the catalog treats that as a corrupt variant and recomputes.
         """
         ncomp, built_entries, dag_flag = arrays["tol_meta"]
         comp = arrays["tol_comp"]
@@ -429,31 +413,20 @@ class TOLIndex:
             raise ValueError("persisted arrays do not match the node count")
         if comp and (min(comp) < 0 or max(comp) >= ncomp):
             raise ValueError("persisted component ids out of range")
-        flat_edges = arrays["tol_edges"]
-        if len(flat_edges) % 2:
-            raise ValueError("persisted edge array has odd length")
-        n = len(node_order)
-        if flat_edges and (min(flat_edges) < 0 or max(flat_edges) >= n):
-            raise ValueError("persisted edge endpoints out of range")
         self = cls.__new__(cls)
         self.rebuild_ratio = 1.0
         self._scc_of = dict(zip(node_order, comp))
         self._ncomp = ncomp
         self._dag = bool(dag_flag) and ncomp == len(self._scc_of)
-        tables = []
-        for side in ("out", "in"):
-            indptr = arrays[f"tol_{side}_indptr"]
-            hubs = arrays[f"tol_{side}_hubs"]
-            if len(indptr) != ncomp + 1 or indptr[0] != 0 or indptr[-1] != len(hubs):
-                raise ValueError(f"persisted {side}-label offsets are inconsistent")
-            if hubs and (min(hubs) < 0 or max(hubs) >= ncomp):
-                raise ValueError(f"persisted {side}-label hubs out of range")
-            tables.append(
-                [set(hubs[indptr[c]: indptr[c + 1]]) for c in range(ncomp)]
-            )
-        self._label_out, self._label_in = tables
+        self._label_out, self._label_in = (
+            list(map(set, split_rows(
+                arrays[f"tol_{side}_indptr"], arrays[f"tol_{side}_hubs"],
+                ncomp, ncomp, f"{side}-label hub",
+            )))
+            for side in ("out", "in")
+        )
         self._built_entries = built_entries
-        self._seal(partial(_flat_edges, node_order, flat_edges))
+        self._seal(edge_source)
         return self
 
     def canonical_form(self) -> Tuple:

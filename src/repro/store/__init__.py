@@ -6,7 +6,8 @@ Compress once, query forever: this subsystem keeps the frozen
 session never rebuilds them.
 
 * :mod:`repro.store.format` — versioned, checksummed binary snapshot codec
-  (varint + delta-gap adjacency); see ``FORMAT.md`` for the layout;
+  (varint + delta-gap adjacency for graphs, packed fixed-width sections
+  for variant and sidecar files); see ``FORMAT.md`` for the layout;
 * :mod:`repro.store.mmapgraph` — row-lazy ``mmap`` reader over a snapshot
   file plus its offsets sidecar: adjacency decodes per row on demand, so
   resident memory tracks the query working set instead of ``|G|``;
@@ -20,6 +21,7 @@ from repro.store.catalog import CatalogError, CatalogLockError, SnapshotCatalog
 from repro.store.delta import merge_deltas
 from repro.store.format import (
     FORMAT_VERSION,
+    LegacyLayoutError,
     SnapshotError,
     SnapshotFormatError,
     SnapshotSidecar,
@@ -42,6 +44,7 @@ __all__ = [
     "CatalogError",
     "CatalogLockError",
     "FORMAT_VERSION",
+    "LegacyLayoutError",
     "MmapGraph",
     "SnapshotCatalog",
     "SnapshotError",

@@ -50,6 +50,7 @@ from repro.graph.digraph import DiGraph
 from repro.store.format import (
     FORMAT_VERSION,
     HEADER_SIZE,
+    LegacyLayoutError,
     SnapshotError,
     SnapshotVersionError,
     _frame,
@@ -568,7 +569,8 @@ class SnapshotCatalog:
         The per-row byte offsets come from the ``base.obl`` sidecar next
         to ``base.rgs``.  A missing sidecar is synthesised from the
         snapshot (one scan) and persisted for the next open; a corrupt one
-        is quarantined and rebuilt; a newer-format one is ignored in
+        is quarantined and rebuilt; one in the retired varint layout is
+        rebuilt and overwritten in place; a newer-format one is ignored in
         memory without being clobbered.  A sidecar that decodes but does
         not describe the snapshot (stale copy, wrong entry) is quarantined
         and the open retried from a fresh scan, so a bad sidecar can never
@@ -599,6 +601,8 @@ class SnapshotCatalog:
                 except SnapshotVersionError:
                     # Newer writer's sidecar: scan in memory, never clobber.
                     clobber_ok = False
+                except LegacyLayoutError:
+                    pass  # retired layout: rebuilt and overwritten below
                 except SnapshotError as exc:
                     self._quarantine(
                         sc_path,
@@ -741,7 +745,9 @@ class SnapshotCatalog:
         corrupt file is quarantined (exactly once — the move takes its
         name out of the layout) and the caller recomputes from the intact
         base snapshot and rewrites the variant, mirroring the bench
-        snapshot cache's repair path.  A *newer-format* file is also
+        snapshot cache's repair path.  An intact file in the retired
+        varint layout is a plain miss: the caller recomputes and overwrites
+        it in place, nothing is quarantined.  A *newer-format* file is also
         recomputed in memory, but ``writable`` comes back False so an
         older tool sharing the catalog never overwrites the newer tool's
         cache.
@@ -759,6 +765,8 @@ class SnapshotCatalog:
             arrays = decode_int_sections(data)
         except SnapshotVersionError:
             return None, False  # newer writer's data: compute, don't clobber
+        except LegacyLayoutError:
+            return None, True  # rebuildable cache in a retired layout: a miss
         except SnapshotError as exc:
             self._quarantine(path, f"corrupt variant for entry {digest}: {exc}")
             return None, True
@@ -824,7 +832,7 @@ class SnapshotCatalog:
         with trace_span("catalog.variant", kind="bisimulation") as span:
             arrays, writable = self._read_variant(path, digest)
             if arrays is not None:
-                labels = [csr.label(i) for i in range(csr.n)]
+                labels = list(map(csr.label_names.__getitem__, csr.label_codes()))
                 try:
                     comp = PatternCompression.from_arrays(
                         csr.node_order(), labels, arrays
@@ -855,11 +863,15 @@ class SnapshotCatalog:
         ``Gr`` of *source* when the caller already holds it
         (``reachability(source).compressed``); without it ``Gr`` comes
         through :meth:`reachability`, which reads and decodes that variant
-        again.  The persisted arrays are aligned to ``Gr``'s canonical
-        class ids, so a rehydrated index answers byte-identically to a
-        cold build — but only for *canonical* artifacts: callers serving
-        an incrementally-maintained ``Gr`` must build their index from
-        that artifact directly, not from here.
+        again.  ``tol.rpv`` stores labels only: a rehydrated index reads
+        ``Gr``'s edges back from *gr* the first time a repair asks for
+        them, so *gr* must stay as it is for as long as the index is used
+        (maintainers build their own ``Gr``; nothing mutates a catalog
+        artifact's).  The persisted arrays are aligned to ``Gr``'s
+        canonical class ids, so a rehydrated index answers byte-identically
+        to a cold build — but only for *canonical* artifacts: callers
+        serving an incrementally-maintained ``Gr`` must build their index
+        from that artifact directly, not from here.
         """
         digest = self._resolve(source)
         path = self._variant_path(digest, "tol")
@@ -870,7 +882,7 @@ class SnapshotCatalog:
             order = sorted(gr.nodes())
             if arrays is not None:
                 try:
-                    index = TOLIndex.from_arrays(order, arrays)
+                    index = TOLIndex.from_arrays(order, arrays, gr.edge_list)
                 except (KeyError, ValueError, IndexError):
                     pass  # malformed arrays from a buggy writer: recompute
                 else:

@@ -37,6 +37,11 @@ the byte-level rules:
   adjacency row, so :class:`~repro.store.mmapgraph.MmapGraph` can decode
   single rows on demand through ``mmap`` instead of one whole-file pass.
 
+The sidecar and the catalog's variant files (``.rpv``) share a second,
+simpler body: named integer arrays packed at a fixed width per array
+(``FLAG_PACKED``).  They are rebuildable caches read whole, so they trade
+the varint's bits for ``memcpy``-speed decoding.
+
 The content digest is always SHA-256 over the *canonical v1 body* — a
 graph has one identity no matter which encoding flags produced the file.
 """
@@ -46,8 +51,11 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import sys
 import tempfile
 import zlib
+from array import array
+from operator import lt
 from pathlib import Path
 from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -110,6 +118,11 @@ _SECTIONS_MAGIC = b"RPGV"
 # Offsets sidecar (``.obl``) magic — same framing discipline, its own kind.
 OFFSETS_MAGIC = b"RPGO"
 
+#: Flag bit on the two section containers (``RPGV`` / ``RPGO``): sections
+#: are packed fixed-width arrays.  Writers always set it; a file without it
+#: is in the retired varint layout (:class:`LegacyLayoutError`).
+FLAG_PACKED = 0x0008
+
 
 class SnapshotError(Exception):
     """Base error for unreadable snapshot files."""
@@ -121,6 +134,14 @@ class SnapshotFormatError(SnapshotError):
 
 class SnapshotVersionError(SnapshotError):
     """The file is a snapshot, but of an unsupported format version."""
+
+
+class LegacyLayoutError(SnapshotError):
+    """An intact variant or sidecar file in a layout no reader remains for.
+
+    Both file kinds are caches rebuildable from the base snapshot, so this
+    is a cache miss — recompute and overwrite — not a corruption.
+    """
 
 
 class UnsupportedNodeError(SnapshotError):
@@ -990,7 +1011,7 @@ def encode_sidecar(sidecar: SnapshotSidecar) -> bytes:
         "rev": sidecar.rev,
         "digest": list(bytes.fromhex(sidecar.digest)),
     }
-    return _frame(bytes(_encode_sections_body(sections)), magic=OFFSETS_MAGIC, flags=0)
+    return _frame(_encode_sections_body(sections), OFFSETS_MAGIC, FLAG_PACKED)
 
 
 def decode_sidecar(data: bytes) -> SnapshotSidecar:
@@ -998,24 +1019,18 @@ def decode_sidecar(data: bytes) -> SnapshotSidecar:
 
     Anything inconsistent — framing, section shape, non-monotonic offsets —
     raises a :class:`SnapshotError` subtype so catalog self-heal paths can
-    rebuild the sidecar instead of serving through a corrupt index.
+    rebuild the sidecar instead of serving through a corrupt index; an
+    intact sidecar in the retired varint layout raises
+    :class:`LegacyLayoutError`.
     """
-    body, _flags = _unframe(
-        data, magic=OFFSETS_MAGIC, allowed_flags=0, kind="offsets sidecar"
-    )
-    try:
-        sections = _decode_int_sections_body(body)
-    except UnicodeDecodeError as exc:
-        raise SnapshotFormatError(f"malformed section name: {exc}") from exc
+    sections = _decode_sections(data, OFFSETS_MAGIC, "offsets sidecar")
     meta = sections.get("meta")
     fwd = sections.get("fwd")
     rev = sections.get("rev")
     digest_bytes = sections.get("digest")
     if meta is None or len(meta) != 5 or fwd is None or rev is None:
         raise SnapshotFormatError("offsets sidecar is missing a section")
-    if digest_bytes is None or len(digest_bytes) != 32 or any(
-        b > 0xFF for b in digest_bytes
-    ):
+    if digest_bytes is None or len(digest_bytes) != 32 or max(digest_bytes) > 0xFF:
         raise SnapshotFormatError("offsets sidecar digest is malformed")
     crc, body_len, flags, n, m = meta
     if flags & ~SNAPSHOT_FLAGS:
@@ -1024,15 +1039,13 @@ def decode_sidecar(data: bytes) -> SnapshotSidecar:
         )
     if len(fwd) != n or len(rev) != (n if flags & FLAG_REVERSE else 0):
         raise SnapshotFormatError("offsets sidecar row count disagrees with meta")
-    prev = -1
-    for off in fwd:
-        if off <= prev or off >= body_len:
-            raise SnapshotFormatError("offsets sidecar is not strictly increasing")
-        prev = off
-    for off in rev:
-        if off <= prev or off >= body_len:
-            raise SnapshotFormatError("offsets sidecar is not strictly increasing")
-        prev = off
+    # Forward rows precede reverse rows, so the two tables read as one
+    # strictly increasing run whose last entry is the largest offset.
+    offsets = fwd + rev
+    if offsets and (
+        offsets[-1] >= body_len or not all(map(lt, offsets, offsets[1:]))
+    ):
+        raise SnapshotFormatError("offsets sidecar is not strictly increasing")
     return SnapshotSidecar(
         crc, body_len, flags, n, m, fwd, rev, bytes(digest_bytes).hex()
     )
@@ -1282,59 +1295,105 @@ def load_snapshot(path: PathLike) -> CSRGraph:
 
 
 # ----------------------------------------------------------------------
-# Named integer sections (catalog variant payloads)
+# Named integer sections (catalog variant payloads, offsets sidecar)
 # ----------------------------------------------------------------------
+#
+# Packed body (``FLAG_PACKED``), every integer little-endian:
+#
+#   u32 section count, then per section:
+#     u16 name length, name (UTF-8)
+#     u64 value count, u8 width in {1, 2, 4, 8}
+#     count * width bytes: the values, unsigned, *width* bytes each
+#
+# Both file kinds are caches of derived arrays that a reader consumes
+# whole, so the codec is chosen for decode speed: one ``frombytes`` +
+# ``tolist`` per section instead of one varint parse per value.
+_SECTION_COUNT = struct.Struct("<I")
+_SECTION_NAME = struct.Struct("<H")
+_SECTION_SHAPE = struct.Struct("<QB")
+#: Value width in bytes -> ``array`` typecode of exactly that item size.
+_WIDTH_CODES = {array(code).itemsize: code for code in "LQIHB"}
+#: ``array`` reads and writes host byte order; the file is little-endian.
+_SWAP = sys.byteorder == "big"
+
+
 def encode_int_sections(sections: Dict[str, List[int]]) -> bytes:
     """Serialise named non-negative integer arrays (compression artifacts).
 
     Same framing discipline as snapshots — magic, version, CRC — so variant
     files are corruption-checked before any array is trusted.
     """
-    return _frame(bytes(_encode_sections_body(sections)), magic=_SECTIONS_MAGIC, flags=0)
+    return _frame(_encode_sections_body(sections), _SECTIONS_MAGIC, FLAG_PACKED)
 
 
-def _encode_sections_body(sections: Dict[str, List[int]]) -> bytearray:
-    out = bytearray()
-    _write_uvarint(out, len(sections))
+def _encode_sections_body(sections: Dict[str, List[int]]) -> bytes:
+    parts = [_SECTION_COUNT.pack(len(sections))]
     for name, values in sections.items():
         raw = name.encode("utf-8")
-        _write_uvarint(out, len(raw))
-        out += raw
-        _write_uvarint(out, len(values))
-        for value in values:
-            if value < 0:
-                raise ValueError(f"section {name!r} holds a negative value")
-            _write_uvarint(out, value)
-    return out
+        top = max(values, default=0)
+        if top >= 1 << 64 or min(values, default=0) < 0:
+            raise ValueError(f"section {name!r} holds a value outside 0..2**64-1")
+        width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4 if top < 1 << 32 else 8
+        packed = array(_WIDTH_CODES[width], values)
+        if _SWAP:
+            packed.byteswap()
+        parts += (
+            _SECTION_NAME.pack(len(raw)),
+            raw,
+            _SECTION_SHAPE.pack(len(values), width),
+            packed.tobytes(),
+        )
+    return b"".join(parts)
 
 
 def decode_int_sections(data: bytes) -> Dict[str, List[int]]:
-    """Inverse of :func:`encode_int_sections`."""
-    body, _flags = _unframe(data, magic=_SECTIONS_MAGIC, allowed_flags=0, kind="variant")
+    """Inverse of :func:`encode_int_sections`.
+
+    Raises :class:`LegacyLayoutError` for an intact file in the retired
+    varint layout (header flags 0).
+    """
+    return _decode_sections(data, _SECTIONS_MAGIC, "variant")
+
+
+def _decode_sections(data: bytes, magic: bytes, kind: str) -> Dict[str, List[int]]:
+    """Unframe and decode one packed-sections container of either kind."""
+    body, flags = _unframe(data, magic=magic, allowed_flags=FLAG_PACKED, kind=kind)
+    if not flags & FLAG_PACKED:
+        raise LegacyLayoutError(f"{kind} predates the packed section layout")
     try:
-        return _decode_int_sections_body(body)
+        return _decode_sections_body(body)
+    except struct.error:
+        raise SnapshotFormatError(f"truncated {kind} section table") from None
     except UnicodeDecodeError as exc:
         raise SnapshotFormatError(f"malformed section name: {exc}") from exc
 
 
-def _decode_int_sections_body(body: bytes) -> Dict[str, List[int]]:
-    pos = 0
-    count, pos = _read_uvarint(body, pos)
+def _decode_sections_body(body: bytes) -> Dict[str, List[int]]:
+    (count,) = _SECTION_COUNT.unpack_from(body)
+    pos = _SECTION_COUNT.size
+    payload = memoryview(body)  # slices feed frombytes without a copy
     sections: Dict[str, List[int]] = {}
     for _ in range(count):
-        length, pos = _read_uvarint(body, pos)
+        (length,) = _SECTION_NAME.unpack_from(body, pos)
+        pos += _SECTION_NAME.size
         end = pos + length
         if end > len(body):
             raise SnapshotFormatError("truncated section name")
         name = body[pos:end].decode("utf-8")
+        size, width = _SECTION_SHAPE.unpack_from(body, end)
+        pos = end + _SECTION_SHAPE.size
+        code = _WIDTH_CODES.get(width)
+        if code is None:
+            raise SnapshotFormatError(f"section {name!r} has unknown width {width}")
+        end = pos + size * width
+        if end > len(body):  # checked before anything is allocated
+            raise SnapshotFormatError(f"section {name!r} runs past the body")
+        values = array(code)
+        values.frombytes(payload[pos:end])
+        if _SWAP:
+            values.byteswap()
+        sections[name] = values.tolist()
         pos = end
-        size, pos = _read_uvarint(body, pos)
-        values: List[int] = []
-        append = values.append
-        for _ in range(size):
-            value, pos = _read_uvarint(body, pos)
-            append(value)
-        sections[name] = values
     if pos != len(body):
         raise SnapshotFormatError("trailing bytes after sections")
     return sections

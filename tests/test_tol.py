@@ -377,7 +377,7 @@ def test_rehydrated_and_fresh_indexes_repair_identically():
     g = random_dag(n, 60, seed=19)
     order = sorted(g.nodes())
     fresh = TOLIndex(g)
-    warm = TOLIndex.from_arrays(order, fresh.to_arrays(order))
+    warm = TOLIndex.from_arrays(order, fresh.to_arrays(order), g.edge_list)
     added = []
     while len(added) < 6:
         u, v = rng.randrange(n), rng.randrange(n)
