@@ -162,6 +162,7 @@ class Epoch:
         self._pins = 0
         self._retired = False
         self._freed = False
+        self._forget = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -206,13 +207,16 @@ class Epoch:
         if free:
             self._free()
 
-    def retire(self) -> bool:
+    def retire(self, forget: bool = False) -> bool:
         """Mark superseded (writer-side).  Frees immediately when no reader
         is pinned; otherwise the last :meth:`release` frees.  Returns True
-        when the memory was released synchronously."""
+        when the memory was released synchronously.  With *forget* the
+        catalog's memo of this epoch's digest goes when the epoch is freed
+        (the publisher passes it unless the successor has the same digest)."""
         free = False
         with self._pin_lock:
             self._retired = True
+            self._forget = forget
             if self._pins == 0 and not self._freed:
                 self._freed = True
                 free = True
@@ -227,6 +231,8 @@ class Epoch:
             self._contexts.clear()
             self._thawed = None
             self._tol = None
+        if self._forget and self._catalog is not None and self._digest is not None:
+            self._catalog.forget(self._digest)
 
     def __enter__(self) -> "Epoch":
         return self.acquire()

@@ -221,7 +221,9 @@ class GraphEngine:
         was_refreeze = self._csr is not None
         if self._csr is not None:
             merged = merge_deltas(self._csr, self._log.added, self._log.removed)
-            if merged.node_order() != self.graph.node_list():
+            # Node order can only diverge when nodes were created since the
+            # last freeze; otherwise the |V|-long comparison is skipped.
+            if self._log.new_nodes and merged.node_order() != self.graph.node_list():
                 # The live graph holds a node the surviving edge delta no
                 # longer mentions (or insertion orders diverged) — fall
                 # back to the always-correct full freeze.

@@ -26,10 +26,21 @@ The two backends split responsibilities:
 
 from __future__ import annotations
 
+import hashlib
 from array import array
 from itertools import accumulate, chain, compress
 from operator import ge, le
-from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.graph.digraph import DiGraph, NodeIndexer
 
@@ -126,6 +137,33 @@ def split_rows(
     return map(values.__getitem__, map(slice, indptr, indptr[1:]))
 
 
+def splice_rows(
+    indptr: List[int], values: Sequence, rows: Dict[int, Sequence], out
+) -> List[int]:
+    """Replace some rows of an ``(indptr, values)`` pair, copying the rest.
+
+    *rows* maps a row index to its replacement.  The new values are appended
+    to *out* (a list, or a bytearray when *values* is an encoded body whose
+    "rows" are byte segments) and the new ``indptr`` is returned.  Only the
+    replaced rows are visited in Python: the runs between them are slice
+    copies, and ``indptr`` is shifted run by run.
+    """
+    new_indptr: List[int] = []
+    emitted = cursor = shift = 0
+    for i in sorted(rows):
+        run = indptr[emitted : i + 1]
+        new_indptr += [x + shift for x in run] if shift else run
+        emitted = i + 1
+        out += values[cursor : indptr[i]]
+        out += rows[i]
+        cursor = indptr[i + 1]
+        shift += len(rows[i]) - (cursor - indptr[i])
+    run = indptr[emitted:]
+    new_indptr += [x + shift for x in run] if shift else run
+    out += values[cursor:]
+    return new_indptr
+
+
 class CSRGraph:
     """An immutable integer-indexed snapshot of a :class:`DiGraph`.
 
@@ -148,6 +186,12 @@ class CSRGraph:
     indexer:
         The :class:`NodeIndexer` fixing the node ↔ integer bijection
         (insertion order of the source graph).
+    encoded:
+        ``(body, bounds)`` from :func:`repro.store.format.encode_segments`
+        once the graph has been digested, ``None`` otherwise.
+        :func:`repro.store.delta.merge_deltas` splices the successor's
+        body out of it and takes it away, so a chain of snapshots holds
+        one body — the newest's.
 
     >>> g = DiGraph.from_edges([("a", "b"), ("a", "c"), ("b", "c")])
     >>> csr = CSRGraph.from_digraph(g)
@@ -169,6 +213,7 @@ class CSRGraph:
         "_label_list",
         "_arrays",
         "_digest",
+        "encoded",
     )
 
     def __init__(
@@ -198,6 +243,7 @@ class CSRGraph:
         self._label_list = label_codes
         self._arrays: dict = {}
         self._digest: str = ""
+        self.encoded: Optional[Tuple[bytes, List[int]]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -299,20 +345,25 @@ class CSRGraph:
         return self.content_identity()[0]
 
     def content_identity(self):
-        """``(digest, body_or_None)`` — the body only when this call paid
-        for encoding it.
+        """``(digest, body_or_None)`` — the body while :attr:`encoded` holds it.
 
         Consumers that also need the canonical bytes (the catalog writes
-        them to disk right after digesting) get them for free on the first
-        computation instead of encoding twice; a memoised hit returns
+        them to disk right after digesting) get them without encoding
+        twice; a graph whose digest was adopted from a verified file, or
+        whose body moved on to a delta-merged successor, returns
         ``(digest, None)``.
         """
-        if self._digest:
-            return self._digest, None
-        from repro.store.format import digest_and_body
+        if not self._digest:
+            from repro.store.format import encode_segments
 
-        self._digest, body = digest_and_body(self)
-        return self._digest, body
+            self.adopt_encoded(encode_segments(self))
+        return self._digest, self.encoded[0] if self.encoded else None
+
+    def adopt_encoded(self, encoded: Tuple[bytes, List[int]]) -> None:
+        """Hold *encoded* — this graph's ``encode_segments`` result, however
+        it was produced — and the digest it implies."""
+        self.encoded = encoded
+        self._digest = hashlib.sha256(encoded[0]).hexdigest()
 
     def to_digraph(self) -> DiGraph:
         """Thaw back into a mutable :class:`DiGraph`.

@@ -365,6 +365,11 @@ class EngineService:
         exact (the snapshot *is* the published graph).
         """
         counters = self._engine.counters
+        # The batch may have been stored before it failed: that graph will
+        # never be served, so the catalog handle need not remember it.
+        failed = self._engine._digest
+        if failed is not None and failed != prior._digest:
+            self._catalog.forget(failed)
         self._engine = GraphEngine(
             # An mmap-backed prior epoch densifies once here: the engine
             # needs the mutable writer-side arrays, not a read-only view.
@@ -402,7 +407,7 @@ class EngineService:
             self._draining = [e for e in self._draining if not e.freed]
             self._draining.append(old)
             hooks = list(self._publish_hooks)
-        old.retire()
+        old.retire(forget=old._digest != new_epoch._digest)
         for hook in hooks:
             try:
                 hook(new_epoch)
@@ -452,7 +457,7 @@ class EngineService:
                 self._closed = True
                 current = self._current
                 self._draining = [e for e in self._draining if not e.freed]
-            current.retire()
+            current.retire(forget=True)
             if self._obs_http is not None:
                 self._obs_http.stop()
 

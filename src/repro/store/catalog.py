@@ -353,7 +353,14 @@ class _DirectoryLock:
 
 
 class SnapshotCatalog:
-    """Content-addressed store of frozen graphs and their compressions."""
+    """Content-addressed store of frozen graphs and their compressions.
+
+    A handle memoises the graphs (and mmap views) it has stored or loaded;
+    a publisher calls :meth:`forget` when a superseded epoch is freed, so a
+    long-lived writer holds the graphs still in use, not one per
+    publication.  Entries on disk stay until :meth:`prune` — retention is
+    its policy, not the memo's.
+    """
 
     def __init__(
         self,
@@ -461,14 +468,15 @@ class SnapshotCatalog:
         csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_digraph(graph)
         # content_identity() memoises the digest on the instance (repeated
         # puts of the same frozen graph encode nothing) and hands back the
-        # body when it had to encode, so a cold store encodes exactly once.
+        # body while the instance holds it — just encoded, or spliced by
+        # merge_deltas — so a store encodes at most once.
         digest, body = csr.content_identity()
         entry = self._entry(digest)
         base = entry / _BASE_NAME
         if not base.exists():
             if body is None:
                 body = encode_body(csr)  # CPU work outside the lock
-            with self._lock:
+            with trace_span("publish.put", bytes=len(body)), self._lock:
                 if not base.exists():  # lost the race: another writer stored it
                     (entry / "variants").mkdir(parents=True, exist_ok=True)
                     meta = {
@@ -547,6 +555,17 @@ class SnapshotCatalog:
             winner = self._graphs.setdefault(digest, csr)
         obs_inc("catalog_base_loads_total", ("disk",))
         return winner
+
+    def forget(self, digest: str) -> None:
+        """Drop this handle's memo of *digest*; the entry on disk stays.
+
+        A memoised mmap view is dropped, not closed: an epoch still pinning
+        it keeps serving, and the handle closes when the last pin is
+        garbage-collected.
+        """
+        with self._graphs_lock:
+            self._graphs.pop(digest, None)
+            self._mmaps.pop(digest, None)
 
     def _drop_sidecar(self, digest: str) -> None:
         """Best-effort removal of an entry's offsets sidecar."""
@@ -993,13 +1012,7 @@ class SnapshotCatalog:
                     pass
                 self._drop_sidecar(digest)
                 shutil.rmtree(self._entry(digest), ignore_errors=True)
-                with self._graphs_lock:
-                    self._graphs.pop(digest, None)
-                    # Drop the memoised mmap view but do NOT close it: an
-                    # epoch still pinning the view keeps serving (the unlink
-                    # leaves the mapping valid), and the handle closes when
-                    # the last pin is garbage-collected.
-                    self._mmaps.pop(digest, None)
+                self.forget(digest)  # the unlink leaves a pinned mapping valid
                 evicted.append(digest)
                 count -= 1
                 total -= size

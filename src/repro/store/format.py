@@ -57,10 +57,20 @@ import zlib
 from array import array
 from operator import lt
 from pathlib import Path
-from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.faults.plan import fault_data, fault_point
-from repro.graph.csr import CSRBuffers, CSRGraph, reverse_from_forward
+from repro.graph.csr import CSRBuffers, CSRGraph, reverse_from_forward, splice_rows
 
 PathLike = Union[str, Path]
 Node = Hashable
@@ -255,26 +265,6 @@ def _read_node(data: bytes, pos: int, depth: int = 0) -> Tuple[Node, int]:
 # ----------------------------------------------------------------------
 # Body codec
 # ----------------------------------------------------------------------
-def _write_adjacency(out: bytearray, n: int, indptr: List[int], indices: List[int]) -> None:
-    """Delta-gap encode one adjacency direction.
-
-    Per row: degree, absolute first target, then ``gap - 1`` per further
-    target (rows are strictly increasing).
-    """
-    write = _write_uvarint
-    for i in range(n):
-        start, end = indptr[i], indptr[i + 1]
-        write(out, end - start)
-        prev = -1
-        for ei in range(start, end):
-            j = indices[ei]
-            if prev < 0:
-                write(out, j)
-            else:
-                write(out, j - prev - 1)
-            prev = j
-
-
 def _read_adjacency(
     data: bytes, pos: int, n: int, m: int
 ) -> Tuple[List[int], List[int], int]:
@@ -528,27 +518,26 @@ def _read_adjacency_v2(
 
 
 def _write_adjacency_rows(
-    out: bytearray, rows: List[List[int]], offsets: List[int]
+    out: bytearray,
+    rows: Iterable[Sequence[int]],
+    offsets: List[int],
+    gapref: bool = False,
 ) -> None:
-    """v1 row codec over explicit row lists, recording each row's offset."""
+    """The delta-gap row codec (its only copy), recording each row's offset.
+
+    Per row: the degree (``degree * 2``, a plain row's head, under
+    *gapref*), the first target absolutely, then ``gap - 1`` per further
+    target (rows are strictly increasing).  A row's bytes depend on that
+    row alone.
+    """
     write = _write_uvarint
     for row in rows:
         offsets.append(len(out))
-        write(out, len(row))
-        prev = -1
+        write(out, len(row) << gapref)
+        prev = -1  # makes the first "gap - 1" the target itself
         for j in row:
-            write(out, j if prev < 0 else j - prev - 1)
+            write(out, j - prev - 1)
             prev = j
-
-
-def _encode_plain_row(row: List[int], has_ref_bit: bool) -> bytearray:
-    out = bytearray()
-    _write_uvarint(out, len(row) * 2 if has_ref_bit else len(row))
-    prev = -1
-    for j in row:
-        _write_uvarint(out, j if prev < 0 else j - prev - 1)
-        prev = j
-    return out
 
 
 def _encode_ref_row(
@@ -606,7 +595,8 @@ def _write_adjacency_v2(
     chain = [0] * len(rows)
     for p, row in enumerate(rows):
         offsets.append(len(out))
-        best = _encode_plain_row(row, True)
+        best = bytearray()
+        _write_adjacency_rows(best, (row,), [], gapref=True)
         best_r = 0
         if row:
             rowset = set(row)
@@ -624,32 +614,19 @@ def _write_adjacency_v2(
 
 def encode_body(csr: CSRGraph) -> bytes:
     """The canonical body bytes of *csr* (header not included)."""
-    try:
-        return _encode_body(csr)
-    except UnicodeEncodeError as exc:
-        # Lone surrogates (surrogateescape-decoded input) in node ids or
-        # labels; keep the SnapshotError contract so save paths degrade
-        # instead of crashing.
-        raise UnsupportedNodeError(f"node id or label is not encodable: {exc}") from exc
+    return encode_segments(csr)[0]
 
 
-def _encode_body(csr: CSRGraph) -> bytes:
-    buf = csr.buffers()
-    out = bytearray()
-    _write_uvarint(out, buf.n)
-    _write_uvarint(out, buf.m)
-    _write_uvarint(out, len(buf.label_names))
-    for name in buf.label_names:
-        raw = name.encode("utf-8")
-        _write_uvarint(out, len(raw))
-        out += raw
-    for code in buf.label_codes:
-        _write_uvarint(out, code)
-    for node in buf.nodes:
-        _write_node(out, node)
-    _write_adjacency(out, buf.n, buf.indptr, buf.indices)
-    _write_adjacency(out, buf.n, buf.rindptr, buf.rindices)
-    return bytes(out)
+def encode_segments(csr: CSRGraph) -> Tuple[bytes, List[int]]:
+    """The canonical body of *csr* and the bounds of its segments.
+
+    ``bounds`` has ``2n + 5`` entries; segment ``k`` is
+    ``body[bounds[k]:bounds[k + 1]]``: the three counts, the label table,
+    the label codes, the node table, then one segment per forward row and
+    one per reverse row.  :func:`splice_body` replaces segments.
+    """
+    body, _flags, bounds = _encode(csr, False, None)
+    return body, bounds
 
 
 def decode_body(body: bytes, flags: int = FLAG_REVERSE) -> CSRGraph:
@@ -849,13 +826,55 @@ def _decode_body(body: bytes, flags: int) -> CSRGraph:
 
 def graph_digest(csr: CSRGraph) -> str:
     """SHA-256 hex digest of the canonical body — the graph's content id."""
-    return digest_and_body(csr)[0]
+    return hashlib.sha256(encode_body(csr)).hexdigest()
 
 
-def digest_and_body(csr: CSRGraph) -> Tuple[str, bytes]:
-    """``(digest, body)`` in one encode, for callers that need both."""
-    body = encode_body(csr)
-    return hashlib.sha256(body).hexdigest(), body
+def splice_body(
+    parent: CSRGraph,
+    merged: CSRGraph,
+    fwd_rows: Dict[int, List[int]],
+    rev_rows: Dict[int, List[int]],
+) -> Tuple[bytes, List[int]]:
+    """:func:`encode_segments` of *merged*, spliced out of ``parent.encoded``.
+
+    *merged* is *parent* plus appended nodes, with exactly the rows in
+    *fwd_rows* / *rev_rows* (every appended node's among them) different.
+    The counts are rewritten, the append-only tables grow at their ends,
+    the given rows are re-encoded and every other byte is copied — which
+    is sound because a v1 row's bytes depend on nothing but that row.
+    """
+    body, bounds = parent.encoded
+    view = memoryview(body)
+    buf = merged.buffers()
+    n_old, n = parent.n, buf.n
+    head = bytearray()
+    for count in (n, buf.m, len(buf.label_names)):
+        _write_uvarint(head, count)
+    segments: Dict[int, bytearray] = {0: head}
+    if n > n_old:
+        names, codes, nodes = (bytearray(view[bounds[k] : bounds[k + 1]]) for k in (1, 2, 3))
+        for name in buf.label_names[len(parent.label_names) :]:
+            raw = name.encode("utf-8")
+            _write_uvarint(names, len(raw))
+            names += raw
+        for code in buf.label_codes[n_old:]:
+            _write_uvarint(codes, code)
+        for node in buf.nodes[n_old:]:
+            _write_node(nodes, node)
+        segments.update({1: names, 2: codes, 3: nodes})
+        # Zero-length segments where the appended nodes' rows go.
+        split, grow = 4 + n_old, n - n_old
+        bounds = (
+            bounds[:split] + bounds[split : split + 1] * grow
+            + bounds[split:-1] + bounds[-1:] * (grow + 1)
+        )
+    for first, rows in ((4, fwd_rows), (4 + n, rev_rows)):
+        for i, row in rows.items():
+            segments[first + i] = seg = bytearray()
+            _write_adjacency_rows(seg, (row,), [])
+    out = bytearray()
+    bounds = splice_rows(bounds, view, segments, out)
+    return bytes(out), bounds
 
 
 # ----------------------------------------------------------------------
@@ -884,15 +903,26 @@ def encode_body_v2(
     additive.  *order* maps storage position to canonical node id; the
     permutation is stored in the body so decoding is always canonical.
     """
+    body, flags, bounds = _encode(csr, gapref, order)
+    return EncodedBody(body, flags, bounds[4 : 4 + csr.n], bounds[4 + csr.n : -1])
+
+
+def _encode(
+    csr: CSRGraph, gapref: bool, order: Optional[Sequence[int]]
+) -> Tuple[bytes, int, List[int]]:
+    """The one body encoder: ``(body, flags, bounds)`` — see :func:`encode_segments`."""
     try:
-        return _encode_body_v2(csr, gapref, order)
+        return _encode_unchecked(csr, gapref, order)
     except UnicodeEncodeError as exc:
+        # Lone surrogates (surrogateescape-decoded input) in node ids or
+        # labels; keep the SnapshotError contract so save paths degrade
+        # instead of crashing.
         raise UnsupportedNodeError(f"node id or label is not encodable: {exc}") from exc
 
 
-def _encode_body_v2(
+def _encode_unchecked(
     csr: CSRGraph, gapref: bool, order: Optional[Sequence[int]]
-) -> EncodedBody:
+) -> Tuple[bytes, int, List[int]]:
     buf = csr.buffers()
     n = buf.n
     order_list: Optional[List[int]] = None
@@ -904,15 +934,19 @@ def _encode_body_v2(
             order_list = None  # identity adds bytes but no information
     flags = FLAG_REVERSE
     out = bytearray()
+    bounds = [0]
     _write_uvarint(out, n)
     _write_uvarint(out, buf.m)
     _write_uvarint(out, len(buf.label_names))
+    bounds.append(len(out))
     for name in buf.label_names:
         raw = name.encode("utf-8")
         _write_uvarint(out, len(raw))
         out += raw
+    bounds.append(len(out))
     for code in buf.label_codes:
         _write_uvarint(out, code)
+    bounds.append(len(out))
     if gapref:
         # Front-code consecutive string node ids (tuple-nested strings keep
         # the plain encoding — only top-level strings join the chain).
@@ -939,12 +973,9 @@ def _encode_body_v2(
         for i in order_list:
             _write_uvarint(out, i)
     if order_list is None:
-        fwd_rows = [
-            list(buf.indices[buf.indptr[p] : buf.indptr[p + 1]]) for p in range(n)
-        ]
-        rev_rows = [
-            list(buf.rindices[buf.rindptr[p] : buf.rindptr[p + 1]]) for p in range(n)
-        ]
+        # Row slices cut at C speed, consumed one at a time by the v1 codec.
+        fwd_rows = map(buf.indices.__getitem__, map(slice, buf.indptr, buf.indptr[1:]))
+        rev_rows = map(buf.rindices.__getitem__, map(slice, buf.rindptr, buf.rindptr[1:]))
     else:
         pos_of = [0] * n
         for p, i in enumerate(order_list):
@@ -961,16 +992,15 @@ def _encode_body_v2(
                     pos_of[j] for j in buf.rindices[buf.rindptr[i] : buf.rindptr[i + 1]]
                 )
             )
-    fwd_offsets: List[int] = []
-    rev_offsets: List[int] = []
     if gapref:
         flags |= FLAG_GAPREF
-        _write_adjacency_v2(out, fwd_rows, fwd_offsets)
-        _write_adjacency_v2(out, rev_rows, rev_offsets)
+        _write_adjacency_v2(out, list(fwd_rows), bounds)
+        _write_adjacency_v2(out, list(rev_rows), bounds)
     else:
-        _write_adjacency_rows(out, fwd_rows, fwd_offsets)
-        _write_adjacency_rows(out, rev_rows, rev_offsets)
-    return EncodedBody(bytes(out), flags, fwd_offsets, rev_offsets)
+        _write_adjacency_rows(out, fwd_rows, bounds)
+        _write_adjacency_rows(out, rev_rows, bounds)
+    bounds.append(len(out))
+    return bytes(out), flags, bounds
 
 
 class SnapshotSidecar(NamedTuple):

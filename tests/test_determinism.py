@@ -82,13 +82,14 @@ def test_backends_agree_on_ids():
     assert fp["bisim-partition-csr"] == fp["bisim-partition-dict"]
 
 
-def _run_with_hash_seed(seed: str) -> dict:
-    """Compute the fingerprint in a fresh interpreter with a fixed seed."""
+def _run_with_hash_seed(seed: str, module: str = "test_determinism"):
+    """Compute *module*'s ``_fingerprint()`` in a fresh interpreter with a
+    fixed hash seed (other test modules reuse this harness)."""
     code = (
         "import json, sys\n"
         f"sys.path.insert(0, {SRC!r})\n"
         f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
-        "from test_determinism import _fingerprint\n"
+        f"from {module} import _fingerprint\n"
         "print(json.dumps(_fingerprint(), sort_keys=True))\n"
     )
     env = dict(os.environ, PYTHONHASHSEED=seed)
