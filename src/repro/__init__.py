@@ -14,8 +14,9 @@ Two compressions are provided:
 
 plus incremental maintenance of both compressed graphs under batch edge
 updates (Section 5), the query evaluators and baselines of the paper's
-evaluation, synthetic stand-ins for its datasets, and a benchmark harness
-regenerating every table and figure (``python -m repro.bench``).
+evaluation, synthetic stand-ins for its datasets, and a harness
+regenerating every table and figure with its shape checks (``python -m
+repro.bench``).  The performance record is ``benchmarks/e2e/run.py``.
 
 Quickstart::
 

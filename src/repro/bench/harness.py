@@ -1,79 +1,10 @@
-"""Experiment framework: results, rendering, the experiment registry, and
-the snapshot-backed graph cache that lets experiments skip construction."""
+"""Experiment framework: results, rendering and the experiment registry."""
 
 from __future__ import annotations
 
 import importlib
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graph.csr import CSRGraph
-    from repro.graph.digraph import DiGraph
-
-#: Environment variable naming a directory for cached ``.rgs`` snapshots of
-#: the benchmark generator graphs.  Unset (the default) disables caching.
-SNAPSHOT_CACHE_ENV = "REPRO_SNAPSHOT_CACHE"
-
-
-def snapshot_cache_dir() -> Optional[Path]:
-    """The snapshot cache directory, created on demand; None when disabled
-    *or uncreatable* — caching is best-effort and never fails a bench run."""
-    root = os.environ.get(SNAPSHOT_CACHE_ENV)
-    if not root:
-        return None
-    path = Path(root)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError:
-        return None
-    from repro.store.format import sweep_stale_tmp
-
-    sweep_stale_tmp(path)
-    return path
-
-
-def load_or_freeze(
-    key: str, build: Callable[[], "DiGraph"]
-) -> Tuple["DiGraph", Optional["CSRGraph"]]:
-    """Get ``(graph, frozen_or_None)`` for a benchmark graph, snapshot-cached.
-
-    With ``REPRO_SNAPSHOT_CACHE`` set, the first call builds the generator
-    graph, freezes it and saves ``<cache>/<key>.rgs``; later calls (and
-    later *processes*) load the snapshot and thaw it — skipping generator
-    construction entirely.  The thaw/re-freeze round trip is
-    buffer-identical (see ``CSRGraph.to_digraph``), so cached and
-    from-scratch runs produce byte-identical experiment output.
-
-    An unreadable cache file (interrupted write, format-version bump)
-    self-heals: the graph is rebuilt and the snapshot rewritten.  With the
-    cache disabled (the default) no freeze happens and the second element
-    is ``None`` — experiments that want a CSR freeze it themselves, usually
-    as part of what they measure.
-    """
-    cache = snapshot_cache_dir()
-    if cache is None:
-        return build(), None
-
-    from repro.graph.csr import CSRGraph
-    from repro.store.format import SnapshotError, load_snapshot, save_snapshot
-
-    path = cache / f"{key}.rgs"
-    if path.exists():
-        try:
-            csr = load_snapshot(path)
-            return csr.to_digraph(), csr
-        except (SnapshotError, OSError):
-            pass  # stale, corrupt or unreadable cache entry: rebuild below
-    graph = build()
-    csr = CSRGraph.from_digraph(graph)
-    try:
-        save_snapshot(csr, path)
-    except (SnapshotError, OSError):
-        pass  # unwritable cache or unencodable node ids: degrade to no-cache
-    return graph, csr
+from typing import Callable, Dict, List, Tuple
 
 
 @dataclass
@@ -144,10 +75,6 @@ _EXPERIMENTS: Dict[str, str] = {
     "fig12k": "repro.bench.experiments.fig12k",
     "fig12l": "repro.bench.experiments.fig12l",
     "ablations": "repro.bench.experiments.ablations",
-    "kernels": "repro.bench.experiments.kernels",
-    "store": "repro.bench.experiments.store",
-    "engine": "repro.bench.experiments.engine",
-    "service": "repro.bench.experiments.service",
 }
 
 REGISTRY: Dict[str, Callable[[bool], ExperimentResult]] = {}

@@ -208,8 +208,8 @@ class ReachabilityCompression(QueryPreservingCompression):
         Two compressions of the same graph are byte-identical — same stats,
         same hypernode ids, same quotient edges, same member lists — iff
         their canonical forms compare equal.  This is the contract between
-        the ``csr`` and ``dict`` backends (and across hash seeds); the
-        kernels benchmark and the cross-validation tests both check it.
+        the ``csr`` and ``dict`` backends (and across hash seeds);
+        ``tests/test_csr_kernels.py`` checks it on every pool graph.
         """
         gr = self._gr
         stats = self.stats()

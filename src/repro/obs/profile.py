@@ -23,8 +23,8 @@ Design constraints, in order:
   profiler stopped, so an executor child forked mid-profile inherits a
   consistent (idle) profiler instead of a phantom "running" one.
 * **Low overhead** — one ``sys._current_frames()`` call per tick plus a
-  bounded frame walk per thread; the service benchmark gates measured
-  overhead while sampling at < 5% (``BENCH_service.json``).
+  bounded frame walk per thread (``tests/test_obs_serve.py`` checks that
+  a sampling window captures span-attributed cross-thread stacks).
 
 Output formats: :meth:`SamplingProfiler.to_folded` emits collapsed-stack
 lines (``a;b;c 42``) that flamegraph tooling consumes directly;

@@ -7,7 +7,7 @@
   (threads or forked processes) with adaptive micro-batching and
   future-based submission;
 * :mod:`repro.service.epoch_stress` — the randomized reader/writer stress
-  harness both the tests and ``python -m repro.bench service`` run, plus
+  harness the tests and the CI ``concurrency-stress`` job run, plus
   its chaos extension (``run_chaos`` / ``python -m repro.service chaos``)
   that re-runs the workload under an injected fault schedule;
 * :mod:`repro.service.errors` — the typed failure vocabulary

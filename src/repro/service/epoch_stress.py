@@ -2,9 +2,9 @@
 
 The service's whole contract is one sentence: *every answer is exact for
 the epoch that produced it*.  This module turns that sentence into a
-machine-checkable experiment shared by the test suite
-(``tests/test_service.py``) and the serving benchmark
-(``python -m repro.bench service``):
+machine-checkable experiment run by the test suite
+(``tests/test_service.py``), the chaos harness and the ``python -m
+repro.service`` subcommands:
 
 1. pre-generate a deterministic update schedule (so the run is
    reproducible for a given seed) and a mixed query pool;

@@ -1,7 +1,5 @@
 """CLI coverage and edge cases across the public API."""
 
-import pytest
-
 from repro import (
     DiGraph,
     GraphPattern,
@@ -20,15 +18,20 @@ from repro.queries.matching import MatchContext
 # CLI
 # ----------------------------------------------------------------------
 def test_bench_cli_unknown_experiment(capsys):
-    assert bench_main(["fig99"]) == 2
-    assert "error" in capsys.readouterr().err
+    # 'check' / 'trend' are not subcommands: unknown ids like any other.
+    for eid in ("fig99", "check", "trend"):
+        assert bench_main([eid]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown experiment {eid!r}" in err and "available: [" in err
 
 
-def test_bench_cli_runs_one_experiment(capsys):
+def test_bench_cli_runs_one_experiment(capsys, tmp_path, monkeypatch):
     # fig12i is the fastest experiment; exit code 0 means checks passed.
+    monkeypatch.chdir(tmp_path)
     assert bench_main(["fig12i"]) == 0
     out = capsys.readouterr().out
     assert "fig12i" in out and "PASS" in out
+    assert list(tmp_path.iterdir()) == []  # the CLI writes no file
 
 
 def test_ablations_experiment_passes():
@@ -110,109 +113,3 @@ def test_compression_stats_equality_semantics():
     a = compress_reachability(g).stats()
     b = compress_reachability(g).stats()
     assert a == b  # frozen dataclass equality
-
-
-# ----------------------------------------------------------------------
-# Benchmark-regression gate (python -m repro.bench check)
-# ----------------------------------------------------------------------
-def _bench_payload(experiment, rows, gates=()):
-    return {
-        "experiment": experiment,
-        "rows": rows,
-        "checks": [
-            {"description": d, "passed": ok, "gate": True} for d, ok in gates
-        ],
-    }
-
-
-def test_regression_check_passes_within_tolerance(tmp_path, capsys):
-    import json
-    from repro.bench.__main__ import main as bench_main
-
-    base = tmp_path / "baselines"
-    cur = tmp_path / "current"
-    base.mkdir(), cur.mkdir()
-    baseline = _bench_payload(
-        "kernels",
-        [{"graph": "g", "task": "scc+sig", "speedup": 3.0}],
-        gates=[("byte-identical backends", True)],
-    )
-    current = _bench_payload(
-        "kernels",
-        [{"graph": "g", "task": "scc+sig", "speedup": 2.0}],  # -33% < 50% band
-        gates=[("byte-identical backends", True)],
-    )
-    (base / "BENCH_kernels.json").write_text(json.dumps(baseline))
-    (cur / "BENCH_kernels.json").write_text(json.dumps(current))
-    assert bench_main(
-        ["check", "--no-history", "--baseline", str(base), "--current", str(cur)]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
-
-
-def test_regression_check_fails_on_ratio_collapse_and_gate(tmp_path, capsys):
-    import json
-    from repro.bench.__main__ import main as bench_main
-    from repro.bench.regression import check_against_baselines
-
-    base = tmp_path / "baselines"
-    cur = tmp_path / "current"
-    base.mkdir(), cur.mkdir()
-    baseline = _bench_payload(
-        "engine", [{"graph": "g", "warm/direct x": 2.0, "batch/one-shot x": 1.5}]
-    )
-    collapsed = _bench_payload(
-        "engine", [{"graph": "g", "warm/direct x": 0.4, "batch/one-shot x": 1.5}]
-    )
-    (base / "BENCH_engine.json").write_text(json.dumps(baseline))
-    (cur / "BENCH_engine.json").write_text(json.dumps(collapsed))
-    assert bench_main(
-        ["check", "--no-history", "--baseline", str(base), "--current", str(cur)]
-    ) == 1
-    assert "FAIL" in capsys.readouterr().out
-
-    # A failing semantic gate fails the check even with healthy ratios.
-    bad_gate = _bench_payload(
-        "engine", [{"graph": "g", "warm/direct x": 2.0, "batch/one-shot x": 1.5}],
-        gates=[("routed == direct", False)],
-    )
-    (cur / "BENCH_engine.json").write_text(json.dumps(bad_gate))
-    ok, lines = check_against_baselines(base, cur)
-    assert not ok and any("semantic gate" in ln for ln in lines)
-
-    # A baseline whose current file vanished is a failure too.
-    (cur / "BENCH_engine.json").unlink()
-    ok, lines = check_against_baselines(base, cur)
-    assert not ok and any("not produced" in ln for ln in lines)
-
-
-def test_regression_check_bad_args(tmp_path):
-    import pytest
-    from repro.bench.regression import check_against_baselines
-
-    ok, lines = check_against_baselines(tmp_path, tmp_path)  # no baselines
-    assert not ok
-    with pytest.raises(ValueError):
-        check_against_baselines(tmp_path, tmp_path, tolerance=1.5)
-
-
-def test_committed_baselines_are_current_schema():
-    """The baselines shipped in-repo parse and carry comparable ratios."""
-    import json
-    from pathlib import Path
-    from repro.bench.regression import EXPERIMENT_RATIOS, _numeric, _row_key
-
-    root = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
-    files = sorted(root.glob("BENCH_*.json"))
-    assert len(files) >= 4  # kernels, store, engine, service
-    for path in files:
-        payload = json.loads(path.read_text())
-        spec = EXPERIMENT_RATIOS[payload["experiment"]]
-        comparable = [
-            row for row in payload["rows"]
-            if any(_numeric(row.get(f)) is not None for f in spec["ratios"])
-        ]
-        assert comparable, f"{path.name} has no comparable ratio rows"
-        keys = [_row_key(r, spec["key"]) for r in comparable]
-        assert len(keys) == len(set(keys)), f"{path.name} has ambiguous row keys"

@@ -233,7 +233,11 @@ def test_experiment_result_rendering():
 
 def test_registry_lists_all_paper_artifacts():
     ids = available()
-    assert "table1" in ids and "table2" in ids and "fig1" in ids
-    assert all(f"fig12{c}" in ids for c in "abcdefghijkl")
+    # Exactly the 16 paper ids; no repo-internal experiment is registered.
+    assert sorted(ids) == sorted(
+        ["table1", "table2", "fig1", "ablations"]
+        + [f"fig12{c}" for c in "abcdefghijkl"]
+    )
+    assert not {"kernels", "store", "engine", "service"} & set(ids)
     with pytest.raises(ValueError):
         run_experiment("fig99")

@@ -45,6 +45,7 @@ from repro.store.format import (
     encode_body_v2,
     encode_sidecar,
     load_snapshot,
+    save_snapshot,
     save_snapshot_v2,
     scan_offsets,
     sidecar_path,
@@ -154,6 +155,19 @@ def test_reorder_auto_never_larger(tmp_path):
     assert auto <= p_forced.stat().st_size
     with pytest.raises(ValueError):
         save_snapshot_v2(csr, tmp_path / "x.rgs", reorder="maybe")
+
+
+def test_v2_file_smaller_than_v1_on_social_graph(tmp_path):
+    """The gap+reference coding earns its keep on the social shape
+    (reciprocal core + 12-fan equivalent groups): byte counts, no clock."""
+    g = preferential_attachment_graph(2500, out_degree=4, reciprocity=0.5, seed=3)
+    attach_equivalent_leaves(g, [12] * (3500 // 12), parents_per_group=3, seed=4)
+    csr = CSRGraph.from_digraph(g)
+    save_snapshot(csr, tmp_path / "v1.rgs")
+    save_snapshot_v2(csr, tmp_path / "v2.rgs")
+    v1 = (tmp_path / "v1.rgs").stat().st_size
+    v2 = (tmp_path / "v2.rgs").stat().st_size
+    assert v1 >= 1.2 * v2, (v1, v2)
 
 
 def test_v2_bytes_stable_across_hash_seeds():

@@ -404,6 +404,20 @@ class TestServingIntegration:
         assert reg.get("executor_queue_wait_seconds").count() == len(queries)
         assert reg.get("executor_batch_queries").count() > 0
 
+    def test_executor_run_percentiles_ordered_per_class(self):
+        g = _mixed_graph(13)
+        with installed():
+            service = EngineService(g)
+            # max_batch=1: one router_dispatch_seconds sample per query.
+            with QueryExecutor(service, 2, mode="thread", max_batch=1) as ex:
+                ex.map(_workload(g, 13))
+            pct = service.stats.percentiles()
+            service.close()
+        assert set(pct) == {"reachability", "pattern"}
+        for entry in pct.values():
+            assert entry["count"] > 0
+            assert 0 < entry["p50_ms"] <= entry["p95_ms"] <= entry["p99_ms"]
+
     @pytest.mark.skipif(not hasattr(os, "fork"),
                         reason="fork mode needs POSIX fork")
     def test_fork_pool_telemetry_merged_back(self):

@@ -662,44 +662,6 @@ def test_catalog_base_roundtrip(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Bench harness snapshot cache
-# ----------------------------------------------------------------------
-def test_load_or_freeze_snapshot_cache(tmp_path, monkeypatch):
-    from repro.bench.harness import SNAPSHOT_CACHE_ENV, load_or_freeze
-
-    calls = []
-
-    def build():
-        calls.append(1)
-        return gnm_random_graph(20, 60, num_labels=2, seed=5)
-
-    # Disabled: builds every time, no files written, no freeze paid.
-    monkeypatch.delenv(SNAPSHOT_CACHE_ENV, raising=False)
-    g0, csr0 = load_or_freeze("cache-test", build)
-    assert len(calls) == 1 and csr0 is None and not list(tmp_path.iterdir())
-
-    # Enabled: first call builds and saves, second loads the snapshot.
-    monkeypatch.setenv(SNAPSHOT_CACHE_ENV, str(tmp_path))
-    g1, csr1 = load_or_freeze("cache-test", build)
-    assert len(calls) == 2
-    assert (tmp_path / "cache-test.rgs").exists()
-    g2, csr2 = load_or_freeze("cache-test", build)
-    assert len(calls) == 2  # not rebuilt
-    _assert_same_frozen(csr1, csr2)
-    assert g2.structure_equal(g1) and g2.node_list() == g1.node_list()
-    # Thaw/re-freeze closes the loop: cached graphs freeze identically.
-    _assert_same_frozen(CSRGraph.from_digraph(g2), CSRGraph.from_digraph(g0))
-
-    # A corrupt cache entry self-heals instead of failing every bench run.
-    (tmp_path / "cache-test.rgs").write_bytes(b"RPGSgarbage")
-    g3, csr3 = load_or_freeze("cache-test", build)
-    assert len(calls) == 3  # rebuilt
-    _assert_same_frozen(csr3, csr1)
-    g4, _ = load_or_freeze("cache-test", build)
-    assert len(calls) == 3  # cache healed, loads again
-
-
-# ----------------------------------------------------------------------
 # Catalog retention: prune (LRU-by-mtime) and the writer lock
 # ----------------------------------------------------------------------
 def _fill_catalog(catalog, count, seed=0):

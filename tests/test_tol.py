@@ -35,6 +35,7 @@ from repro.graph.generators import random_dag
 from repro.index import TOLIndex, TwoHopIndex, refresh_index
 from repro.obs.metrics import MetricsRegistry, installed
 from repro.queries.reachability import ReachabilityQuery, evaluate_reachability
+from repro.service import EngineService
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -282,6 +283,31 @@ def test_tol_build_failure_degrades_route_not_answers():
     fresh = engine.epoch(1)
     assert [router.dispatch(q, fresh) for q in queries] == expected
     assert fresh.describe()["tol"] is True
+
+
+def test_service_reachability_is_served_from_the_labels():
+    """Healthy twin of the degradation test: reach queries through a warmed
+    ``EngineService`` count label lookups and not one fallback."""
+    rng = random.Random(37)
+    g = _random_digraph(rng, 40, 120)
+    nodes = g.node_list()
+    queries = [
+        ReachabilityQuery(rng.choice(nodes), rng.choice(nodes))
+        for _ in range(30)
+    ]
+    registry = MetricsRegistry()
+    with installed(registry):
+        service = EngineService(g.copy())
+        got = [service.query(q) for q in queries]  # the first one builds
+        assert service.describe()["epoch"]["tol"] is True
+        service.close()
+    assert got == [
+        evaluate_reachability(g, q.source, q.target, "bfs") for q in queries
+    ]
+    lookups = registry.get("tol_lookups_total")
+    # (same-hypernode pairs and memo hits never reach the index)
+    assert lookups is not None and sum(lookups.values().values()) > 0
+    assert registry.get("tol_fallbacks_total") is None  # never incremented
 
 
 def test_session_tol_degradation_resets_on_next_apply(monkeypatch):
