@@ -6,11 +6,8 @@ shape: many reader threads, one writer.  The classic RCU answer is to make
 the readable state *immutable* and swap whole versions atomically — and
 that is exactly what an :class:`Epoch` is:
 
-* the frozen snapshot of ``G`` at one publication point — an eagerly
-  decoded :class:`~repro.graph.csr.CSRGraph`, or a row-lazy
-  :class:`~repro.store.mmapgraph.MmapGraph` view pinned straight off the
-  catalog's ``base.rgs`` (publication then costs no whole-file decode and
-  resident memory tracks the rows queries touch),
+* the frozen snapshot of ``G`` at one publication point (a
+  :class:`~repro.graph.csr.CSRGraph`),
 * its compressed representations ``Gr`` / ``Gb`` (built lazily, exactly
   once, from the epoch's own snapshot — deterministic and canonical, so
   every thread sees byte-identical artifacts),
@@ -55,12 +52,6 @@ from repro.index.tol import TOLIndex
 from repro.queries.matching import MatchContext, match
 from repro.queries.pattern import GraphPattern
 from repro.queries.reachability import ReachabilityQuery, evaluate_reachability
-from repro.store.mmapgraph import MmapGraph
-
-#: What an epoch can pin: an eagerly decoded snapshot, or a row-lazy mmap
-#: view whose adjacency decodes on demand (publication cost and resident
-#: memory then track the query working set, not ``|G|``).
-GraphSnapshot = Union[CSRGraph, MmapGraph]
 
 #: representation key -> catalog variant name.
 CATALOG_VARIANTS = {"reachability": "reachability", "pattern": "bisimulation"}
@@ -120,7 +111,7 @@ class Epoch:
 
     def __init__(
         self,
-        csr: GraphSnapshot,
+        csr: CSRGraph,
         version: int = 0,
         *,
         backend: str = "csr",
@@ -284,7 +275,7 @@ class Epoch:
             fault_point(f"epoch.build.{key}")
             return compress_frozen(
                 key,
-                self._dense(),
+                self.csr,
                 self.backend,
                 self._catalog,
                 self._digest,
@@ -339,10 +330,7 @@ class Epoch:
                         self.artifact("pattern").compressed, backend=self.backend
                     )
                 else:
-                    # Pattern matching on ORIGINAL wants the label indexes a
-                    # sealed context builds over the whole graph anyway, so
-                    # an mmap-backed epoch densifies here (once, shared).
-                    ctx = MatchContext(self._dense())
+                    ctx = MatchContext(self.csr)
                 ctx.seal()
                 self._contexts[key] = ctx
         return ctx
@@ -377,7 +365,7 @@ class Epoch:
                 if self.backend == "csr" and self._catalog is not None:
                     digest = self._digest
                     if digest is None:
-                        digest = self._catalog.put(self._dense())
+                        digest = self._catalog.put(self.csr)
                     built: TOLIndex = self._catalog.tol(digest, gr=gr)
                     return built
                 return TOLIndex(gr, backend=self.backend)
@@ -425,11 +413,6 @@ class Epoch:
     def evaluate_original(self, query: Any, algorithm: Optional[str] = None) -> Any:
         """Direct evaluation on the epoch's frozen ``G``.
 
-        Reachability walks ``self.csr`` as-is — on an mmap-backed epoch the
-        BFS touches only the rows it visits, which is the whole point of
-        pinning a view.  Pattern matching goes through the densified
-        snapshot so it shares the ORIGINAL context's graph object.
-
         A direct pattern query does not *create* the shared ORIGINAL
         context: its ``G``-sized row tables (``n`` rows of ``n`` bits per
         bound — 18 MB at 12 k nodes) would be built inside whichever
@@ -437,8 +420,8 @@ class Epoch:
         pinned with the epoch.  Without one the query runs on a context of
         its own that dies with the call, so every direct query costs the
         same.  The shared context is used once somebody asked for it
-        (``context_for("original")`` — the fork pool's prewarm and the bench
-        warm-up do).
+        (``context_for("original")`` — a caller timing warm direct
+        evaluation does).
         """
         if isinstance(query, ReachabilityQuery):
             return evaluate_reachability(
@@ -448,34 +431,20 @@ class Epoch:
         if isinstance(query, GraphPattern):
             if algorithm not in (None, "match"):
                 raise ValueError(f"unknown algorithm {algorithm!r}; expected 'match'")
-            return match(query, self._dense(), self._contexts.get(ORIGINAL))
+            return match(query, self.csr, self._contexts.get(ORIGINAL))
         raise TypeError(
             f"cannot evaluate {type(query).__name__} on the original graph; "
             "expected a ReachabilityQuery or GraphPattern"
         )
 
     # ------------------------------------------------------------------
-    def _dense(self) -> CSRGraph:
-        """The fully decoded snapshot.
-
-        Eager epochs return their own ``csr``.  An mmap-backed epoch
-        decodes the whole file exactly once (``MmapGraph.to_csr`` memoises
-        and, for v2 bodies, settles the writer-recorded digest claim) —
-        only the paths that genuinely need the entire graph (``Gr``/``Gb``
-        builds, pattern contexts, thaw) call this; reachability serving
-        never does.
-        """
-        if isinstance(self.csr, CSRGraph):
-            return self.csr
-        return self.csr.to_csr()
-
     def _thaw(self) -> DiGraph:
         """Thawed copy for dict-backend builds (shared across both keys).
 
         Callers already hold ``_build_lock``.
         """
         if self._thawed is None:
-            self._thawed = self._dense().to_digraph()
+            self._thawed = self.csr.to_digraph()
         return self._thawed
 
     def _check_serving(self) -> None:
@@ -485,29 +454,12 @@ class Epoch:
                 "longer build representations"
             )
 
-    def _reset_locks_after_fork(self) -> None:
-        """Re-arm internal locks in a forked child (single-threaded again).
-
-        ``fork`` copies lock *state* but not the threads holding it: a lock
-        a sibling thread held at fork time would stay locked forever in the
-        child.  Worker processes inheriting a prewarmed epoch call this
-        before serving.
-        """
-        self._build_lock = threading.RLock()
-        self._pin_lock = threading.Lock()
-        for ctx in self._contexts.values():
-            ctx._reset_lock_after_fork()
-        reset = getattr(self.csr, "_reset_locks_after_fork", None)
-        if reset is not None:  # mmap views carry row-cache locks; CSR doesn't
-            reset()
-
     def describe(self) -> Dict[str, Any]:
         return {
             "version": self.version,
             "nodes": self.csr.n,
             "edges": self.csr.m,
             "backend": self.backend,
-            "mmap": not isinstance(self.csr, CSRGraph),
             "digest": self._digest,
             "materialized": sorted(self._artifacts),
             "tol": self._tol is not None,

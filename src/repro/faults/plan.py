@@ -2,7 +2,7 @@
 
 The hardened layers compile :func:`fault_point`/:func:`fault_data` calls
 at their failure-prone boundaries (file reads/writes, artifact builds,
-dispatch, fork workers).  In production nothing is installed and a point
+dispatch).  In production nothing is installed and a point
 costs one module-global ``is None`` check.  A test or chaos run installs
 a :class:`FaultPlan` — an ordered list of :class:`FaultRule`\\ s — and the
 matching points start failing *deterministically*: which hit of a point
@@ -19,8 +19,8 @@ the *production* handlers, not special-cased test code:
   to its typed :class:`~repro.store.format.SnapshotError`;
 * ``delay`` sleeps at the point — deadlines and timeouts must fire;
 * ``error`` raises :class:`InjectedFault` — a computation failing mid-way;
-* ``kill`` hard-exits the process (``os._exit``) — only meaningful inside
-  fork-pool workers, whose parent must detect the death and resubmit.
+* ``kill`` hard-exits the process (``os._exit``) — for a subprocess that
+  must die mid-write, so the survivor's recovery path is what runs.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     current_registry,
-    diff_state,
     inc,
     install_registry,
     installed,
@@ -72,7 +71,6 @@ __all__ = [
     "current_context",
     "current_registry",
     "current_tracer",
-    "diff_state",
     "inc",
     "install_registry",
     "install_tracer",

@@ -20,10 +20,7 @@ Three metric kinds, all thread-safe under one registry lock:
   interpolated percentile estimation (:meth:`Histogram.percentile`).
 
 Registries serialise to plain JSON-able state (:meth:`MetricsRegistry
-.to_state`) and merge (:meth:`MetricsRegistry.merge_state`): forked
-executor workers ship their since-fork delta (:func:`diff_state`) back
-through the result pipe so child telemetry survives pool shutdown —
-counters and histogram cells add, gauges keep the maximum.
+.to_state`), the export format of the stress and chaos reports.
 
 Metric names used by the serving stack are registered in :data:`SCHEMA`
 (type, help text, label names, buckets), so one-line instrumentation
@@ -293,14 +290,9 @@ SCHEMA: Dict[str, Tuple[str, str, Labels, Optional[Tuple[float, ...]]]] = {
         (), LATENCY_BUCKETS),
     "service_rollbacks_total": (
         "counter", "Transactional apply/refreeze rollbacks.", (), None),
-    "service_mmap_fallbacks_total": (
-        "counter", "Publications that fell back from mmap to eager epochs.",
-        (), None),
-    "service_publish_hook_errors_total": (
-        "counter", "Publish hooks that raised (swallowed).", (), None),
     # service executor
     "executor_queue_depth": (
-        "gauge", "Queued tasks awaiting a worker (thread mode).", (), None),
+        "gauge", "Queued tasks awaiting a worker.", (), None),
     "executor_queue_wait_seconds": (
         "histogram", "Submit-to-dispatch queue wait per task.", (), LATENCY_BUCKETS),
     "executor_dispatch_seconds": (
@@ -310,14 +302,6 @@ SCHEMA: Dict[str, Tuple[str, str, Labels, Optional[Tuple[float, ...]]]] = {
         (), SIZE_BUCKETS),
     "executor_retries_total": ("counter", "Dispatch attempts retried.", (), None),
     "executor_timeouts_total": ("counter", "Dispatch attempts timed out.", (), None),
-    "executor_fork_tasks_total": (
-        "counter", "Tasks evaluated inside fork workers.", (), None),
-    "executor_preforks_total": (
-        "counter", "Fork pools built ahead of demand (construction/publication).",
-        (), None),
-    "executor_prefork_failures_total": (
-        "counter", "Background pool pre-forks that failed (retried on submit).",
-        (), None),
     # index/tol — the reachability label index over Gr
     "tol_build_seconds": (
         "histogram", "TOL label construction time (full builds).", (), LATENCY_BUCKETS),
@@ -449,9 +433,9 @@ class MetricsRegistry:
         with self._reg_lock:
             return self._metrics.get(name)
 
-    # -- snapshot / merge (fork telemetry) -------------------------------
+    # -- snapshot --------------------------------------------------------
     def to_state(self) -> Dict[str, Any]:
-        """JSON-able snapshot of every series (the merge/export format)."""
+        """JSON-able snapshot of every series (the export format)."""
         state: Dict[str, Any] = {}
         for metric in self.metrics():
             if isinstance(metric, (Counter, Gauge)):
@@ -476,40 +460,6 @@ class MetricsRegistry:
                 "series": series,
             }
         return state
-
-    def merge_state(self, state: Dict[str, Any]) -> None:
-        """Fold a :meth:`to_state` snapshot in: counters and histogram
-        cells add, gauges keep the maximum of both sides."""
-        for name, entry in state.items():
-            labelnames = tuple(entry["labelnames"])
-            kind = entry["kind"]
-            if kind == "counter":
-                counter = self.counter(name, entry.get("help", ""), labelnames)
-                for raw_labels, value in entry["series"]:
-                    if value:
-                        counter.inc(value, tuple(raw_labels))
-            elif kind == "gauge":
-                gauge = self.gauge(name, entry.get("help", ""), labelnames)
-                for raw_labels, value in entry["series"]:
-                    labels = tuple(raw_labels)
-                    gauge.set(max(gauge.value(labels), value), labels)
-            else:
-                hist = self.histogram(
-                    name, entry.get("help", ""), labelnames,
-                    tuple(entry["buckets"]) if entry.get("buckets") else LATENCY_BUCKETS,
-                )
-                for raw_labels, cell in entry["series"]:
-                    labels = hist._check(tuple(raw_labels))
-                    with self._lock:
-                        series = hist._series.get(labels)
-                        if series is None:
-                            series = hist._series[labels] = _Series(len(hist.bounds))
-                        for i, n in enumerate(cell["buckets"]):
-                            series.buckets[i] += n
-                        series.sum += cell["sum"]
-                        series.count += cell["count"]
-                        if cell["max"] > series.max:
-                            series.max = cell["max"]
 
     # -- exposition ------------------------------------------------------
     def render(self) -> str:
@@ -585,48 +535,6 @@ def _label_str(names: Labels, values: Labels) -> str:
         f'{n}="{_escape_label_value(v)}"' for n, v in zip(names, values)
     )
     return "{" + pairs + "}"
-
-
-def diff_state(now: Dict[str, Any], base: Dict[str, Any]) -> Dict[str, Any]:
-    """``now - base`` for counter/histogram series; gauges pass through.
-
-    The fork-worker merge primitive: a child inherits the parent's
-    registry contents at fork time, so only its since-fork delta may be
-    folded back (adding the inherited prefix twice would double-count).
-    """
-    base_series: Dict[str, Dict[Tuple[str, ...], Any]] = {
-        name: {tuple(labels): value for labels, value in entry["series"]}
-        for name, entry in base.items()
-    }
-    out: Dict[str, Any] = {}
-    for name, entry in now.items():
-        prior = base_series.get(name, {})
-        series: List[Any] = []
-        for raw_labels, value in entry["series"]:
-            key = tuple(raw_labels)
-            if entry["kind"] == "counter":
-                delta = value - prior.get(key, 0)
-                if delta:
-                    series.append([raw_labels, delta])
-            elif entry["kind"] == "gauge":
-                series.append([raw_labels, value])
-            else:
-                prev = prior.get(key)
-                if prev is None:
-                    series.append([raw_labels, value])
-                    continue
-                cell = {
-                    "buckets": [n - p for n, p in
-                                zip(value["buckets"], prev["buckets"])],
-                    "sum": value["sum"] - prev["sum"],
-                    "count": value["count"] - prev["count"],
-                    "max": value["max"],
-                }
-                if cell["count"]:
-                    series.append([raw_labels, cell])
-        if series:
-            out[name] = dict(entry, series=series)
-    return out
 
 
 # ----------------------------------------------------------------------

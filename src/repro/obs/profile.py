@@ -20,8 +20,8 @@ Design constraints, in order:
   a pathological workload cannot grow the sample table without limit.
 * **Fork-aware** — ticker threads do not survive ``fork``; an
   ``os.register_at_fork`` handler re-arms the child's lock and marks the
-  profiler stopped, so an executor child forked mid-profile inherits a
-  consistent (idle) profiler instead of a phantom "running" one.
+  profiler stopped, so a child forked mid-profile inherits a consistent
+  (idle) profiler instead of a phantom "running" one.
 * **Low overhead** — one ``sys._current_frames()`` call per tick plus a
   bounded frame walk per thread (``tests/test_obs_serve.py`` checks that
   a sampling window captures span-attributed cross-thread stacks).

@@ -21,10 +21,6 @@ Propagation:
   under the caller's trace) or calls :func:`record_span` after the fact
   with explicit start/end ``perf_counter`` readings (queue waits are only
   known once the task is picked up).
-* **Fork workers** — ``perf_counter`` reads ``CLOCK_MONOTONIC``, which is
-  system-wide on Linux, so child span timings are directly comparable;
-  children accumulate spans in their own tracer and the executor ships
-  them back over the result pipe, merged with :meth:`Tracer.add_spans`.
 
 Export: :meth:`Tracer.drain` hands back finished spans as dicts (the
 JSONL schema, one object per line via :func:`write_jsonl`);
@@ -128,7 +124,7 @@ DEFAULT_MAX_SPANS = 20_000
 
 
 class Tracer:
-    """Collects finished spans; thread-safe; fork-merge friendly.
+    """Collects finished spans; thread-safe.
 
     Retention is bounded: at most *max_spans* finished spans are held
     between :meth:`drain` calls; spans past the cap are dropped and
@@ -208,23 +204,14 @@ class Tracer:
 
     def finish(self, span: Span, end: Optional[float] = None) -> None:
         span.end = end if end is not None else time.perf_counter()
-        self._retain([span.to_dict()])
-
-    def _retain(self, spans: List[Dict[str, Any]]) -> None:
-        """Append finished spans, honouring the retention cap."""
-        dropped = 0
+        record = span.to_dict()
         with self._lock:
-            room = self.max_spans - len(self._spans)
-            if room >= len(spans):
-                self._spans.extend(spans)
-            else:
-                if room > 0:
-                    self._spans.extend(spans[:room])
-                dropped = len(spans) - max(room, 0)
-                self._dropped += dropped
-        if dropped:
-            from repro.obs.metrics import inc as _obs_inc
-            _obs_inc("trace_spans_dropped_total", n=dropped)
+            if len(self._spans) < self.max_spans:
+                self._spans.append(record)
+                return
+            self._dropped += 1  # retention cap: drop, and count it
+        from repro.obs.metrics import inc as _obs_inc
+        _obs_inc("trace_spans_dropped_total")
 
     @property
     def dropped_spans(self) -> int:
@@ -236,7 +223,7 @@ class Tracer:
                     parent: Optional[TraceContext] = None,
                     attrs: Optional[Dict[str, Any]] = None) -> Span:
         """Record a span retroactively from explicit ``perf_counter``
-        readings (queue waits, merged fork results)."""
+        readings (queue waits)."""
         span = self.start_span(name, parent, attrs)
         # Re-anchor: the span actually began (now - start) seconds ago.
         span.wall -= time.perf_counter() - start
@@ -253,9 +240,6 @@ class Tracer:
         with self._lock:
             out, self._spans = self._spans, []
             return out
-
-    def add_spans(self, spans: Iterable[Dict[str, Any]]) -> None:
-        self._retain(list(spans))
 
     def clear(self) -> None:
         with self._lock:

@@ -139,8 +139,7 @@ class MatchContext:
     exactly once and never mutated after it is published.  :meth:`seal`
     additionally forbids :meth:`invalidate`, turning the context into a
     permanently read-only shared cache; :meth:`prepare` pre-builds the
-    caches eagerly (e.g. before forking worker processes, so children
-    share the bitsets via copy-on-write instead of each building its own).
+    caches eagerly, so no query pays for a table it happens to use first.
     """
 
     def __init__(
@@ -434,9 +433,9 @@ class MatchContext:
     def prepare(self, bounds: Iterable[Bound] = ()) -> "MatchContext":
         """Eagerly build the caches (adjacency, *bounds*, label candidates).
 
-        Pre-warming matters when the context is about to be shared with
-        forked worker processes: built bitsets are inherited copy-on-write
-        instead of recomputed per child.  Returns ``self`` for chaining.
+        Pre-warming takes the table builds out of the first queries that
+        would otherwise trigger them (a caller timing warm evaluation
+        wants that).  Returns ``self`` for chaining.
         """
         with self._cache_lock:
             self.adjacency_bitsets()
@@ -448,21 +447,6 @@ class MatchContext:
                 for label in self.graph.label_set():
                     self.label_candidates(label)
         return self
-
-    def _reset_lock_after_fork(self) -> None:
-        """Re-arm the cache lock in a forked child (see ``Epoch``).
-
-        In-flight ``pending`` memo entries are dropped too: the thread
-        computing them did not survive the fork, so a child waiting on
-        their event would block forever.  Completed entries stay — they
-        are plain values and perfectly valid in the child.
-        """
-        self._cache_lock = threading.RLock()
-        if self._answer_memo is not None:
-            self._answer_memo = {
-                key: entry for key, entry in self._answer_memo.items()
-                if entry[0] == "done"
-            }
 
     def invalidate(self) -> None:
         """Drop caches after the underlying graph changed."""

@@ -3,9 +3,8 @@
 * :mod:`repro.service.front` — :class:`EngineService`, the thread-safe
   single-writer/many-reader session: immutable epoch snapshots published
   RCU-style, lock-free read paths, writer-lock-guarded ``apply``;
-* :mod:`repro.service.executor` — :class:`QueryExecutor`, the worker pool
-  (threads or forked processes) with adaptive micro-batching and
-  future-based submission;
+* :mod:`repro.service.executor` — :class:`QueryExecutor`, the thread
+  worker pool with adaptive micro-batching and future-based submission;
 * :mod:`repro.service.epoch_stress` — the randomized reader/writer stress
   harness the tests and the CI ``concurrency-stress`` job run, plus
   its chaos extension (``run_chaos`` / ``python -m repro.service chaos``)
@@ -30,7 +29,6 @@ from repro.service.errors import (
     QueryTimeout,
     RetriesExhausted,
     ServiceFault,
-    WorkerDied,
 )
 from repro.service.executor import QueryExecutor
 from repro.service.front import EngineService
@@ -42,7 +40,6 @@ __all__ = [
     "QueryTimeout",
     "RetriesExhausted",
     "ServiceFault",
-    "WorkerDied",
     "build_schedule",
     "chaos_plan",
     "freeze_answer",

@@ -85,7 +85,6 @@ def _chaos(args: argparse.Namespace) -> int:
         for seed in args.seeds:
             report = run_chaos(
                 graph,
-                mode=args.mode,
                 workers=args.workers,
                 seed=seed,
                 writer_batches=3 if args.quick else 5,
@@ -101,7 +100,7 @@ def _chaos(args: argparse.Namespace) -> int:
                 violations += 1
             reports.append(report)
             print(
-                f"chaos seed={seed} mode={args.mode}: "
+                f"chaos seed={seed}: "
                 f"delivered={report['delivered']} "
                 f"mismatches={report['mismatches']} "
                 f"failed={sum(report['failed'].values())} "
@@ -114,7 +113,6 @@ def _chaos(args: argparse.Namespace) -> int:
         if obs_server is not None:
             obs_server.stop()
     payload = {
-        "mode": args.mode,
         "workers": args.workers,
         "seeds": list(args.seeds),
         "violations": violations,
@@ -192,7 +190,7 @@ def _serve_obs(args: argparse.Namespace) -> int:
         server = ObsHTTPServer(args.host, args.port)
         service = EngineService(graph.copy(), backend="csr", obs_http=server)
         executor = (
-            QueryExecutor(service, args.workers, mode="thread", max_batch=8)
+            QueryExecutor(service, args.workers, max_batch=8)
             if args.workers else None
         )
         if executor is not None:
@@ -252,7 +250,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     chaos = sub.add_parser("chaos", help="run the seeded chaos harness")
     chaos.add_argument("--seeds", type=int, nargs="+", default=[0],
                        help="fault-plan seeds to run (one round each)")
-    chaos.add_argument("--mode", choices=("thread", "fork"), default="thread")
     chaos.add_argument("--workers", type=int, default=2)
     chaos.add_argument("--nodes", type=int, default=60)
     chaos.add_argument("--edges", type=int, default=170)
@@ -275,7 +272,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     metrics.add_argument("--readers", type=int, default=4)
     metrics.add_argument("--workers", type=int, default=2,
-                         help="thread-mode executor workers (0 = direct)")
+                         help="executor workers (0 = direct)")
     metrics.add_argument("--nodes", type=int, default=60)
     metrics.add_argument("--edges", type=int, default=170)
     metrics.add_argument("--graph-seed", type=int, default=11)
@@ -309,7 +306,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--duration", type=float, default=0.0,
                        help="seconds to serve (0 = until Ctrl-C)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="thread-mode executor workers (0 = direct "
+                       help="executor workers (0 = direct "
                             "service queries, no breaker on /health)")
     serve.add_argument("--nodes", type=int, default=60)
     serve.add_argument("--edges", type=int, default=170)

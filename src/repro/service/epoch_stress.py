@@ -128,7 +128,7 @@ def run_stress(
 ) -> Dict[str, Any]:
     """One full stress round; see the module docstring for the shape.
 
-    ``executor_workers > 0`` routes reader queries through a thread-mode
+    ``executor_workers > 0`` routes reader queries through a
     :class:`QueryExecutor` of that size (micro-batching in the loop);
     ``0`` has reader threads call the service directly.  ``catalog_dir``
     attaches a :class:`SnapshotCatalog` so the store layer is in play
@@ -143,8 +143,7 @@ def run_stress(
     service = EngineService(graph.copy(), catalog, backend=backend,
                             journal=True)
     executor = (
-        QueryExecutor(service, executor_workers, mode="thread",
-                      max_batch=max_batch)
+        QueryExecutor(service, executor_workers, max_batch=max_batch)
         if executor_workers else None
     )
 
@@ -243,15 +242,12 @@ def run_stress(
 # Chaos extension: the same harness under an injected fault schedule.
 # ----------------------------------------------------------------------
 
-def chaos_plan(seed: int, mode: str = "thread") -> FaultPlan:
+def chaos_plan(seed: int) -> FaultPlan:
     """A seeded menu of faults across every hardened layer.
 
     Probabilities and windows are tuned so a quick run sees several
     firings of each family without starving delivery entirely; delays are
-    bounded well under the executor timeout so nothing hangs.  ``fork``
-    mode adds worker kills (``after=1`` so each forked child survives its
-    first task — respawned pools make progress instead of dying on
-    arrival, since children re-inherit the plan with fresh counters).
+    bounded well under the executor timeout so nothing hangs.
     """
     rules = [
         # store/catalog: flaky reads and corrupted payloads — exercised
@@ -283,16 +279,12 @@ def chaos_plan(seed: int, mode: str = "thread") -> FaultPlan:
         FaultRule(point="service.publish", kind="error",
                   probability=0.5, times=2),
     ]
-    if mode == "fork":
-        rules.append(FaultRule(point="executor.fork.worker", kind="kill",
-                               after=1, times=1))
     return FaultPlan(rules, seed=seed)
 
 
 def run_chaos(
     graph: DiGraph,
     *,
-    mode: str = "thread",
     workers: int = 2,
     readers: int = 3,
     writer_batches: int = 5,
@@ -326,11 +318,11 @@ def run_chaos(
         graph.copy(), catalog, journal=True, build_deadline_s=build_deadline_s
     )
     executor = QueryExecutor(
-        service, workers, mode=mode, max_batch=8,
+        service, workers, max_batch=8,
         timeout_s=timeout_s, retries=retries, backoff_s=0.005,
     )
     if plan is None:
-        plan = chaos_plan(seed, mode)
+        plan = chaos_plan(seed)
 
     records: List[Tuple[int, int, Any]] = []
     rec_lock = threading.Lock()
@@ -425,7 +417,6 @@ def run_chaos(
     obs = obs_report()
     report = {
         **({"obs": obs} if obs is not None else {}),
-        "mode": mode,
         "seed": seed,
         "workers": workers,
         "readers": readers,

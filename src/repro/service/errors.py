@@ -25,10 +25,6 @@ class RetriesExhausted(ServiceFault):
     """Every retry attempt of a task failed; the last cause is chained."""
 
 
-class WorkerDied(ServiceFault):
-    """A fork-pool worker died and the task exceeded its resubmission budget."""
-
-
 class ApplyError(ServiceFault):
     """An update batch failed mid-publication and was rolled back.
 
@@ -47,5 +43,4 @@ __all__ = [
     "QueryTimeout",
     "RetriesExhausted",
     "ServiceFault",
-    "WorkerDied",
 ]

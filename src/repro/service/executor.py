@@ -2,29 +2,19 @@
 
 The serving shape the ROADMAP asks for: callers ``submit`` first-class
 query objects and get :class:`concurrent.futures.Future`\\ s back; a pool
-of workers drains the queue.  Two pool modes share one API:
+of worker *threads* drains the queue.
 
-* ``mode="thread"`` (default) — worker *threads*.  Every worker that
-  wakes up drains whatever compatible single-query tasks are already
-  queued (up to ``max_batch``) into one micro-batch: the batch pins one
-  epoch, dispatches through
-  :meth:`~repro.engine.router.QueryRouter.dispatch_batch`, and therefore
-  shares one :class:`~repro.queries.matching.MatchContext` and one
-  traversal per same-class group.  The batch size *adapts to load* — an
-  idle service evaluates single queries with no added latency, a busy one
-  amortises per-query overhead across whole groups.  Under CPython's GIL
-  threads do not add CPU parallelism; micro-batching is what moves
-  single-core throughput, and threads keep readers fully concurrent with
-  the writer (``apply`` never blocks a reader).
-* ``mode="fork"`` — worker *processes* (POSIX fork), for CPU-parallel
-  throughput on multi-core hosts.  The pool pins the current epoch,
-  pre-warms its artifacts and evaluation contexts, then forks: children
-  inherit the frozen graph, ``Gr``/``Gb`` and the shared bitset caches
-  via copy-on-write — no serialisation of graph state, only queries and
-  answers cross the pipe.  A publication retires the pool and *pre-forks*
-  its replacement in the background (a service publish hook), so the
-  first query against the new epoch finds warm workers instead of paying
-  the fork; a submission racing the hook builds the pool itself.
+Every worker that wakes up drains whatever compatible single-query tasks
+are already queued (up to ``max_batch``) into one micro-batch: the batch
+pins one epoch, dispatches through
+:meth:`~repro.engine.router.QueryRouter.dispatch_batch`, and therefore
+shares one :class:`~repro.queries.matching.MatchContext` and one
+traversal per same-class group.  The batch size *adapts to load* — an
+idle service evaluates single queries with no added latency, a busy one
+amortises per-query overhead across whole groups.  Under CPython's GIL
+threads do not add CPU parallelism; micro-batching is what moves
+single-core throughput, and threads keep readers fully concurrent with
+the writer (``apply`` never blocks a reader).
 
 Workload statistics flow two ways: per-class hits/latencies land in the
 service's shared :class:`~repro.engine.counters.RouterStats` (feeding the
@@ -41,36 +31,20 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.epoch import Epoch, EpochRetired
-from repro.engine.router import ORIGINAL, RepresentationUnavailable
+from repro.engine.epoch import EpochRetired
+from repro.engine.router import ORIGINAL
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.deadline import DeadlineExceeded, run_with_deadline
 from repro.faults.plan import FaultError, fault_point
 from repro.obs.metrics import (
-    current_registry,
-    diff_state,
     inc as obs_inc,
     metrics_on,
     observe as obs_observe,
     set_gauge as obs_set_gauge,
 )
-from repro.obs.trace import (
-    attach,
-    current_context,
-    current_tracer,
-    record_span,
-    tracing_on,
-)
-from repro.queries.pattern import STAR
-from repro.service.errors import (
-    QueryTimeout,
-    RetriesExhausted,
-    ServiceFault,
-    WorkerDied,
-)
+from repro.obs.trace import attach, current_context, record_span, tracing_on
+from repro.service.errors import QueryTimeout, RetriesExhausted, ServiceFault
 from repro.service.front import EngineService
-
-_MODES = ("thread", "fork")
 
 #: Failure classes worth another attempt: transient I/O (a flaky disk, an
 #: injected ``InjectedIOError``), injected faults, timeouts (the next
@@ -86,7 +60,7 @@ def _resolve(future: "Future[Any]", value: Any = None,
 
     A caller that timed out on ``result()`` may ``cancel()`` between our
     state check and the set call; ``InvalidStateError`` here must never
-    kill a worker or collector thread.
+    kill a worker thread.
     """
     try:
         if exc is not None:
@@ -100,7 +74,7 @@ def _resolve(future: "Future[Any]", value: Any = None,
 class _Task:
     """One queued unit: a single query or a caller-built batch."""
 
-    __slots__ = ("queries", "on", "algorithm", "future", "single", "attempts",
+    __slots__ = ("queries", "on", "algorithm", "future", "single",
                  "trace_ctx", "t_enqueue")
 
     def __init__(self, queries: List[Any], on: str, algorithm: Optional[str],
@@ -110,7 +84,6 @@ class _Task:
         self.algorithm = algorithm
         self.future = future
         self.single = single
-        self.attempts = 0  # fork mode: worker-death resubmissions so far
         #: The submitter's ambient trace context — dispatch/queue-wait
         #: spans recorded by whichever worker runs the task nest under it.
         self.trace_ctx = current_context()
@@ -132,28 +105,20 @@ class QueryExecutor:
     workers:
         Pool size (default: the machine's CPU count).
     mode:
-        ``"thread"`` or ``"fork"`` (see module docstring).  ``"fork"``
-        requires a POSIX fork platform and should not be mixed with a
-        concurrent writer thread mid-pool — publications are picked up at
-        the next submission boundary.
+        ``"thread"``, the only pool there is; any other value raises
+        ``ValueError``.
     max_batch:
-        Micro-batch ceiling per worker wake-up (thread mode) and chunk
-        size for :meth:`map` fan-out.
-    prewarm_bounds:
-        Pattern-edge bounds eagerly built into the shared ``MatchContext``
-        before forking (fork mode only) so children inherit the bitsets
-        copy-on-write.
+        Micro-batch ceiling per worker wake-up and chunk size for
+        :meth:`map` fan-out.
     timeout_s:
-        Per-attempt wall-clock budget for one dispatched micro-batch
-        (thread mode; fork mode relies on worker-death recovery instead).
+        Per-attempt wall-clock budget for one dispatched micro-batch.
         An attempt over budget fails with
         :class:`~repro.service.errors.QueryTimeout` and is retried.
         ``None`` (default) = no timeout.
     retries:
         Extra attempts after a retryable failure (transient I/O, injected
-        faults, timeouts, a freed-epoch race, a dead fork worker).  The
-        task fails with :class:`~repro.service.errors.RetriesExhausted`
-        (or :class:`~repro.service.errors.WorkerDied`) once the budget is
+        faults, timeouts, a freed-epoch race).  The task fails with
+        :class:`~repro.service.errors.RetriesExhausted` once the budget is
         spent.  Query-intrinsic ``TypeError``/``ValueError`` never retry.
     backoff_s:
         Base sleep between attempts; doubles each retry.
@@ -171,16 +136,16 @@ class QueryExecutor:
         *,
         mode: str = "thread",
         max_batch: int = 32,
-        prewarm_bounds: Sequence[Any] = (1, 2, STAR),
         timeout_s: Optional[float] = None,
         retries: int = 2,
         backoff_s: float = 0.01,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
-        if mode not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-        if mode == "fork" and not hasattr(os, "fork"):
-            raise ValueError("mode='fork' requires a POSIX fork platform")
+        if mode != "thread":
+            raise ValueError(
+                f"unknown mode {mode!r}: the fork pool was removed, "
+                "'thread' is the only mode"
+            )
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         if max_batch < 1:
@@ -193,9 +158,7 @@ class QueryExecutor:
             raise ValueError("backoff_s must be >= 0")
         self.service = service
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self.mode = mode
         self.max_batch = max_batch
-        self.prewarm_bounds = tuple(prewarm_bounds)
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_s = backoff_s
@@ -209,26 +172,16 @@ class QueryExecutor:
         self._agg_lock = threading.Lock()
         self._agg = {"tasks": 0, "dispatches": 0, "batched_queries": 0,
                      "max_batch": 0}
-        if mode == "thread":
-            self._queue: Deque[_Task] = deque()
-            self._cv = threading.Condition()
-            self._threads = [
-                threading.Thread(
-                    target=self._worker_loop, name=f"repro-exec-{i}", daemon=True
-                )
-                for i in range(self.workers)
-            ]
-            for t in self._threads:
-                t.start()
-        else:
-            self._pool: Optional[_ForkPool] = None
-            # Pre-fork against the current epoch now, and again after every
-            # publication (in a background thread, so the writer's publish
-            # latency never includes a fork+prewarm): the first query after
-            # a publication finds a warm pool instead of paying the fork.
-            self._prefork_hook = lambda _epoch: self._prefork_async()
-            service.add_publish_hook(self._prefork_hook)
-            self._prefork()
+        self._queue: Deque[_Task] = deque()
+        self._cv = threading.Condition()
+        self._threads = [
+            threading.Thread(
+                target=self._worker_loop, name=f"repro-exec-{i}", daemon=True
+            )
+            for i in range(self.workers)
+        ]
+        for t in self._threads:
+            t.start()
 
     # ------------------------------------------------------------------
     # Public API
@@ -284,23 +237,15 @@ class QueryExecutor:
             if self._shutdown:
                 return
             self._shutdown = True
-        if self.mode == "fork":
-            self.service.remove_publish_hook(self._prefork_hook)
-        if self.mode == "thread":
-            with self._cv:
-                if not wait:
-                    while self._queue:
-                        task = self._queue.popleft()
-                        task.future.cancel()
-                self._cv.notify_all()
-            if wait:
-                for t in self._threads:
-                    t.join()
-        else:
-            with self._lock:
-                pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.shutdown(wait=wait)
+        with self._cv:
+            if not wait:
+                while self._queue:
+                    task = self._queue.popleft()
+                    task.future.cancel()
+            self._cv.notify_all()
+        if wait:
+            for t in self._threads:
+                t.join()
 
     def __enter__(self) -> "QueryExecutor":
         return self
@@ -309,12 +254,9 @@ class QueryExecutor:
         self.shutdown(wait=True)
 
     # ------------------------------------------------------------------
-    # Thread mode
+    # Worker pool
     # ------------------------------------------------------------------
     def _enqueue(self, task: _Task) -> None:
-        if self.mode == "fork":
-            self._submit_fork(task)
-            return
         with self._cv:
             if self._shutdown:
                 raise RuntimeError("executor is shut down")
@@ -510,366 +452,6 @@ class QueryExecutor:
             self._agg["batched_queries"] += queries
             if queries > self._agg["max_batch"]:
                 self._agg["max_batch"] = queries
-
-    # ------------------------------------------------------------------
-    # Fork mode
-    # ------------------------------------------------------------------
-    def _ensure_fork_pool(self) -> Optional["_ForkPool"]:
-        """The live pool for the *current* epoch, (re)forking if needed.
-
-        Returns ``None`` when the executor is shut down.  One lock guards
-        the whole check-replace sequence, so a publish-hook prefork racing
-        a submit builds exactly one pool; a pool for a superseded epoch
-        drains its in-flight tasks before the replacement forks.
-        """
-        with self._lock:
-            if self._shutdown:
-                return None
-            pool = self._pool
-            if pool is None or pool.version != self.service.version or pool.broken:
-                if pool is not None:
-                    self._pool = None  # never re-shutdown on a failed respawn
-                    pool.shutdown(wait=not pool.broken)  # drain superseded epoch
-                pool = _ForkPool(self)
-                self._pool = pool
-            return pool
-
-    def _prefork(self) -> None:
-        """Best-effort pool build; errors resurface on the first submit."""
-        try:
-            if self._ensure_fork_pool() is not None:
-                obs_inc("executor_preforks_total")
-        except Exception:  # noqa: BLE001 - prewarm must not fail the caller
-            obs_inc("executor_prefork_failures_total")
-
-    def _prefork_async(self) -> None:
-        threading.Thread(
-            target=self._prefork, name="repro-exec-prefork", daemon=True
-        ).start()
-
-    def _submit_fork(self, task: _Task, resubmit: bool = False) -> None:
-        if not resubmit:
-            # Circuit breaker, parent side (children cannot share one):
-            # route now and degrade the whole task to direct-on-G when a
-            # representation it needs is tripped open.
-            keys: Set[str] = set()
-            try:
-                for q in task.queries:
-                    keys.add(self._router.route(q, task.on))
-            except (TypeError, ValueError) as exc:
-                if task.future.set_running_or_notify_cancel():
-                    _resolve(task.future, exc=exc)
-                return
-            tripped = [k for k in keys
-                       if k != ORIGINAL and not self.breaker.allow(k)]
-            if tripped:
-                for k in tripped:
-                    self.service.stats.record_fallback(
-                        k, queries=len(task.queries)
-                    )
-                task.on = ORIGINAL
-                task.algorithm = None
-            start = time.perf_counter()
-
-            def note(_f: "Future[Any]", n: int = len(task.queries),
-                     _keys: Set[str] = keys - {ORIGINAL}) -> None:
-                if _f.cancelled():
-                    return  # never evaluated: not served workload
-                if _f.exception() is not None:
-                    for key in _keys:
-                        self.breaker.record_failure(key)
-                    return
-                for key in _keys:
-                    self.breaker.record_success(key)
-                self._note_dispatch(1, n)
-                # Parent-side stats: children cannot write the shared
-                # RouterStats, so attribute the task's wall time to the
-                # routed classes here (hit counts exact, latencies
-                # approximate).
-                elapsed = time.perf_counter() - start
-                by_key: Dict[str, int] = {}
-                for q in task.queries:
-                    try:
-                        key = self._router.route(q, task.on)
-                    except (TypeError, ValueError):
-                        continue
-                    by_key[key] = by_key.get(key, 0) + 1
-                for key, count in by_key.items():
-                    self.service.stats.record(key, elapsed, queries=count)
-
-            task.future.add_done_callback(note)
-        pool = self._ensure_fork_pool()
-        if pool is None:
-            if resubmit:
-                _resolve(task.future, exc=WorkerDied(
-                    "executor shut down while recovering a task from a "
-                    "dead fork worker"
-                ))
-                return
-            raise RuntimeError("executor is shut down")
-        pool.submit(task, resubmit=resubmit)
-
-    def _on_pool_broken(self, pool: "_ForkPool",
-                        orphans: List[_Task]) -> None:
-        """A fork worker died: replace the pool, resubmit its in-flight
-        tasks (bounded by ``retries``), fail the rest with ``WorkerDied``.
-
-        Resubmitted tasks re-evaluate from scratch on the replacement pool
-        — evaluation is deterministic over an immutable epoch, so a task
-        whose answer raced the crash simply produces the same answer again.
-        """
-        with self._lock:
-            if self._pool is pool:
-                self._pool = None
-        pool.shutdown(wait=False)
-        for task in orphans:
-            task.attempts += 1
-            if task.attempts > self.retries:
-                _resolve(task.future, exc=WorkerDied(
-                    f"fork worker died; task abandoned after "
-                    f"{task.attempts} attempt{'' if task.attempts == 1 else 's'}"
-                ))
-                continue
-            try:
-                self._submit_fork(task, resubmit=True)
-            except Exception as exc:  # noqa: BLE001 - recovery must not raise
-                _resolve(task.future, exc=WorkerDied(
-                    f"fork worker died and the replacement pool failed: "
-                    f"{type(exc).__name__}: {exc}"
-                ))
-
-
-def _merge_child_obs(delta: Optional[Dict[str, Any]],
-                     spans: List[Dict[str, Any]]) -> None:
-    """Fold a fork child's exit telemetry into the parent's registry/tracer."""
-    if delta:
-        registry = current_registry()
-        if registry is not None:
-            registry.merge_state(delta)
-    if spans:
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.add_spans(spans)
-
-
-def _fork_worker(epoch: Epoch, router: Any, task_q: Any, result_q: Any) -> None:
-    """Worker-process main loop (runs in the forked child).
-
-    The epoch (snapshot, artifacts, sealed contexts) was inherited through
-    fork — copy-on-write, never pickled.  Locks are re-armed first: fork
-    copies lock state but not the threads that held them.
-
-    Observability crosses the pipe explicitly (fork telemetry used to die
-    with the child): per-task trace spans ride each result tuple, and at
-    orderly exit the child ships its *since-fork* metrics delta (the
-    registry contents inherited at fork time belong to the parent and
-    must not be folded back twice) as a ``("__obs__", delta, spans)``
-    payload, which the parent's collector merges before the pool joins.
-    """
-    epoch._reset_locks_after_fork()
-    registry = current_registry()
-    baseline = registry.to_state() if registry is not None else None
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.clear()  # inherited spans are the parent's, already recorded
-    while True:
-        item = task_q.get()
-        if item is None:
-            if registry is not None or tracer is not None:
-                delta = (
-                    diff_state(registry.to_state(), baseline)
-                    if registry is not None and baseline is not None else None
-                )
-                spans = tracer.drain() if tracer is not None else []
-                result_q.put(("__obs__", delta, spans))
-            return
-        task_id, on, algorithm, queries, trace_ctx = item
-        try:
-            # Fault site for chaos "kill" rules (os._exit in the child):
-            # exercises the parent's worker-death monitor and resubmission.
-            fault_point("executor.fork.worker")
-            obs_inc("executor_fork_tasks_total")
-            with attach(trace_ctx):
-                answers = router.dispatch_batch(
-                    queries, epoch, on=on, algorithm=algorithm, stats=None
-                )
-            spans = tracer.drain() if tracer is not None else None
-            result_q.put((task_id, True, answers, epoch.version, spans))
-        except BaseException as exc:
-            result_q.put((task_id, False, f"{type(exc).__name__}: {exc}",
-                          epoch.version,
-                          tracer.drain() if tracer is not None else None))
-
-
-class _ForkPool:
-    """A fork-based worker pool bound to one pinned epoch."""
-
-    def __init__(self, executor: QueryExecutor) -> None:
-        import multiprocessing
-
-        self._mp = multiprocessing.get_context("fork")
-        self._executor = executor
-        service = executor.service
-        self._epoch = service._acquire_current()  # pinned for the pool's life
-        self._released = False
-        self.broken = False  # a worker died; executor will replace the pool
-        self._closing = False  # orderly shutdown: worker exits are expected
-        self._shut = False
-        try:
-            self.version = self._epoch.version
-            # Pre-warm so children inherit everything copy-on-write.  A
-            # degraded representation (build failed/timed out this epoch)
-            # is skipped: children inherit the degradation marker instead
-            # and their router falls back to direct-on-G.
-            for key in ("reachability", "pattern"):
-                try:
-                    self._epoch.artifact(key)
-                except RepresentationUnavailable:
-                    pass
-            # TOL labels too: built once here, the sealed index is shared
-            # copy-on-write by every child (a degraded build just leaves
-            # children answering reachability by BFS on Gr).
-            self._epoch.context_for("reachability")
-            for key in ("pattern", "original"):
-                try:
-                    ctx = self._epoch.context_for(key)
-                except RepresentationUnavailable:
-                    continue
-                if ctx is not None:
-                    ctx.prepare(bounds=executor.prewarm_bounds)
-            self._task_q = self._mp.SimpleQueue()
-            self._result_q = self._mp.SimpleQueue()
-            self._procs = [
-                self._mp.Process(
-                    target=_fork_worker,
-                    args=(self._epoch, executor._router, self._task_q,
-                          self._result_q),
-                    daemon=True,
-                )
-                for _ in range(executor.workers)
-            ]
-            for p in self._procs:
-                p.start()
-            self._pending_lock = threading.Lock()
-            self._pending: Dict[int, _Task] = {}
-            self._next_id = 0
-            self._collector = threading.Thread(
-                target=self._collect, name="repro-exec-collector", daemon=True
-            )
-            self._collector.start()
-            self._monitor = threading.Thread(
-                target=self._watch_workers, name="repro-exec-monitor",
-                daemon=True,
-            )
-            self._monitor.start()
-        except BaseException:
-            # A failed pre-warm or spawn must not leak the pin — a retired
-            # epoch with a leaked pin never drains its memory.
-            self._released = True
-            self._epoch.release()
-            raise
-
-    def submit(self, task: _Task, resubmit: bool = False) -> None:
-        # Once shipped to a worker process the task cannot be recalled:
-        # transition to RUNNING now (a pre-submit cancel is honoured here).
-        # A resubmitted task is already RUNNING from its first submission.
-        if not resubmit and not task.future.set_running_or_notify_cancel():
-            return
-        with self._pending_lock:
-            task_id = self._next_id
-            self._next_id += 1
-            self._pending[task_id] = task
-        self._task_q.put(
-            (task_id, task.on, task.algorithm, task.queries, task.trace_ctx)
-        )
-
-    def _watch_workers(self) -> None:
-        """Detect a dead worker and hand recovery to the executor.
-
-        A worker that exits while the pool is live (not ``_closing``) took
-        whatever task it was evaluating with it.  Which task is unknowable
-        from the parent, so *all* in-flight tasks are pulled back and
-        resubmitted against a replacement pool — re-evaluating a task that
-        actually completed is harmless (deterministic answers over an
-        immutable epoch; its late duplicate result is dropped by the
-        pending-table pop).
-        """
-        while not self._closing:
-            if any(not p.is_alive() for p in self._procs):
-                if self._closing:  # pragma: no cover - shutdown race
-                    return
-                self.broken = True
-                with self._pending_lock:
-                    orphans = list(self._pending.values())
-                    self._pending.clear()
-                self._executor._on_pool_broken(self, orphans)
-                return
-            time.sleep(0.02)
-
-    def _collect(self) -> None:
-        while True:
-            item = self._result_q.get()
-            if item is None:
-                return
-            if item[0] == "__obs__":
-                # A child's exit payload: its since-fork metrics delta and
-                # any spans not yet shipped with a result.
-                _merge_child_obs(item[1], item[2])
-                continue
-            task_id, ok, payload, version, spans = item
-            if spans:
-                tracer = current_tracer()
-                if tracer is not None:
-                    tracer.add_spans(spans)
-            with self._pending_lock:
-                task = self._pending.pop(task_id, None)
-            if task is None:
-                continue
-            task.future.epoch_version = version  # type: ignore[attr-defined]
-            if ok:
-                _resolve(task.future, payload[0] if task.single else payload)
-            else:
-                _resolve(task.future, exc=ServiceFault(
-                    f"fork worker failed: {payload}"
-                ))
-
-    def shutdown(self, wait: bool = True) -> None:
-        if self._shut:
-            return
-        self._shut = True
-        self._closing = True
-        if wait:
-            # Wait for every pending future (results keep flowing while
-            # we wait; workers exit on their sentinel afterwards).
-            stuck = False
-            while not stuck:
-                with self._pending_lock:
-                    pending = [t.future for t in self._pending.values()]
-                if not pending:
-                    break
-                for f in pending:
-                    try:
-                        f.exception(timeout=60.0)
-                    except TimeoutError:  # pragma: no cover - hung worker
-                        stuck = True
-                        break
-        for _ in self._procs:
-            self._task_q.put(None)
-        for p in self._procs:
-            p.join(timeout=60.0)
-        self._result_q.put(None)
-        self._collector.join(timeout=60.0)
-        with self._pending_lock:
-            dropped = list(self._pending.values())
-            self._pending.clear()
-        for task in dropped:
-            # Already RUNNING (cancel would refuse): fail them explicitly.
-            _resolve(task.future, exc=ServiceFault(
-                "executor shut down before the fork pool answered"
-            ))
-        if not self._released:
-            self._released = True
-            self._epoch.release()
 
 
 __all__ = ["QueryExecutor"]

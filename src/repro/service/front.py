@@ -32,7 +32,6 @@ import time
 from contextlib import contextmanager
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -54,7 +53,6 @@ from repro.obs.metrics import observe as obs_observe
 from repro.obs.serve import ObsHTTPServer
 from repro.obs.trace import trace_span
 from repro.service.errors import ApplyError
-from repro.store.format import SnapshotError
 
 
 class EngineService:
@@ -77,16 +75,6 @@ class EngineService:
         Wall-clock budget for each published epoch's lazy Gr/Gb builds.
         A build over budget degrades that representation to direct-on-G
         for the epoch (answers unchanged).  ``None`` (default) = no limit.
-    mmap_epochs:
-        Publish epochs over row-lazy ``mmap`` views from the catalog
-        (requires *catalog* and the csr backend): each publication puts
-        the frozen graph into the catalog and pins
-        :meth:`~repro.store.catalog.SnapshotCatalog.base_mmap`'s view
-        instead of the decoded arrays, so publication cost and resident
-        memory track the query working set rather than ``|G|``.  Answers
-        are byte-identical to eager epochs.  If the view cannot be opened
-        (I/O trouble, quarantined entry) publication falls back to the
-        eager snapshot — a counter records it, queries never notice.
     obs_http:
         An :class:`~repro.obs.serve.ObsHTTPServer` for this service to
         lifecycle-manage: the service mounts itself on it, starts it
@@ -105,13 +93,8 @@ class EngineService:
         router: Optional[QueryRouter] = None,
         journal: bool = False,
         build_deadline_s: Optional[float] = None,
-        mmap_epochs: bool = False,
         obs_http: Optional[ObsHTTPServer] = None,
     ) -> None:
-        if mmap_epochs and catalog is None:
-            raise ValueError("mmap_epochs requires a catalog to serve views from")
-        if mmap_epochs and backend != "csr":
-            raise ValueError("mmap_epochs requires the csr backend")
         self._engine = GraphEngine(
             source, catalog, backend=backend, refreeze_threshold=None, router=router
         )
@@ -129,11 +112,6 @@ class EngineService:
         )
         self._closed = False
         self._version = 0
-        self._mmap_epochs = mmap_epochs
-        #: Called with each newly published epoch, after the swap and the
-        #: predecessor's retire (executor pools pre-fork here).  Exceptions
-        #: are swallowed — a hook must never fail a publication.
-        self._publish_hooks: List[Callable[[Epoch], None]] = []
         self._current: Epoch = self._make_epoch(0)
         #: Retired epochs whose readers have not drained yet (diagnostics).
         self._draining: List[Epoch] = []
@@ -192,7 +170,6 @@ class EngineService:
         return {
             "version": self._version,
             "backend": self.backend,
-            "mmap_epochs": self._mmap_epochs,
             "draining": len(self.draining()),
             "closed": self._closed,
             "epoch": epoch.describe(),
@@ -260,34 +237,6 @@ class EngineService:
     # Write side (single writer)
     # ------------------------------------------------------------------
     def _make_epoch(self, version: int) -> Epoch:
-        """Build the epoch for *version* — mmap-backed when configured.
-
-        The mmap path freezes through the engine as usual (the catalog
-        ``put`` is what makes the on-disk ``base.rgs`` exist), then pins
-        the catalog's row-lazy view of that very digest.  Any failure to
-        open the view degrades to the eager snapshot: publication must
-        never fail for a serving-representation reason.
-        """
-        if self._mmap_epochs:
-            try:
-                digest = self._engine.digest()
-                view = self._catalog.base_mmap(digest)
-            except (SnapshotError, OSError) as exc:
-                bump(self._engine.counters, "mmap_epoch_fallbacks")
-                obs_inc("service_mmap_fallbacks_total")
-                with trace_span("service.mmap_fallback", version=version,
-                                reason=type(exc).__name__):
-                    pass
-            else:
-                return Epoch(
-                    view,
-                    version,
-                    backend=self.backend,
-                    catalog=self._catalog,
-                    digest=digest,
-                    counters=self._engine.counters,
-                    build_deadline_s=self._build_deadline_s,
-                )
         return self._engine.epoch(
             version, build_deadline_s=self._build_deadline_s
         )
@@ -371,9 +320,7 @@ class EngineService:
         if failed is not None and failed != prior._digest:
             self._catalog.forget(failed)
         self._engine = GraphEngine(
-            # An mmap-backed prior epoch densifies once here: the engine
-            # needs the mutable writer-side arrays, not a read-only view.
-            prior._dense(),
+            prior.csr,
             self._catalog,
             backend=self._engine.backend,
             refreeze_threshold=None,
@@ -406,34 +353,9 @@ class EngineService:
             self._version = new_epoch.version
             self._draining = [e for e in self._draining if not e.freed]
             self._draining.append(old)
-            hooks = list(self._publish_hooks)
         old.retire(forget=old._digest != new_epoch._digest)
-        for hook in hooks:
-            try:
-                hook(new_epoch)
-            except Exception:  # noqa: BLE001 - hooks must not fail publication
-                obs_inc("service_publish_hook_errors_total")
         obs_inc("service_publications_total")
         return new_epoch
-
-    def add_publish_hook(self, hook: Callable[[Epoch], None]) -> None:
-        """Register *hook* to run after each publication (new epoch arg).
-
-        Hooks run on the publishing thread, after the epoch swap and the
-        predecessor's retire; exceptions are counted and swallowed.  The
-        executor uses this to pre-fork the next worker pool so the first
-        query after a publication does not pay the fork.
-        """
-        with self._publish_lock:
-            self._publish_hooks.append(hook)
-
-    def remove_publish_hook(self, hook: Callable[[Epoch], None]) -> None:
-        """Deregister *hook* (no-op when absent)."""
-        with self._publish_lock:
-            try:
-                self._publish_hooks.remove(hook)
-            except ValueError:
-                pass
 
     # ------------------------------------------------------------------
     # Verification (journal-backed)

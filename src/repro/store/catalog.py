@@ -151,7 +151,7 @@ class _DirectoryLock:
     owning thread (locked sections can nest — ``warm`` under ``prune``)
     and exclusive across threads and processes alike.
 
-    The lock also **survives fork** (executor workers fork with a shared
+    The lock also **survives fork** (a child forked beside a shared
     catalog): an ``os.register_at_fork`` handler re-arms every instance's
     in-process state in the child — the child starts unheld (it never
     inherits, releases, or heartbeats the parent's file lock, even if the

@@ -33,10 +33,10 @@ Trust model and identity:
   *without* a sidecar falls back to a full decode to derive it.
 
 Concurrency: row reads are thread-safe (a small LRU row cache behind one
-lock); forked workers inherit the map copy-on-write and must call
-:meth:`MmapGraph._reset_locks_after_fork` (the epoch fork hook does).
-The map is closed by :meth:`close` (or the context manager); the catalog
-keeps views open for the process lifetime, matching epoch pinning.
+lock); a forked child inherits the map copy-on-write and must call
+:meth:`MmapGraph._reset_locks_after_fork` (the catalog's fork handler
+does).  The map is closed by :meth:`close` (or the context manager); the
+catalog keeps views open for the process lifetime.
 """
 
 from __future__ import annotations

@@ -6,8 +6,6 @@ Faults are injected through seeded :class:`~repro.faults.plan.FaultPlan`
 schedules, so a failing case replays exactly.
 """
 
-import os
-
 import pytest
 
 from repro.engine import GraphEngine
@@ -29,8 +27,6 @@ from repro.service import (
     run_chaos,
 )
 from repro.service.epoch_stress import direct_answer
-
-HAS_FORK = hasattr(os, "fork")
 
 
 def _graph(seed=11, n=40, m=110):
@@ -255,31 +251,6 @@ class TestExecutorHardening:
             ex.shutdown()
             service.close()
 
-    @pytest.mark.skipif(not HAS_FORK, reason="requires POSIX fork")
-    def test_fork_worker_death_recovers_with_exact_answers(self):
-        g = _graph()
-        queries = _reach_queries(g, count=4)
-        service = EngineService(g.copy())
-        # after=1: each forked generation survives its first task, dies on
-        # its second — the parent must detect the death, respawn the pool
-        # and resubmit the orphaned task.
-        plan = FaultPlan(
-            [FaultRule(point="executor.fork.worker", kind="kill",
-                       after=1, times=1)]
-        )
-        ex = QueryExecutor(service, 2, mode="fork", retries=3)
-        try:
-            with plan.installed():
-                answers = [
-                    ex.submit(q).result(timeout=60.0) for q in queries
-                ]
-            assert [freeze_answer(a) for a in answers] == [
-                freeze_answer(direct_answer(g, q)) for q in queries
-            ]
-        finally:
-            ex.shutdown()
-            service.close()
-
 
 # ----------------------------------------------------------------------
 # The full chaos harness
@@ -288,7 +259,7 @@ class TestChaosHarness:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_thread_chaos_never_changes_answers(self, tmp_path, seed):
         report = run_chaos(
-            _graph(), mode="thread", workers=2, seed=seed,
+            _graph(), workers=2, seed=seed,
             writer_batches=3, queries_per_reader=10,
             catalog_dir=str(tmp_path),
         )
@@ -297,21 +268,8 @@ class TestChaosHarness:
         assert report["delivered"] > 0
         assert report["faults"]["total_fired"] > 0  # chaos actually happened
 
-    @pytest.mark.skipif(not HAS_FORK, reason="requires POSIX fork")
-    def test_fork_chaos_never_changes_answers(self, tmp_path):
-        report = run_chaos(
-            _graph(), mode="fork", workers=2, seed=2,
-            writer_batches=3, queries_per_reader=8,
-            catalog_dir=str(tmp_path),
-        )
-        assert report["unhandled"] == []
-        assert report["mismatches"] == 0
-        assert report["delivered"] > 0
-
     def test_chaos_plan_is_deterministic_per_seed(self):
         a, b = chaos_plan(7), chaos_plan(7)
         assert [r.point for r in a.rules] == [r.point for r in b.rules]
         assert a.seed == b.seed == 7
-        fork = chaos_plan(7, mode="fork")
-        assert any(r.kind == "kill" for r in fork.rules)
         assert not any(r.kind == "kill" for r in a.rules)

@@ -408,8 +408,7 @@ class _CountingContext(MatchContext):
         return super()._build_preimage(bound, label)
 
 
-@pytest.mark.parametrize("after_fork_reset", [False, True])
-def test_concurrent_first_patterns_build_each_table_once(after_fork_reset):
+def test_concurrent_first_patterns_build_each_table_once():
     g = gnm_random_graph(400, 1600, num_labels=3, seed=17)
     patterns = [
         random_pattern(g, 4, 6, max_bound=3, star_prob=0.3, seed=seed)
@@ -419,8 +418,6 @@ def test_concurrent_first_patterns_build_each_table_once(after_fork_reset):
     expected = [match(p, g, MatchContext(g)) for p in patterns]
 
     ctx = _CountingContext(g).seal()
-    if after_fork_reset:
-        ctx._reset_lock_after_fork()  # what a forked worker does first
     answers = [None] * len(patterns)
     start = threading.Barrier(len(patterns))
 

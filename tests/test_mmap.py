@@ -1,12 +1,11 @@
-"""Tests for the v2 snapshot layers and the mmap serving path.
+"""Tests for the v2 snapshot layers and the row-lazy mmap reader.
 
 Covers the gap+reference/permuted body codec (round trips across the
 whole flag matrix, cross-hash-seed byte stability), the locality
 reordering, the ``.obl`` offsets sidecar, the row-lazy
 :class:`~repro.store.mmapgraph.MmapGraph` reader (answer identity with
 the eager decode, typed errors under bit-flip fuzzing — never a wrong
-graph), the catalog's ``base_mmap`` self-heal/prune contract, and the
-service/executor integration (mmap epochs, publication-time prefork).
+graph) and the catalog's ``base_mmap`` self-heal/prune contract.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from repro.graph.generators import (
     preferential_attachment_graph,
 )
 from repro.graph.kernels import csr_locality_order
-from repro.queries.reachability import ReachabilityQuery
-from repro.service import EngineService, QueryExecutor, freeze_answer
 from repro.store import MmapGraph, SnapshotCatalog
 from repro.store.catalog import CatalogError, _SIDECAR_NAME
 from repro.store.format import (
@@ -501,84 +498,3 @@ def test_catalog_pruned_view_keeps_serving(tmp_path):
     catalog.put(_graph(seed=42))
     assert d1 in catalog.prune(max_entries=1)
     _assert_rows_equal(view, csr)  # still exact after eviction
-
-
-# ----------------------------------------------------------------------
-# Service + executor integration
-# ----------------------------------------------------------------------
-def _service_workload(g: DiGraph, seed: int, pairs: int = 25):
-    rng = random.Random(seed)
-    nodes = g.node_list()
-    return [
-        ReachabilityQuery(rng.choice(nodes), rng.choice(nodes))
-        for _ in range(pairs)
-    ]
-
-
-def test_service_mmap_epochs_answer_identity(tmp_path):
-    g = _graph(seed=51)
-    catalog = SnapshotCatalog(tmp_path / "cat")
-    lazy = EngineService(g.copy(), catalog, mmap_epochs=True)
-    eager = EngineService(g.copy())
-    assert lazy.describe()["mmap_epochs"] is True
-    assert lazy.current.describe()["mmap"] is True
-    try:
-        for on in ("auto", "original"):
-            for q in _service_workload(g, seed=1):
-                assert freeze_answer(lazy.query(q, on=on)) == freeze_answer(
-                    eager.query(q, on=on)
-                )
-        nodes = g.node_list()
-        deltas = [("+", nodes[0], nodes[-1]), ("-", nodes[1], nodes[2])]
-        assert lazy.apply(deltas).applied == eager.apply(deltas).applied
-        assert lazy.current.describe()["mmap"] is True
-        for q in _service_workload(g, seed=2):
-            assert freeze_answer(lazy.query(q)) == freeze_answer(eager.query(q))
-        # The mmap path actually served: no silent fallback to eager.
-        assert lazy.counters.get("mmap_epoch_fallbacks", 0) == 0
-    finally:
-        lazy.close()
-        eager.close()
-
-
-def test_service_mmap_epochs_requires_catalog_and_csr(tmp_path):
-    with pytest.raises(ValueError):
-        EngineService(_graph(seed=52), mmap_epochs=True)
-    catalog = SnapshotCatalog(tmp_path / "cat")
-    with pytest.raises(ValueError):
-        EngineService(
-            _graph(seed=53), catalog, backend="dict", mmap_epochs=True
-        )
-
-
-def test_executor_prefork_on_publish(tmp_path):
-    g = _graph(seed=61)
-    service = EngineService(g.copy())
-    direct = EngineService(g.copy())
-    queries = _service_workload(g, seed=3, pairs=8)
-    with QueryExecutor(service, 2, mode="fork", max_batch=4) as ex:
-        assert ex._pool is not None  # forked at construction, not first use
-        first = ex._pool
-        got = ex.submit_batch(queries).result(timeout=60)
-        assert [freeze_answer(a) for a in got] == [
-            freeze_answer(direct.query(q)) for q in queries
-        ]
-        nodes = g.node_list()
-        service.apply([("+", nodes[0], nodes[-1])])
-        direct.apply([("+", nodes[0], nodes[-1])])
-        # Publication schedules a background prefork for the new epoch.
-        deadline = time.time() + 30
-        while time.time() < deadline:
-            pool = ex._pool
-            if pool is not None and pool is not first and not pool.broken:
-                break
-            time.sleep(0.02)
-        else:
-            pytest.fail("publish hook never preforked the new epoch's pool")
-        got = ex.submit_batch(queries).result(timeout=60)
-        assert [freeze_answer(a) for a in got] == [
-            freeze_answer(direct.query(q)) for q in queries
-        ]
-    assert not service._publish_hooks  # hook removed on shutdown
-    service.close()
-    direct.close()

@@ -4,14 +4,12 @@ Four contracts:
 
 * **Metric correctness** — counters/gauges/histograms total exactly under
   concurrent writers; percentile estimates land in the same bucket as a
-  sorted-sample reference; snapshots merge without double-counting.
+  sorted-sample reference.
 * **Compile-away** — with nothing installed every instrumentation point
   is a no-op, and answers with obs fully live are byte-identical to
   answers with obs off.
 * **Propagation** — a trace context captured at submit reaches executor
-  workers in thread mode (retroactive queue-wait/dispatch spans on the
-  caller's trace) and fork mode (child spans and metric deltas merged
-  back to the parent at pool shutdown).
+  workers (retroactive queue-wait/dispatch spans on the caller's trace).
 * **Exposition** — Prometheus text renders cumulative buckets, stress
   reports embed the registry snapshot, and the ``metrics`` CLI exposes
   non-zero series after a stress round.
@@ -39,7 +37,6 @@ from repro.obs.metrics import (
     LATENCY_BUCKETS,
     MetricsRegistry,
     current_registry,
-    diff_state,
     inc,
     installed,
     metrics_on,
@@ -179,36 +176,6 @@ class TestMetrics:
             h.percentile(0.0)
         with pytest.raises(ValueError):
             h.percentile(1.5)
-
-    def test_state_merge_and_diff(self):
-        a = MetricsRegistry()
-        a.counter("c_total", "", ("k",)).inc(3, ("x",))
-        a.gauge("g").set(5)
-        a.histogram("h", "", (), buckets=(1.0, 2.0)).observe(1.5)
-
-        b = MetricsRegistry()
-        b.counter("c_total", "", ("k",)).inc(4, ("x",))
-        b.gauge("g").set(2)
-        hb = b.histogram("h", "", (), buckets=(1.0, 2.0))
-        hb.observe(0.5)
-        hb.observe(9.0)
-
-        b.merge_state(a.to_state())
-        assert b.get("c_total").value(("x",)) == 7
-        assert b.get("g").value() == 5  # gauges keep the max
-        merged = b.get("h")
-        assert merged.count() == 3
-        assert merged.sum() == pytest.approx(11.0)
-        assert merged.max() == 9.0
-
-        # diff: only the since-baseline delta survives.
-        base = b.to_state()
-        b.get("c_total").inc(10, ("x",))
-        b.get("h").observe(1.2)
-        delta = diff_state(b.to_state(), base)
-        assert delta["c_total"]["series"] == [[["x"], 10]]
-        assert delta["h"]["series"][0][1]["count"] == 1
-        assert "g" in delta  # gauges pass through
 
     def test_compile_away_when_uninstalled(self):
         assert current_registry() is None
@@ -418,39 +385,6 @@ class TestServingIntegration:
             assert entry["count"] > 0
             assert 0 < entry["p50_ms"] <= entry["p95_ms"] <= entry["p99_ms"]
 
-    @pytest.mark.skipif(not hasattr(os, "fork"),
-                        reason="fork mode needs POSIX fork")
-    def test_fork_pool_telemetry_merged_back(self):
-        g = _mixed_graph(11)
-        queries = _workload(g, 11, n_reach=10, n_patterns=2)
-        with installed() as reg, tracing() as tracer:
-            service = EngineService(g.copy())
-            ex = QueryExecutor(service, 2, mode="fork", max_batch=4)
-            try:
-                answers = ex.map(queries)
-            finally:
-                ex.shutdown(wait=True)
-                service.close()
-        expected_service = EngineService(g.copy())
-        expected = [freeze_answer(expected_service.query(q)) for q in queries]
-        expected_service.close()
-        assert [freeze_answer(a) for a in answers] == expected
-        # Child-side counters survived pool shutdown (merged, not lost);
-        # the counter is per shipped micro-batch, so between 1 (all
-        # coalesced) and len(queries) (no coalescing).
-        assert 1 <= reg.get("executor_fork_tasks_total").value() <= len(queries)
-        # ...without double-counting the parent's inherited prefix.
-        dispatched = sum(
-            reg.get("router_queries_total").values().values()
-        )
-        assert dispatched == len(queries)
-        # Child spans shipped over the result pipe into the parent tracer.
-        child_spans = [s for s in tracer.spans()
-                       if s["name"] == "engine.dispatch"]
-        assert child_spans
-        assert any(s["span_id"].split(".")[0] != f"{os.getpid():x}"
-                   for s in child_spans)
-
     def test_stress_report_embeds_obs_snapshot(self):
         g = _mixed_graph(13)
         report = run_stress(g, readers=2, writer_batches=2, batch_size=4,
@@ -610,15 +544,6 @@ class TestTracerBounds:
         assert [s["name"] for s in tracer.spans()] == ["y"]
         tracer.clear()
         assert tracer.dropped_spans == 0
-
-    def test_add_spans_respects_cap(self):
-        tracer = Tracer(max_spans=3)
-        tracer.add_spans([{"name": f"n{i}", "trace_id": "t", "span_id": str(i),
-                           "parent_id": None, "start": 0.0, "end": 0.0,
-                           "duration_ms": 0.0, "wall": 0.0, "attrs": {}}
-                          for i in range(5)])
-        assert len(tracer.spans()) == 3
-        assert tracer.dropped_spans == 2
 
     def test_invalid_cap_rejected(self):
         with pytest.raises(ValueError):

@@ -186,6 +186,14 @@ def test_executor_thread_mode_identity():
         stats = ex.workload_stats()
         assert stats["batched_queries"] >= len(workload) * 3
         assert stats["max_batch"] >= 1
+        # A future names the epoch that answered it: 0, then 1 once a
+        # publication has added the edge that flips the answer.
+        q = workload[serial.index(False)]
+        before = ex.submit(q)
+        assert (before.result(timeout=120), before.epoch_version) == (False, 0)
+        service.apply([("+", q.source, q.target)])
+        after = ex.submit(q)
+        assert (after.result(timeout=120), after.epoch_version) == (True, 1)
     with pytest.raises(RuntimeError):
         ex.submit(workload[0])  # shut down
 
@@ -209,8 +217,11 @@ def test_executor_rejects_bad_args():
     service = EngineService(g)
     with pytest.raises(ValueError):
         QueryExecutor(service, 0)
-    with pytest.raises(ValueError):
-        QueryExecutor(service, 2, mode="coroutine")
+    for mode in ("coroutine", "fork"):  # "thread" is the only pool
+        with pytest.raises(ValueError):
+            QueryExecutor(service, 2, mode=mode)
+    with pytest.raises(TypeError):
+        EngineService(g, mmap_epochs=True)
     with pytest.raises(ValueError):
         QueryExecutor(service, 2, max_batch=0)
 
@@ -229,26 +240,6 @@ def test_executor_error_propagates_through_future():
         # ...and must fail alone: batch-mates still get their answers.
         assert futures[0].result(timeout=120) == expected
         assert futures[2].result(timeout=120) == expected
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX fork")
-def test_executor_fork_mode_identity_and_respawn():
-    g = _mixed_graph(12)
-    workload = _workload(g, seed=29, pairs=24, patterns=3)
-    service = EngineService(g.copy())
-    serial = [freeze_answer(a) for a in service.query_batch(workload)]
-    with QueryExecutor(service, 2, mode="fork", max_batch=6) as ex:
-        got = [freeze_answer(a) for a in ex.map(workload)]
-        assert got == serial
-        fut = ex.submit(workload[0])
-        assert fut.result(timeout=120) == workload[0].evaluate(g)
-        assert fut.epoch_version == 0
-        # Publication retires the pool; the next submit re-forks against
-        # the new epoch and answers reflect the new graph.
-        service.apply([("+", workload[0].source, workload[0].target)])
-        fut2 = ex.submit(workload[0])
-        assert fut2.result(timeout=120) is True
-        assert fut2.epoch_version == 1
 
 
 # ----------------------------------------------------------------------
@@ -416,17 +407,3 @@ def test_executor_survives_caller_side_cancel():
         assert cancelled + len(done) == 50
         # The pool is still alive after the cancel storm.
         assert ex.submit(q).result(timeout=120) == expected
-
-
-def test_fork_reset_drops_pending_memo_entries():
-    """A forked child must not inherit in-flight memo computations."""
-    from repro.queries.matching import MatchContext
-
-    g = _mixed_graph(19)
-    ctx = MatchContext(g).seal()
-    assert ctx.memo_compute("warm", lambda: {"a": {1}}) == {"a": {1}}
-    # Simulate a computation that was mid-flight at fork time.
-    ctx._answer_memo["stuck"] = ("pending", threading.Event())
-    ctx._reset_lock_after_fork()
-    assert "stuck" not in ctx._answer_memo  # would deadlock the child
-    assert ctx.memo_compute("warm", lambda: {"x": set()}) == {"a": {1}}  # kept
