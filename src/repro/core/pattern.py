@@ -19,7 +19,7 @@ Boolean pattern queries ``P`` is not needed.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, ClassVar, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, ClassVar, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.core.base import (
     CompressionStats,
@@ -162,7 +162,7 @@ class PatternCompression(QueryPreservingCompression):
     # -- P: post-processing ----------------------------------------------
     def post_process(
         self, compressed_answer: Dict[Hashable, Set[int]]
-    ) -> Dict[Hashable, Set[Node]]:
+    ) -> Dict[Hashable, FrozenSet[Node]]:
         """Expand a match over ``Gr`` into the match over ``G``.
 
         ``compressed_answer`` maps each pattern node to the set of matched
@@ -172,12 +172,12 @@ class PatternCompression(QueryPreservingCompression):
         """
         members = self._members.__getitem__
         return {
-            pattern_node: set(chain.from_iterable(map(members, hypernodes)))
+            pattern_node: frozenset(chain.from_iterable(map(members, hypernodes)))
             for pattern_node, hypernodes in compressed_answer.items()
         }
 
     # -- end-to-end evaluation ------------------------------------------
-    def query(self, pattern, matcher) -> Dict[Hashable, Set[Node]]:
+    def query(self, pattern, matcher) -> Dict[Hashable, FrozenSet[Node]]:
         """Evaluate a pattern on ``Gr`` with any stock matcher, then expand.
 
         *matcher* has the signature ``(pattern, graph) -> dict``; the default
@@ -191,7 +191,7 @@ class PatternCompression(QueryPreservingCompression):
 
     # -- answer-mapping protocol (router entry point) --------------------
     def answer(self, query: GraphPattern, *, context: Any = None,
-               algorithm: Optional[str] = None) -> Dict[Hashable, Set[Node]]:
+               algorithm: Optional[str] = None) -> Dict[Hashable, FrozenSet[Node]]:
         """Answer a :class:`GraphPattern` on ``Gr`` and expand via ``P``.
 
         ``F`` is the identity (the pattern runs on ``Gr`` as is), so this is
@@ -201,6 +201,12 @@ class PatternCompression(QueryPreservingCompression):
         built over ``Gr`` — a session evaluating many patterns passes one so
         the candidate/reachability bitsets are shared across the batch.
         """
+        return self._answer(query, context, algorithm, None)
+
+    def _answer(self, query: GraphPattern, context: Any, algorithm: Optional[str],
+                shared: Optional[Dict[int, FrozenSet[Node]]]) -> Dict[Hashable, FrozenSet[Node]]:
+        """:meth:`answer`, taking each block bitset's expansion from
+        *shared* (one frozenset per distinct bitset) when given."""
         if not isinstance(query, GraphPattern):
             raise TypeError(f"expected a GraphPattern, got {type(query).__name__}")
         if algorithm not in (None, "match"):
@@ -214,57 +220,57 @@ class PatternCompression(QueryPreservingCompression):
             rows = self._member_rows = [self._members[h] for h in self._gr.nodes()]
         # Match and P fused: block bitsets expand straight to original
         # nodes, no intermediate set of hypernodes.
-        return {
-            u: set(chain.from_iterable(select(bits, rows)))
-            for u, bits in match_bitsets(query, self._gr, context).items()
-        }
+        answer = {}
+        for u, bits in match_bitsets(query, self._gr, context).items():
+            nodes = shared.get(bits) if shared is not None else None
+            if nodes is None:
+                nodes = frozenset(chain.from_iterable(select(bits, rows)))
+                if shared is not None:  # racing workers converge on one set
+                    nodes = shared.setdefault(bits, nodes)
+            answer[u] = nodes
+        return answer
 
     def answer_batch(self, queries: List[GraphPattern], *, context: Any = None,
-                     algorithm: Optional[str] = None) -> List[Dict[Hashable, Set[Node]]]:
+                     algorithm: Optional[str] = None) -> List[Dict[Hashable, FrozenSet[Node]]]:
         """Answer a micro-batch of patterns, evaluating duplicates once.
 
         Serving workloads repeat hot patterns; structurally identical ones
         (same nodes, labels, edges and bounds) share a single ``Match``
-        run.  Repeats get a fresh shallow-copied result (new dict, new
-        sets) so no caller can mutate another's answer; element ``i``
-        always equals ``answer(queries[i], ...)``.
+        run.  Every caller gets a dict of its own over immutable node
+        sets, so answers share their sets but no caller can change
+        another's; element ``i`` always equals ``answer(queries[i], ...)``.
 
         When *context* is a **sealed** :class:`~repro.queries.matching
         .MatchContext` (an immutable epoch's shared cache), deduplication
         extends *across* batches — and across worker threads — through
         the context's coalescing answer memo
         (:meth:`~repro.queries.matching.MatchContext.memo_compute`):
-        repeated hot patterns cost one evaluation per epoch, and
-        concurrent first requests block on the one computation instead
-        of duplicating it.
+        repeated hot patterns cost one evaluation per epoch, concurrent
+        first requests block on the one computation instead of
+        duplicating it, and each distinct block bitset of a memoised
+        answer is expanded to original nodes once per epoch.
         """
         memo_compute = (
             context.memo_compute
             if getattr(context, "sealed", False) else None
         )
-        seen: Dict[Tuple[frozenset, frozenset], Dict[Hashable, Set[Node]]] = {}
-        answers: List[Dict[Hashable, Set[Node]]] = []
+        seen: Dict[Tuple[frozenset, frozenset], Dict[Hashable, FrozenSet[Node]]] = {}
+        answers: List[Dict[Hashable, FrozenSet[Node]]] = []
         for q in queries:
             if not isinstance(q, GraphPattern):
                 raise TypeError(f"expected a GraphPattern, got {type(q).__name__}")
             key = (frozenset(q.nodes.items()), frozenset(q.edges.items()))
-            cached = seen.get(key)
-            if cached is None:
+            canonical = seen.get(key)
+            if canonical is None:
                 if memo_compute is not None:
                     canonical = memo_compute(
                         (key, algorithm),
-                        lambda q=q: self.answer(q, context=context,
-                                                algorithm=algorithm),
+                        lambda shared, q=q: self._answer(q, context, algorithm, shared),
                     )
-                    # The memo entry is canonical; every caller (first
-                    # included) gets an independent copy it may mutate.
-                    cached = {u: set(vs) for u, vs in canonical.items()}
                 else:
-                    cached = self.answer(q, context=context, algorithm=algorithm)
-                seen[key] = cached
-                answers.append(cached)
-            else:
-                answers.append({u: set(vs) for u, vs in cached.items()})
+                    canonical = self.answer(q, context=context, algorithm=algorithm)
+                seen[key] = canonical
+            answers.append(dict(canonical))
         return answers
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -64,7 +64,9 @@ from __future__ import annotations
 import threading
 from functools import reduce
 from operator import or_
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union,
+)
 
 from repro.graph.bitset import bitset_of, iter_bits, mask_of_flags, select
 from repro.graph.csr import CSRGraph
@@ -76,7 +78,9 @@ from repro.queries.pattern import STAR, Bound, GraphPattern
 
 Node = Hashable
 
-MatchResult = Dict[Node, Set[Node]]
+#: Pattern node → its matched data nodes.  The sets are immutable on every
+#: route, so a serving layer may share one set among many answers.
+MatchResult = Dict[Node, FrozenSet[Node]]
 
 
 def _snapshot_matches(csr: CSRGraph, graph: DiGraph) -> bool:
@@ -177,6 +181,8 @@ class MatchContext:
         self._cache_lock = threading.RLock()
         self._sealed = False
         self._answer_memo: Optional[Dict[Any, Any]] = None
+        # Block bitset → its expansion to original nodes (memo_compute).
+        self._expansions: Dict[int, FrozenSet[Node]] = {}
 
     # -- frozen snapshot --------------------------------------------------
     def frozen(self) -> CSRGraph:
@@ -374,7 +380,9 @@ class MatchContext:
     #: workload's hot-pattern pool is orders of magnitude smaller).
     MEMO_CAP = 4096
 
-    def memo_compute(self, key: Any, compute: "Any") -> Any:
+    def memo_compute(
+        self, key: Any, compute: Callable[[Optional[Dict[int, FrozenSet[Node]]]], Any]
+    ) -> Any:
         """Compute-once answer memoisation with in-flight coalescing.
 
         Sealed contexts only (an immutable graph makes whole-answer
@@ -382,12 +390,17 @@ class MatchContext:
         Concurrent callers with the same *key* coalesce: one computes,
         the rest block on its completion instead of duplicating the work
         — the difference between N workers each evaluating a hot pattern
-        and one evaluation serving all N.  The memoised object is the
-        canonical copy; callers must not hand it out without copying.
-        A failed computation is forgotten (the next caller retries).
+        and one evaluation serving all N.  The memoised object is shared
+        by every caller, so it must be immutable (or copied on the way
+        out).  A failed computation is forgotten (the next caller retries).
+
+        *compute* receives the context's expansion cache when its result
+        will be memoised, ``None`` otherwise (unsealed, or the memo is at
+        :attr:`MEMO_CAP`).  Whatever it caches there is therefore held by
+        a memo entry anyway, so the cache needs no cap of its own.
         """
         if not self._sealed:
-            return compute()
+            return compute(None)
         with self._cache_lock:
             if self._answer_memo is None:
                 self._answer_memo = {}
@@ -415,7 +428,7 @@ class MatchContext:
             waiter.wait(timeout=300.0)
         obs_inc("match_memo_lookups_total", ("miss",))
         try:
-            result = compute()
+            result = compute(self._expansions if event is not None else None)
         except BaseException:
             if event is not None:
                 with self._cache_lock:
@@ -537,7 +550,7 @@ def match(
     ctx = context if context is not None else MatchContext(graph)
     nodes = ctx.indexer.node_order()
     return {
-        u: set(select(bits, nodes))
+        u: frozenset(select(bits, nodes))
         for u, bits in match_bitsets(pattern, graph, ctx).items()
     }
 
@@ -551,7 +564,7 @@ def boolean_match(
     return bool(match(pattern, graph, context))
 
 
-def match_naive(pattern: GraphPattern, graph: DiGraph) -> MatchResult:
+def match_naive(pattern: GraphPattern, graph: DiGraph) -> Dict[Node, Set[Node]]:
     """Reference implementation straight from the Section 2.1 definition.
 
     Candidate sets as Python sets; the bounded-path check is a depth-limited

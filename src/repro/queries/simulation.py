@@ -37,7 +37,7 @@ def simulation(
     return match(pattern.with_all_bounds(1), graph, context)
 
 
-def simulation_naive(pattern: GraphPattern, graph: DiGraph) -> MatchResult:
+def simulation_naive(pattern: GraphPattern, graph: DiGraph) -> Dict[Node, Set[Node]]:
     """Reference implementation with Python sets and a global fixpoint."""
     if pattern.order() == 0:
         return {}

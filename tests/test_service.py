@@ -13,12 +13,14 @@ stress reader/worker pools; the default exercises 4.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -28,6 +30,8 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import attach_equivalent_leaves, gnm_random_graph
 from repro.datasets.patterns import random_pattern
 from repro.obs.metrics import MetricsRegistry, current_registry, installed
+from repro.queries.matching import MatchContext, match_naive
+from repro.queries.pattern import STAR, GraphPattern
 from repro.queries.reachability import ReachabilityQuery
 from repro.service import EngineService, QueryExecutor, freeze_answer, run_stress
 from repro.service.epoch_stress import build_schedule, direct_answer
@@ -606,4 +610,137 @@ def test_reach_fast_path_counts_every_query_across_threads(observed):
     if observed:
         histogram = registry.get("router_dispatch_seconds")
         assert histogram.count(("reachability",)) == 40_000
+    service.close()
+
+
+# ----------------------------------------------------------------------
+# Pattern answers: immutable node sets, expanded once per epoch, shared
+# ----------------------------------------------------------------------
+def _labelled_cyclic_graph(seed: int) -> DiGraph:
+    rng = random.Random(seed)
+    n = rng.randrange(12, 20)
+    g = gnm_random_graph(n, rng.randrange(n, 2 * n), num_labels=3, seed=seed)
+    for v, label in (("c0", "L0"), ("c1", "L1"), ("c2", "L0")):
+        g.add_node(v, label)
+    for a, b in (("c0", "c1"), ("c1", "c2"), ("c2", "c0"), (0, "c0")):
+        g.add_edge(a, b)
+    attach_equivalent_leaves(g, [3, 2], parents_per_group=2, seed=seed + 1)
+    return g
+
+
+def test_pattern_routes_agree_with_naive_and_are_frozen():
+    stars = nonempty = 0
+    for seed in range(20):
+        g = _labelled_cyclic_graph(seed)
+        truth = g.copy()
+        service = EngineService(g)
+        rng = random.Random(seed)
+        patterns = [random_pattern(truth, rng.randrange(2, 5), rng.randrange(2, 6),
+                                   max_bound=3, star_prob=0.3, seed=seed * 10 + i)
+                    for i in range(4)]
+        nowhere = GraphPattern()
+        nowhere.add_node("x", "no-such-label")
+        patterns.append(nowhere)
+        stars += sum(STAR in p.bounds_used() for p in patterns)
+        for step in range(3):
+            if step:
+                batch = _reach_batch(truth, rng, step)
+                service.apply(batch)
+                for op, u, v in batch:
+                    if op == "+":
+                        truth.add_edge(u, v)
+                    elif truth.has_edge(u, v):
+                        truth.remove_edge(u, v)
+            for p in patterns:
+                routed = service.query(p)
+                direct = service.query(p, on="original")
+                assert routed == direct == match_naive(p, truth), (seed, step)
+                assert all(type(vs) is frozenset
+                           for a in (routed, direct) for vs in a.values())
+                nonempty += bool(routed)
+        service.close()
+    assert stars and nonempty
+
+
+def test_pattern_repeats_share_immutable_sets():
+    g = _mixed_graph(8)
+    service = EngineService(g)
+    p = next(p for p in _workload(g, seed=3, pairs=0, patterns=20) if service.query(p))
+    first, second = service.query(p), service.query(p)
+    assert first is not second and first == second
+    assert all(first[u] is second[u] for u in first)
+    u = next(iter(first))
+    with pytest.raises(AttributeError):
+        first[u].add("intruder")
+    assert service.query(p) == second
+    service.close()
+
+
+def test_pattern_nodes_matching_one_block_set_share_one_set():
+    g = _mixed_graph(9)
+    service = EngineService(g)
+    label = sorted(g.label_set())[0]
+    one, other = GraphPattern(), GraphPattern()
+    one.add_node(0, label)
+    other.add_node("x", label)
+    assert service.query(one)[0] is service.query(other)["x"]
+    service.close()
+
+
+def test_pattern_expansion_cache_dies_with_the_epoch():
+    g = _mixed_graph(10)
+    service = EngineService(g)
+    for p in _workload(g, seed=4, pairs=0, patterns=6):
+        service.query(p)
+    epoch = service.current
+    ctx = epoch.context_for("pattern")
+    assert ctx._expansions
+    ref = weakref.ref(ctx)
+    del ctx
+    service.close()
+    gc.collect()
+    assert epoch.freed and ref() is None
+
+
+def test_pattern_expansion_cache_holds_only_memoised_sets(monkeypatch):
+    monkeypatch.setattr(MatchContext, "MEMO_CAP", 2)
+    g = _mixed_graph(11)
+    service = EngineService(g)
+    labels = sorted(g.label_set())
+    answers = []
+    for i in range(10):
+        p = GraphPattern()
+        p.add_node(i, labels[i % len(labels)])
+        answers.append(service.query(p))
+    ctx = service.current.context_for("pattern")
+    assert len(ctx._answer_memo) == 2
+    cached = {id(vs) for vs in ctx._expansions.values()}
+    held = {id(vs) for _, answer in ctx._answer_memo.values() for vs in answer.values()}
+    assert cached and cached <= held
+    assert any(id(a[i]) not in cached for i, a in enumerate(answers))
+    service.close()
+
+
+def test_pattern_hot_pattern_across_threads_computes_once():
+    g = _mixed_graph(12)
+    p = next(p for p in _workload(g, seed=6, pairs=0, patterns=20)
+             if direct_answer(g, p))
+    service = EngineService(g.copy())
+    barrier = threading.Barrier(8)
+    answers: list = [None] * 8
+
+    def read(i):
+        barrier.wait()
+        answers[i] = service.query(p)
+
+    with installed(MetricsRegistry()) as registry:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    assert all(a == answers[0] for a in answers)
+    assert len({id(a) for a in answers}) == 8
+    assert all(a[u] is answers[0][u] for a in answers for u in a)
+    assert registry.get("match_memo_lookups_total").values()[("miss",)] == 1
     service.close()
