@@ -4,8 +4,8 @@
   the load → freeze → compress → route → maintain → re-freeze lifecycle;
 * :mod:`repro.engine.epoch` — :class:`Epoch`, the immutable published
   version of a graph and its representations (the unit the concurrent
-  service front swaps RCU-style), plus the shared frozen-graph
-  compression builder;
+  service front swaps RCU-style, and the view every ``GraphEngine`` read
+  goes through), plus the frozen-graph compression builder;
 * :mod:`repro.engine.router` — :class:`QueryRouter`, dispatching each
   query class (singly or micro-batched) to the representation that
   preserves it, steered by workload stats;

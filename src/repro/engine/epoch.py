@@ -1,8 +1,8 @@
 """Epoch snapshots — the immutable unit of publication for concurrent reads.
 
-A :class:`GraphEngine` session interleaves queries and updates in one
-thread.  The concurrent front (:mod:`repro.service`) needs the opposite
-shape: many reader threads, one writer.  The classic RCU answer is to make
+A :class:`GraphEngine` interleaves queries and updates in one thread.
+The concurrent front (:mod:`repro.service`) needs the opposite shape:
+many reader threads, one writer.  The classic RCU answer is to make
 the readable state *immutable* and swap whole versions atomically — and
 that is exactly what an :class:`Epoch` is:
 
@@ -17,10 +17,14 @@ that is exactly what an :class:`Epoch` is:
   query (or batch), the writer retires a superseded epoch, and a retired
   epoch frees its artifact/context memory when its last reader drains.
 
-An epoch speaks the router's session protocol (``artifact`` /
-``context_for`` / ``evaluate_original``), so
-:class:`~repro.engine.router.QueryRouter` dispatches over an epoch exactly
-as it does over a full engine session — same code path, same answers.
+Every read goes through an epoch: :class:`~repro.engine.router.QueryRouter`
+dispatches over its ``artifact`` / ``context_for`` / ``evaluate_original``.
+The service publishes epochs built from a snapshot alone; a standalone
+:class:`~repro.engine.session.GraphEngine` reads through a private *view*
+epoch that is handed the artifacts its incremental maintainers keep exact
+(``artifacts=``) and the labels it repaired across the last update batch
+(``tol=``).  One implementation of the lazy, build-locked,
+deadline-bounded, degradable read state serves both.
 
 The lazy artifact builds use double-checked locking: reads are a plain
 dict probe (no lock), the build itself runs under a per-epoch lock so
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, NoReturn, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
 from repro.core.base import QueryPreservingCompression
 from repro.core.pattern import compress_pattern, compress_pattern_csr
@@ -60,6 +64,8 @@ from repro.queries.reachability import ReachabilityQuery, evaluate_reachability
 #: representation key -> catalog variant name.
 CATALOG_VARIANTS = {"reachability": "reachability", "pattern": "bisimulation"}
 
+_T = TypeVar("_T")
+
 
 class EpochRetired(RuntimeError):
     """A freed (retired and fully drained) epoch was asked to serve."""
@@ -81,8 +87,8 @@ def compress_frozen(
     recomputation, otherwise the artifact is compressed from the snapshot
     with the CSR kernels — or, for ``backend="dict"``, from the thawed
     graph through the reference pipeline (*thawed* lets callers share one
-    thaw across both representations).  Both engine sessions and epochs
-    delegate here, so the two serving paths cannot drift.
+    thaw across both representations).  Every :class:`Epoch` build that is
+    not handed a maintained artifact runs here.
     """
     if key not in CATALOG_VARIANTS:
         raise ValueError(f"unknown representation {key!r}")
@@ -111,6 +117,15 @@ class Epoch:
     Readers never mutate an epoch (lazy builds are internal and idempotent);
     the writer that published it is the only party that may :meth:`retire`
     it.  ``version`` is the publication ordinal assigned by the publisher.
+
+    *artifacts* maps a representation key to a zero-argument callable (a
+    maintainer's bound ``artifact``) that the epoch's build calls in place
+    of :func:`compress_frozen` — under the same lock, fault point, deadline
+    and degradation, and only when a query first reads that key.  *tol*
+    takes the epoch's reachability artifact and returns labels carried
+    over from an earlier version, brought up to date, or ``None`` for a
+    fresh build.  A handed-in ``Gr`` has non-canonical class ids, so its
+    labels never come from (or go to) the catalog.
     """
 
     def __init__(
@@ -123,11 +138,16 @@ class Epoch:
         digest: Optional[str] = None,
         counters: Optional[Dict[str, int]] = None,
         build_deadline_s: Optional[float] = None,
+        artifacts: Optional[Dict[str, Callable[[], QueryPreservingCompression]]] = None,
+        tol: Optional[Callable[[QueryPreservingCompression], Optional[TOLIndex]]] = None,
     ) -> None:
         if backend not in ("csr", "dict"):
             raise ValueError(f"unknown backend: {backend!r} (expected 'csr' or 'dict')")
         if build_deadline_s is not None and build_deadline_s <= 0:
             raise ValueError("build_deadline_s must be positive (or None)")
+        if tol is not None and (artifacts is None or "reachability" not in artifacts):
+            raise ValueError("tol= carries labels over a handed-in Gr; "
+                             "pass artifacts['reachability'] with it")
         self.version = version
         self.csr = csr
         self.backend = backend
@@ -139,6 +159,9 @@ class Epoch:
         self.build_deadline_s = build_deadline_s
         self._build_lock = threading.RLock()
         self._artifacts: Dict[str, QueryPreservingCompression] = {}
+        #: key -> source of a maintained artifact, called instead of a compression.
+        self._sources = dict(artifacts) if artifacts is not None else {}
+        self._carried_tol = tol
         #: key -> reason: representations whose build failed or timed out
         #: this epoch.  Degradation is sticky for the epoch's lifetime — a
         #: fresh publication gets a fresh chance, but within an epoch a
@@ -151,7 +174,7 @@ class Epoch:
         #: shared by every reader thread.  A failed build degrades the
         #: epoch to label-free reachability (BFS on Gr) — sticky, like the
         #: artifact degradations, but it never refuses the representation.
-        self._tol: Optional["TOLIndex"] = None
+        self._tol: Optional[TOLIndex] = None
         #: The compiled reach path over the two above (:meth:`reach_fn`).
         self._reach: Optional[Callable[[Any, Any], bool]] = None
         # Pin/retire lifecycle (RCU-style grace period accounting).
@@ -239,7 +262,7 @@ class Epoch:
         self.release()
 
     # ------------------------------------------------------------------
-    # Router session protocol
+    # What the router reads
     # ------------------------------------------------------------------
     def artifact(self, key: str) -> QueryPreservingCompression:
         """The *key* compression artifact, built exactly once per epoch.
@@ -248,11 +271,15 @@ class Epoch:
         degraded for the rest of the epoch and raises
         :class:`~repro.engine.router.RepresentationUnavailable` — the
         router catches it and answers directly on ``G``, so degradation
-        changes the route, never the answer.
+        changes the route, never the answer.  A key that names no
+        representation is the caller's error (``ValueError``), not a
+        degraded build.
         """
         artifact = self._artifacts.get(key)  # lock-free fast path
         if artifact is not None:
             return artifact
+        if key not in CATALOG_VARIANTS:
+            raise ValueError(f"unknown representation {key!r}")
         with self._build_lock:
             artifact = self._artifacts.get(key)
             if artifact is None:
@@ -261,55 +288,62 @@ class Epoch:
                     raise RepresentationUnavailable(key, reason)
                 self._check_serving()
                 try:
-                    artifact = self._build(key)
+                    artifact, _ = self._run_build(key, lambda: self._compress(key))
                 except (EpochRetired, RepresentationUnavailable):
                     raise
-                except DeadlineExceeded as exc:
-                    self._degrade(key, f"build exceeded {exc.timeout:g}s deadline")
                 except Exception as exc:  # noqa: BLE001 - degrade, don't die
-                    self._degrade(key, f"build failed: {type(exc).__name__}: {exc}")
+                    raise RepresentationUnavailable(key, self._degrade(key, exc)) from exc
                 self._artifacts[key] = artifact
                 if self._counters is not None:
                     bump(self._counters, "artifact_builds")
         return artifact
 
-    def _build(self, key: str) -> QueryPreservingCompression:
-        """Run one ``compress_frozen`` build, under the epoch's deadline."""
+    def _compress(self, key: str) -> QueryPreservingCompression:
+        """The handed-in source's artifact, else ``compress_frozen``'s."""
+        source = self._sources.get(key)
+        if source is not None:
+            return source()
+        return compress_frozen(
+            key,
+            self.csr,
+            self.backend,
+            self._catalog,
+            self._digest,
+            self._counters,
+            thawed=self._thaw() if self.backend == "dict" else None,
+        )
 
-        def build() -> QueryPreservingCompression:
+    def _run_build(self, key: str, build: Callable[[], _T]) -> Tuple[_T, float]:
+        """Run one lazy build behind the ``epoch.build.<key>`` fault point,
+        in a trace span and under the epoch's deadline; returns the result
+        and the seconds it took."""
+
+        def guarded() -> _T:
             # Inside the deadline scope: injected slowness/errors at this
             # point hit the same timeout machinery a real slow build would.
             fault_point(f"epoch.build.{key}")
-            return compress_frozen(
-                key,
-                self.csr,
-                self.backend,
-                self._catalog,
-                self._digest,
-                self._counters,
-                thawed=self._thaw() if self.backend == "dict" else None,
-            )
+            return build()
 
         start = time.perf_counter()
         with trace_span("epoch.build", representation=key, version=self.version):
-            if self.build_deadline_s is None:
-                artifact = build()
-            else:
-                artifact = run_with_deadline(
-                    build, self.build_deadline_s,
-                    label=f"epoch {self.version} {key} build",
-                )
+            result = run_with_deadline(guarded, self.build_deadline_s,
+                                       label=f"epoch {self.version} {key} build")
+        seconds = time.perf_counter() - start
         obs_inc("epoch_builds_total", (key,))
-        obs_observe("epoch_build_seconds", time.perf_counter() - start, (key,))
-        return artifact
+        obs_observe("epoch_build_seconds", seconds, (key,))
+        return result, seconds
 
-    def _degrade(self, key: str, reason: str) -> NoReturn:
-        """Record a failed build and refuse the representation this epoch."""
+    def _degrade(self, key: str, exc: Exception) -> str:
+        """Record a failed (or overrun) build of *key*; returns the reason."""
+        if isinstance(exc, DeadlineExceeded):
+            reason = f"build exceeded {exc.timeout:g}s deadline"
+        else:
+            reason = f"build failed: {type(exc).__name__}: {exc}"
         self._degraded[key] = reason
         if self._counters is not None:
             bump(self._counters, "degraded_builds")
         obs_inc("epoch_degraded_total", (key,))
-        raise RepresentationUnavailable(key, reason)
+        return reason
 
     def context_for(self, key: str) -> Optional[Any]:
         """The epoch's shared evaluation cache for representation *key*.
@@ -353,6 +387,8 @@ class Epoch:
         A catalog-backed epoch rehydrates the persisted label variant
         (warm hit: zero recompute); the artifact ids are canonical on both
         sides of that seam, so the rehydrated labels answer identically.
+        Over a handed-in ``Gr`` the labels are the carried ones (``tol=``)
+        or a fresh build, never the catalog's.
         """
         index = self._tol  # lock-free fast path
         if index is not None:
@@ -367,45 +403,38 @@ class Epoch:
                 return None
             self._check_serving()
 
-            def build() -> TOLIndex:
-                fault_point("epoch.build.tol")
-                if self.backend == "csr" and self._catalog is not None:
+            def labels() -> Tuple[TOLIndex, bool]:
+                """The labels, and whether they were built (not carried)."""
+                if self._carried_tol is not None:
+                    carried = self._carried_tol(artifact)
+                    if carried is not None:
+                        return carried, False
+                if (self.backend == "csr" and self._catalog is not None
+                        and "reachability" not in self._sources):
                     digest = self._digest
                     if digest is None:
                         digest = self._catalog.put(self.csr)
-                    built: TOLIndex = self._catalog.tol(digest, gr=gr)
-                    return built
-                return TOLIndex(gr, backend=self.backend)
+                    rehydrated: TOLIndex = self._catalog.tol(digest, gr=gr)
+                    return rehydrated, True
+                return TOLIndex(gr, backend=self.backend), True
 
-            start = time.perf_counter()
             try:
-                # Fetched here, not inside build(): the build lock is
+                # Fetched here, not inside labels(): the build lock is
                 # re-entrant for this thread, not for a deadline helper.
                 artifact = self.artifact("reachability")
                 gr = artifact.compressed
-                with trace_span("epoch.build", representation="tol",
-                                version=self.version):
-                    if self.build_deadline_s is None:
-                        index = build()
-                    else:
-                        index = run_with_deadline(
-                            build, self.build_deadline_s,
-                            label=f"epoch {self.version} tol build",
-                        )
+                (index, built), seconds = self._run_build("tol", labels)
             except EpochRetired:
                 raise
-            except DeadlineExceeded as exc:
-                self._degrade_tol(f"build exceeded {exc.timeout:g}s deadline")
-                return None
             except Exception as exc:  # noqa: BLE001 - degrade, don't die
-                self._degrade_tol(f"build failed: {type(exc).__name__}: {exc}")
+                # Reachability stays label-free this epoch, never refused.
+                self._degrade("tol", exc)
+                obs_inc("tol_fallbacks_total", ("build",))
                 return None
-            dt = time.perf_counter() - start
-            obs_inc("epoch_builds_total", ("tol",))
-            obs_observe("epoch_build_seconds", dt, ("tol",))
-            obs_observe("tol_build_seconds", dt)
-            if self._counters is not None:
-                bump(self._counters, "tol_builds")
+            if built:
+                obs_observe("tol_build_seconds", seconds)
+                if self._counters is not None:
+                    bump(self._counters, "tol_builds")
             assert isinstance(artifact, ReachabilityCompression)
             self._reach = artifact.reach_fn(index)
             self._tol = index
@@ -418,15 +447,6 @@ class Epoch:
         a routed reach query built the labels (so builds stay inside its
         spans), and for good when ``Gr`` or the labels are degraded."""
         return self._reach
-
-    def _degrade_tol(self, reason: str) -> None:
-        """Record a failed label build; reachability stays label-free this
-        epoch (sticky, no rebuild storm) but is never refused."""
-        self._degraded["tol"] = reason
-        if self._counters is not None:
-            bump(self._counters, "degraded_builds")
-        obs_inc("epoch_degraded_total", ("tol",))
-        obs_inc("tol_fallbacks_total", ("build",))
 
     def evaluate_original(self, query: Any, algorithm: Optional[str] = None) -> Any:
         """Direct evaluation on the epoch's frozen ``G``.
@@ -493,6 +513,3 @@ class Epoch:
             f"pins={self._pins}, retired={self._retired})"
         )
 
-
-#: Union accepted by helpers that serve either a live session or an epoch.
-ServingTarget = Union["Epoch", Any]

@@ -22,7 +22,7 @@ does not preserve the query class is a ``TypeError``, not a wrong answer.
 ``on="auto"`` routes by the query's type: each query class is preserved by
 exactly one representation, so a ``type → key`` table built from the
 declared ``QUERY_CLASSES`` answers it, with an ``isinstance`` scan only for
-subclasses.  When the serving session carries a
+subclasses.  When the caller passes a
 :class:`~repro.engine.counters.RouterStats`, every dispatch records the
 routed key and its latency there.
 :meth:`QueryRouter.dispatch_batch` is the micro-batching entry point: a
@@ -64,7 +64,7 @@ ALIASES = {"Gr": "reachability", "Gb": "pattern", "G": ORIGINAL}
 class RepresentationUnavailable(RuntimeError):
     """A representation cannot serve this epoch (build failed or timed out).
 
-    Raised by a serving session's ``artifact(key)`` when the compressed
+    Raised by an epoch's ``artifact(key)`` when the compressed
     representation is degraded; the router catches it and falls back to
     direct evaluation on ``G`` — same answer, slower route.  ``key`` names
     the degraded representation, ``reason`` why.
@@ -112,13 +112,13 @@ class QueryRouter:
         self,
         artifact: QueryPreservingCompression,
         queries: List[Any],
-        session: Any,
+        epoch: Any,
         algorithm: Optional[str],
         span: Any,
     ) -> List[Any]:
         """Answer a reachability group, TOL-first with a BFS-on-``Gr`` net.
 
-        The session's ``context_for("reachability")`` supplies the sealed
+        The epoch's ``context_for("reachability")`` supplies the sealed
         :class:`~repro.index.tol.TOLIndex` (or ``None`` when its build
         degraded); a lookup failure (:class:`~repro.index.tol.TOLError`,
         or a ``KeyError`` from the compiled reach path — a stale index
@@ -129,7 +129,7 @@ class QueryRouter:
         context = None
         if algorithm in (None, "tol"):
             if self._tol_breaker.allow("tol"):
-                context = session.context_for("reachability")
+                context = epoch.context_for("reachability")
             else:
                 obs_inc("tol_fallbacks_total", ("breaker",))
         if context is not None:
@@ -146,12 +146,12 @@ class QueryRouter:
         fallback = None if algorithm == "tol" else algorithm
         return artifact.answer_batch(queries, context=None, algorithm=fallback)
 
-    def compiled_reach(self, session: Any) -> Optional[Callable[[Any, Any], bool]]:
-        """*session*'s compiled reach path, when the label route may skip
+    def compiled_reach(self, epoch: Any) -> Optional[Callable[[Any, Any], bool]]:
+        """*epoch*'s compiled reach path, when the label route may skip
         this router: ``None`` while the TOL breaker is not healthy (open,
         probing, or holding a failure that a success would reset) or the
-        session has no closure to offer (labels or ``Gr`` degraded)."""
-        return session.reach_fn() if self._tol_breaker.healthy("tol") else None
+        epoch has no closure to offer (labels or ``Gr`` degraded)."""
+        return epoch.reach_fn() if self._tol_breaker.healthy("tol") else None
 
     # ------------------------------------------------------------------
     def route(self, query: Any, on: str = "auto") -> str:
@@ -192,33 +192,33 @@ class QueryRouter:
     def dispatch(
         self,
         query: Any,
-        session: Any,
+        epoch: Any,
         on: str = "auto",
         algorithm: Optional[str] = None,
         stats: Optional[RouterStats] = None,
     ) -> Any:
-        """Route *query* and answer it through *session*'s artifacts.
+        """Route *query* and answer it through *epoch*'s artifacts.
 
-        *session* is a :class:`repro.engine.session.GraphEngine`, an
-        :class:`repro.engine.epoch.Epoch`, or anything exposing
-        ``artifact(key)``, ``context_for(key)`` and
+        *epoch* is an :class:`repro.engine.epoch.Epoch` (a published one,
+        or a :class:`~repro.engine.session.GraphEngine`'s view), or
+        anything exposing ``artifact(key)``, ``context_for(key)`` and
         ``evaluate_original(query, algorithm)``.  Compressed routes call
         the artifact's ``answer`` — hypernode results come back already
-        expanded to original nodes.  When *stats* (or ``session.stats``)
-        is present the routed key and latency are recorded there.
+        expanded to original nodes.  When *stats* is given the routed key
+        and latency are recorded there.
 
         A batch of one through :meth:`dispatch_batch`: the same spans,
         stats, fallbacks and amortisation paths (notably the
         sealed-context answer memo of epoch serving).
         """
         return self.dispatch_batch(
-            [query], session, on=on, algorithm=algorithm, stats=stats
+            [query], epoch, on=on, algorithm=algorithm, stats=stats
         )[0]
 
     def dispatch_batch(
         self,
         queries: Sequence[Any],
-        session: Any,
+        epoch: Any,
         on: str = "auto",
         algorithm: Optional[str] = None,
         stats: Optional[RouterStats] = None,
@@ -233,25 +233,23 @@ class QueryRouter:
         query alone; per-group latencies land in *stats* with the group
         size, so hit counts still count queries.
         """
-        if stats is None:
-            stats = getattr(session, "stats", None)
         groups: Dict[str, List[int]] = {}
         for i, q in enumerate(queries):
             groups.setdefault(self.route(q, on), []).append(i)
         answers: List[Any] = [None] * len(queries)
-        version = getattr(session, "version", None)
+        version = getattr(epoch, "version", None)
         for key, positions in groups.items():
             start = time.perf_counter() if stats is not None else 0.0
             with trace_span("engine.dispatch", key=key, queries=len(positions),
                             version=version) as span:
                 if key == ORIGINAL:
                     for i in positions:
-                        answers[i] = session.evaluate_original(
+                        answers[i] = epoch.evaluate_original(
                             queries[i], algorithm=algorithm
                         )
                 else:
                     try:
-                        artifact = session.artifact(key)
+                        artifact = epoch.artifact(key)
                     except RepresentationUnavailable:
                         # Degrade the whole group to direct-on-G; answers are
                         # unchanged by the preservation theorem.
@@ -259,7 +257,7 @@ class QueryRouter:
                         if stats is not None:
                             stats.record_fallback(key, queries=len(positions))
                         for i in positions:
-                            answers[i] = session.evaluate_original(
+                            answers[i] = epoch.evaluate_original(
                                 queries[i], algorithm=None
                             )
                         if stats is not None:
@@ -269,12 +267,12 @@ class QueryRouter:
                     group = [queries[i] for i in positions]
                     if key == "reachability":
                         group_answers = self._answer_reachability(
-                            artifact, group, session, algorithm, span
+                            artifact, group, epoch, algorithm, span
                         )
                     else:
                         group_answers = artifact.answer_batch(
                             group,
-                            context=session.context_for(key),
+                            context=epoch.context_for(key),
                             algorithm=algorithm,
                         )
                     for i, answer in zip(positions, group_answers):

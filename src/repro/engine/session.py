@@ -13,36 +13,37 @@ persist, ``core.incremental_*`` to maintain).  ``GraphEngine`` owns it:
   kernel; with a :class:`~repro.store.catalog.SnapshotCatalog` the freeze
   is content-addressed and compressed variants rehydrate on warm hits with
   zero recomputation;
-* **compress lazily** — ``Gr`` (``compressR``) and ``Gb`` (``compressB``)
-  materialise on first use, per representation;
-* **route** — :meth:`query`/:meth:`query_batch` send each first-class
-  query object to the representation that preserves it
-  (:mod:`repro.engine.router`) and return answers over original nodes;
+* **read through one view** — every read (:meth:`query`,
+  :meth:`query_batch`, :meth:`artifact`, :meth:`context_for`) goes through
+  a private :class:`~repro.engine.epoch.Epoch` over the current snapshot,
+  opened on the first read after construction or after an update batch.
+  It builds ``Gr`` (``compressR``) and ``Gb`` (``compressB``) lazily, per
+  representation, and its :class:`~repro.queries.matching.MatchContext`
+  bitsets and TOL labels are shared by every query until the next batch;
+* **route** — the view answers each first-class query object on the
+  representation that preserves it (:mod:`repro.engine.router`), over
+  original nodes;
 * **maintain** — :meth:`apply` drives ``incRCM``/``incPCM`` through the
   uniform maintainer interface (:mod:`repro.engine.updates`), tracking the
-  net delta against the last snapshot;
-* **re-freeze** — past a configurable staleness threshold the snapshot is
-  refreshed via :func:`repro.store.delta.merge_deltas` (no full rebuild)
-  and re-published to the catalog.
-
-Batched queries share a per-engine session cache: the
-:class:`~repro.queries.matching.MatchContext` bitsets (candidates,
-bounded/star closures) are built once per representation and reused across
-the batch, invalidated exactly when an update batch lands.
+  net delta against the last snapshot; the next view is handed the
+  maintained artifacts and the repaired labels;
+* **re-freeze** — a read after :meth:`apply`, or a batch past the
+  staleness threshold, folds the net delta into the snapshot via
+  :func:`repro.store.delta.merge_deltas` (no full rebuild) and
+  re-publishes it to the catalog.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
-from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Union
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Union,
+)
 
 from repro.core.base import QueryPreservingCompression
-from repro.core.pattern import compress_pattern
-from repro.core.reachability import compress_reachability
 from repro.engine.counters import RouterStats, bump
-from repro.engine.epoch import Epoch, compress_frozen
-from repro.engine.router import ORIGINAL, QueryRouter
+from repro.engine.epoch import Epoch
+from repro.engine.router import QueryRouter
 from repro.engine.updates import (
     MAINTAINERS,
     CompressionMaintainer,
@@ -53,12 +54,8 @@ from repro.engine.updates import (
 )
 from repro.index.tol import TOLIndex
 from repro.obs.metrics import inc as obs_inc
-from repro.obs.metrics import observe as obs_observe
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.queries.matching import MatchContext, match
-from repro.queries.pattern import GraphPattern
-from repro.queries.reachability import ReachabilityQuery, evaluate_reachability
 from repro.store.delta import merge_deltas
 
 Node = Hashable
@@ -104,10 +101,11 @@ class GraphEngine:
         produce identical answers (and identical artifacts).
     refreeze_threshold:
         When the net edge delta since the last freeze exceeds this, a
-        re-freeze is triggered at the end of :meth:`apply`.  A float < 1 is
-        a fraction of the snapshot's ``|V| + |E|``; an int >= 1 is an
-        absolute edge count; ``None`` disables auto re-freezing
-        (:meth:`refreeze` stays available).
+        re-freeze is triggered at the end of :meth:`apply`; below it the
+        delta is folded at the next read.  A float < 1 is a fraction of
+        the snapshot's ``|V| + |E|``; an int >= 1 is an absolute edge
+        count; ``None`` leaves every fold to the next read (or
+        :meth:`refreeze`).
     """
 
     def __init__(
@@ -143,23 +141,14 @@ class GraphEngine:
             )
 
         self._digest: Optional[str] = None
-        self._artifacts: Dict[str, QueryPreservingCompression] = {}
         self._maintainers: Dict[str, CompressionMaintainer] = {}
         self._graph_owner: Optional[str] = None  # maintainer adopting _graph
         self._log = UpdateLog()
-        self._contexts: Dict[str, MatchContext] = {}
-        self._builders = {
-            "reachability": self._build_reachability,
-            "pattern": self._build_pattern,
-        }
-        # TOL reachability labels over Gr's condensation: built lazily on
-        # the first routed reachability query, patched in place after
-        # update batches, degraded (None context -> BFS on Gr) when a
-        # build/repair fails.  ``_tol_reason`` records why the session is
-        # degraded; the next apply() clears it so rebuilds get retried.
-        self._tol: Optional[TOLIndex] = None
-        self._tol_fresh: bool = True
-        self._tol_reason: Optional[str] = None
+        #: The epoch every read goes through; ``None`` until the next read.
+        self._view: Optional[Epoch] = None
+        #: Labels a dropped view built, for the next view to repair
+        #: (a failed label build drops them, so the next view rebuilds).
+        self._labels: Optional[TOLIndex] = None
         #: Lifecycle instrumentation (the bench reports these).
         self.counters: Dict[str, int] = {
             "catalog_warm_hits": 0,
@@ -232,7 +221,6 @@ class GraphEngine:
             merged = CSRGraph.from_digraph(self.graph)
         self._csr = merged
         self._log.clear()
-        self._contexts.clear()  # "original" contexts re-anchor to the snapshot
         self._digest = None
         if was_refreeze:
             bump(self.counters, "refreezes")
@@ -249,30 +237,72 @@ class GraphEngine:
         return self._digest if self._digest is not None else csr.digest()
 
     # ------------------------------------------------------------------
-    # Representations
+    # Reads: every one goes through the view epoch
     # ------------------------------------------------------------------
+    def _read_view(self) -> Epoch:
+        view = self._view
+        if view is None:
+            view = self._view = self._open_view({})
+        return view
+
+    def _open_view(self, built: Dict[str, QueryPreservingCompression]) -> Epoch:
+        """A view over the current snapshot (folding any pending delta).
+
+        It is handed each maintainer's artifact and the *built* artifacts
+        of a view it replaces; labels carry over only with a handed-in
+        ``Gr``, whose class ids are the maintainer's, not the catalog's.
+        """
+        csr = self.freeze()
+        sources: Dict[str, Callable[[], QueryPreservingCompression]] = {
+            key: maintainer.artifact for key, maintainer in self._maintainers.items()
+        }
+        for key, artifact in built.items():
+            sources[key] = _constant(artifact)
+        return Epoch(
+            csr,
+            backend=self.backend,
+            catalog=self._catalog,
+            digest=self._digest,
+            counters=self.counters,
+            artifacts=sources,
+            tol=self._carry_labels if "reachability" in sources else None,
+        )
+
+    def _drop_view(self) -> Dict[str, QueryPreservingCompression]:
+        """Close the view; returns the artifacts it built, keeps its labels."""
+        view, self._view = self._view, None
+        if view is None:
+            return {}
+        if view._tol is not None or "tol" in view._degraded:
+            self._labels = view._tol
+        return view._artifacts
+
+    def _carry_labels(self, artifact: QueryPreservingCompression) -> Optional[TOLIndex]:
+        """The last view's labels brought up to date with *artifact* (the
+        maintained ``Gr``), or ``None`` when they must be built afresh.
+        The view holds them from here on; the engine keeps no second copy."""
+        index, self._labels = self._labels, None
+        if index is None:
+            return None
+        action = refresh_reachability_index(index, artifact)
+        if action == "rebuild":
+            bump(self.counters, "tol_rebuilds")
+            obs_inc("tol_rebuilds_total")
+            return None
+        if action == "repaired":
+            bump(self.counters, "tol_repairs")
+        return index
+
     def artifact(self, key: str) -> QueryPreservingCompression:
         """The compression artifact behind representation *key* (lazy).
 
-        Served from the incremental maintainer once updates have flowed,
-        from the session cache otherwise; first materialisation goes
-        through the catalog when one is attached.
+        Maintainer-backed once updates have flowed, otherwise compressed
+        from the snapshot (through the catalog when one is attached).  A
+        failed build raises
+        :class:`~repro.engine.router.RepresentationUnavailable` until the
+        next :meth:`apply`; queries then answer directly on ``G``.
         """
-        maintainer = self._maintainers.get(key)
-        if maintainer is not None:
-            return maintainer.artifact()
-        artifact = self._artifacts.get(key)
-        if artifact is None:
-            try:
-                build = self._builders[key]
-            except KeyError:
-                raise ValueError(f"unknown representation {key!r}") from None
-            artifact = build()
-            self._artifacts[key] = artifact
-            # bump(): the counters dict is shared with published epochs,
-            # whose reader threads increment the same slots concurrently.
-            bump(self.counters, "artifact_builds")
-        return artifact
+        return self._read_view().artifact(key)
 
     def reachability(self) -> QueryPreservingCompression:
         """``Gr`` — the reachability preserving compression (Section 3)."""
@@ -282,130 +312,19 @@ class GraphEngine:
         """``Gb`` — the pattern preserving compression (Section 4)."""
         return self.artifact("pattern")
 
-    def _build_reachability(self) -> QueryPreservingCompression:
-        if self.backend == "csr":
-            return compress_frozen(
-                "reachability", self.freeze(), "csr",
-                self._catalog, self._digest, self.counters,
-            )
-        return compress_reachability(self.graph, backend="dict")
-
-    def _build_pattern(self) -> QueryPreservingCompression:
-        if self.backend == "csr":
-            return compress_frozen(
-                "pattern", self.freeze(), "csr",
-                self._catalog, self._digest, self.counters,
-            )
-        return compress_pattern(self.graph)
-
-    # ------------------------------------------------------------------
-    # TOL reachability labels
-    # ------------------------------------------------------------------
-    def tol(self) -> Optional[TOLIndex]:
-        """The session's TOL label index over ``Gr``, or ``None`` degraded.
-
-        Built lazily from the reachability artifact; after update batches
-        the labels are patched in place via
-        :func:`~repro.engine.updates.refresh_reachability_index` (full
-        rebuild when the delta is outside the repairable class).  Any
-        build/refresh failure degrades the session to label-free answering
-        — BFS on ``Gr``, same answers — until the next :meth:`apply`
-        clears the degradation and a rebuild is retried.
-        """
-        if self._tol_reason is not None:
-            return None
-        try:
-            artifact = self.artifact("reachability")
-            if self._tol is None:
-                self._tol = self._build_tol(artifact)
-            elif not self._tol_fresh:
-                action = refresh_reachability_index(self._tol, artifact)
-                if action == "rebuild":
-                    bump(self.counters, "tol_rebuilds")
-                    obs_inc("tol_rebuilds_total")
-                    self._tol = self._build_tol(artifact)
-                elif action == "repaired":
-                    bump(self.counters, "tol_repairs")
-            self._tol_fresh = True
-            return self._tol
-        except Exception:
-            self._tol = None
-            self._tol_reason = "build"
-            obs_inc("tol_fallbacks_total", ("build",))
-            return None
-
-    def _build_tol(self, artifact: QueryPreservingCompression) -> TOLIndex:
-        """Build (or rehydrate) the label index for *artifact*.
-
-        The catalog variant is only usable when the artifact itself came
-        through the catalog — i.e. no maintainer is serving reachability
-        and the snapshot is fresh.  incRCM-maintained artifacts carry
-        non-canonical class ids, so for those the index is always built
-        from the exact artifact object the query rewrite uses.
-        """
-        start = time.perf_counter()
-        index: Optional[TOLIndex] = None
-        if (
-            self._catalog is not None
-            and self.backend == "csr"
-            and "reachability" not in self._maintainers
-            and self._log.staleness == 0
-        ):
-            index = self._catalog.tol(self.digest(), gr=artifact.compressed)
-        if index is None:
-            index = TOLIndex(artifact.compressed, backend=self.backend)
-        bump(self.counters, "tol_builds")
-        obs_observe("tol_build_seconds", time.perf_counter() - start)
-        return index
-
-    # ------------------------------------------------------------------
-    # Session cache
-    # ------------------------------------------------------------------
     def context_for(self, key: str) -> Optional[Any]:
-        """The session's evaluation cache for representation *key*.
-
-        Pattern targets get a :class:`MatchContext` over the compressed (or
-        original) graph, built once and shared across every query of the
-        session until an update batch invalidates it; reachability gets the
-        session's :class:`~repro.index.tol.TOLIndex` (or ``None`` when the
-        labels are degraded — the evaluator then runs BFS on ``Gr``).
-        """
-        if key == "reachability":
-            return self.tol()
-        if key == "pattern":
-            ctx = self._contexts.get(key)
-            if ctx is None:
-                ctx = MatchContext(self.artifact("pattern").compressed,
-                                   backend=self.backend)
-                self._contexts[key] = ctx
-            return ctx
-        if key == ORIGINAL:
-            target = self._original_target()
-            ctx = self._contexts.get(key)
-            if ctx is not None and (target is ctx.graph or target is ctx._csr):
-                return ctx
-            if isinstance(target, CSRGraph):
-                ctx = MatchContext(target)
-            else:
-                ctx = MatchContext(target, backend=self.backend)
-            self._contexts[key] = ctx
-            return ctx
-        raise ValueError(f"unknown representation {key!r}")
+        """The shared evaluation cache for representation *key*: a sealed
+        :class:`~repro.queries.matching.MatchContext` for ``pattern`` /
+        ``original``, the TOL labels for ``reachability`` (``None`` while
+        their build is degraded — reachability then runs BFS on ``Gr``)."""
+        return self._read_view().context_for(key)
 
     def clear_session_cache(self) -> None:
-        """Drop the per-session evaluation caches (one-shot query mode)."""
-        self._contexts.clear()
+        """Drop the evaluation contexts (one-shot query mode); the
+        artifacts and labels already built carry into a fresh view."""
+        if self._view is not None:
+            self._view = self._open_view(self._drop_view())
 
-    def _original_target(self) -> Union[DiGraph, CSRGraph]:
-        """Where ``on="original"`` evaluation runs: the fresh snapshot when
-        there is one, the live graph otherwise."""
-        if self._csr is not None and self._log.staleness == 0:
-            return self._csr
-        return self.graph
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
     def query(self, q: Any, *, on: str = "auto",
               algorithm: Optional[str] = None) -> Any:
         """Answer one first-class query object.
@@ -417,11 +336,13 @@ class GraphEngine:
         nodes — hypernode expansion has already happened.
         """
         self.counters["queries"] += 1
-        return self._router.dispatch(q, self, on=on, algorithm=algorithm)
+        return self._router.dispatch(
+            q, self._read_view(), on=on, algorithm=algorithm, stats=self.stats
+        )
 
     def query_batch(self, qs: Iterable[Any], *, on: str = "auto",
                     algorithm: Optional[str] = None) -> List[Any]:
-        """Answer a batch, sharing the session cache across all of it.
+        """Answer a batch, sharing the view's caches across all of it.
 
         Batches go through the router's micro-batching dispatch: same-class
         groups share one ``answer_batch`` call (shared traversals on ``Gr``,
@@ -430,24 +351,8 @@ class GraphEngine:
         """
         queries = list(qs)
         self.counters["queries"] += len(queries)
-        return self._router.dispatch_batch(queries, self, on=on, algorithm=algorithm)
-
-    def evaluate_original(self, query: Any,
-                          algorithm: Optional[str] = None) -> Any:
-        """Direct evaluation on ``G`` (the router's ``original`` target)."""
-        target = self._original_target()
-        if isinstance(query, ReachabilityQuery):
-            return evaluate_reachability(
-                target, query.source, query.target,
-                algorithm if algorithm is not None else "bfs",
-            )
-        if isinstance(query, GraphPattern):
-            if algorithm not in (None, "match"):
-                raise ValueError(f"unknown algorithm {algorithm!r}; expected 'match'")
-            return match(query, target, self.context_for(ORIGINAL))
-        raise TypeError(
-            f"cannot evaluate {type(query).__name__} on the original graph; "
-            "expected a ReachabilityQuery or GraphPattern"
+        return self._router.dispatch_batch(
+            queries, self._read_view(), on=on, algorithm=algorithm, stats=self.stats
         )
 
     # ------------------------------------------------------------------
@@ -483,24 +388,25 @@ class GraphEngine:
     def apply(self, deltas: Iterable[EdgeUpdate]) -> UpdateReport:
         """Apply a ΔG batch across the whole session.
 
-        Every materialised representation is kept exact by its Section 5
-        incremental maintainer (created lazily on the first batch — the
-        first one *adopts* the engine's working graph, ``copy=False``, so
-        the graph is held once); representations never yet materialised
-        stay lazy and will compress the updated graph on first use.
-        Session caches are invalidated, the net delta is logged, and the
-        snapshot re-freezes once the staleness threshold trips.
+        Every representation the view materialised is kept exact by its
+        Section 5 incremental maintainer (created lazily on the first batch
+        — the first one *adopts* the engine's working graph, ``copy=False``,
+        so the graph is held once); representations never yet materialised
+        stay lazy and will compress the updated graph on first use.  The
+        view is dropped (its labels are kept for the next one to repair),
+        the net delta is logged, and the snapshot re-freezes once the
+        staleness threshold trips.
         """
         deltas = list(deltas)
         graph = self.graph  # thaw before anything reads it
-        for key in self._builders:
-            if key in self._maintainers or key not in self._artifacts:
+        built = self._drop_view()
+        for key in MAINTAINERS:
+            if key in self._maintainers or key not in built:
                 continue
             adopt = self._graph_owner is None
             self._maintainers[key] = MAINTAINERS[key](graph, copy=not adopt)
             if adopt:
                 self._graph_owner = key
-            del self._artifacts[key]  # now served by the maintainer
 
         effective = effective_updates(graph, deltas)
         # Nodes this batch creates: edge deltas can net out while the node
@@ -520,13 +426,6 @@ class GraphEngine:
         if self._graph_owner is None:
             for op, u, v in deltas:
                 (graph.add_edge if op == "+" else graph.remove_edge)(u, v)
-        self._artifacts.clear()  # anything not maintainer-backed is stale
-        self._contexts.clear()
-        # The label index is stale, not dead: the next reachability query
-        # diffs it against the updated Gr and repairs in place when it can.
-        # A degraded session gets its retry here too.
-        self._tol_fresh = False
-        self._tol_reason = None
 
         refrozen = False
         if self._should_refreeze():
@@ -556,13 +455,14 @@ class GraphEngine:
         """Lifecycle snapshot for logging/benchmarks."""
         graph = self._graph
         csr = self._csr
+        built = set(self._view._artifacts) if self._view is not None else set()
         return {
             "nodes": graph.order() if graph is not None else (csr.n if csr else 0),
             "edges": graph.size() if graph is not None else (csr.m if csr else 0),
             "backend": self.backend,
             "frozen": csr is not None,
             "staleness": self._log.staleness,
-            "materialized": sorted(set(self._artifacts) | set(self._maintainers)),
+            "materialized": sorted(built | set(self._maintainers)),
             "maintained": sorted(self._maintainers),
             "catalog": self._catalog is not None,
             "digest": self._digest,
@@ -575,3 +475,7 @@ class GraphEngine:
             f"GraphEngine(|V|={d['nodes']}, |E|={d['edges']}, "
             f"materialized={d['materialized']}, staleness={d['staleness']})"
         )
+
+
+def _constant(artifact: QueryPreservingCompression) -> Callable[[], QueryPreservingCompression]:
+    return lambda: artifact

@@ -171,11 +171,12 @@ def refresh_reachability_index(
 
     This is the maintainer → index seam: after ``incRCM``
     (:class:`ReachabilityMaintainer`) patches the reachability artifact,
-    the serving session hands the sealed :class:`~repro.index.tol.TOLIndex`
-    and the *current* artifact here.  The delta between the index's
-    recorded condensation and the artifact's ``compressed`` graph is
-    diffed and, when it is insert-only and acyclic, repaired in place by
-    bounded label patching.  Returns the action taken:
+    the engine hands the :class:`~repro.index.tol.TOLIndex` its last view
+    built and the *current* artifact here, as the next view opens.  The
+    delta between the index's recorded condensation and the artifact's
+    ``compressed`` graph is diffed and, when it is insert-only and
+    acyclic, repaired in place by bounded label patching.  Returns the
+    action taken:
 
     ``"fresh"``
         the index already matches — nothing to do;

@@ -129,8 +129,8 @@ class MatchContext:
 
     A bare :class:`CSRGraph` may be passed as *graph* (no dict backend
     involved at all): the context then runs entirely over the frozen
-    arrays — the entry point for snapshot consumers such as the engine's
-    session cache, which matches patterns straight off a catalog-loaded
+    arrays — the entry point for snapshot consumers such as an epoch's
+    shared context, which matches patterns straight off a catalog-loaded
     snapshot.  Such a context has ``graph is None`` and cannot be
     ``invalidate``\\ d (snapshots are immutable; freeze a new one instead).
 

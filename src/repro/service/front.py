@@ -188,9 +188,9 @@ class EngineService:
     def pin(self) -> Iterator[Epoch]:
         """Pin the current epoch for a read section.
 
-        The yielded epoch speaks the router's session protocol; everything
-        evaluated inside the ``with`` block answers on this one immutable
-        version, even if the writer publishes concurrently.
+        The yielded epoch is what the router reads; everything evaluated
+        inside the ``with`` block answers on this one immutable version,
+        even if the writer publishes concurrently.
         """
         epoch = self._acquire_current()
         try:

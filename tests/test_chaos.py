@@ -14,6 +14,7 @@ from repro.engine.router import QueryRouter, RepresentationUnavailable
 from repro.faults.breaker import OPEN, CircuitBreaker
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.graph.generators import attach_equivalent_leaves, gnm_random_graph
+from repro.obs.metrics import MetricsRegistry, installed
 from repro.queries.reachability import ReachabilityQuery
 from repro.service import (
     ApplyError,
@@ -80,6 +81,17 @@ class TestEpochDegradation:
         with pytest.raises(RepresentationUnavailable):
             epoch.artifact("reachability")
         assert "reachability" in epoch.describe()["degraded"]
+
+    def test_unknown_key_is_a_caller_error_not_a_degraded_build(self):
+        engine = GraphEngine(_graph())
+        epoch = engine.epoch(0)
+        registry = MetricsRegistry()
+        with installed(registry):
+            with pytest.raises(ValueError):
+                epoch.artifact("interval")
+        assert epoch.describe()["degraded"] == {}
+        assert "degraded_builds" not in engine.counters
+        assert registry.get("epoch_degraded_total") is None
 
     def test_build_deadline_degrades_slow_builds(self):
         g = _graph()

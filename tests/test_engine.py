@@ -143,6 +143,27 @@ def test_engine_from_snapshot_and_paths(tmp_path):
     assert engine.describe()["frozen"]
 
 
+def test_failed_pattern_build_degrades_the_route_until_the_next_apply():
+    from repro.faults.plan import FaultPlan, FaultRule
+
+    g = _mixed_graph(seed=6, n=40, m=110)
+    engine = GraphEngine(g.copy())
+    p = random_pattern(g, 3, 3, max_bound=2, seed=4)
+    plan = FaultPlan(
+        [FaultRule(point="epoch.build.pattern", kind="error", times=None)]
+    )
+    with plan.installed():
+        assert engine.query(p) == match(p, g)  # answered directly on G
+    assert engine.stats.fallbacks("pattern") == 1
+    assert engine.query(p) == match(p, g)  # sticky: no retry mid-view
+    assert engine.stats.fallbacks("pattern") == 2
+    engine.apply([("+", "fresh", g.node_list()[0])])
+    g.add_edge("fresh", g.node_list()[0])
+    assert engine.query(p) == match(p, g)
+    assert engine.stats.fallbacks("pattern") == 2
+    assert engine.describe()["materialized"] == ["pattern"]
+
+
 def test_query_batch_shares_session_cache():
     g = _mixed_graph(seed=5, n=40, m=110)
     engine = GraphEngine(g.copy())

@@ -161,6 +161,28 @@ def test_service_answers_match_engine_and_direct(backend):
     assert batch == singles
 
 
+def test_service_never_opens_the_engines_view():
+    """Every served read and build happens on a published epoch; the
+    writer-side engine materialises and maintains nothing."""
+    g = _mixed_graph(19)
+    registry = MetricsRegistry()
+    with installed(registry):
+        service = EngineService(g.copy())
+        for step in range(4):
+            for q in _workload(g, seed=60 + step, pairs=6, patterns=2):
+                service.query(q)
+            if step < 3:
+                service.apply([("+", f"w{step}", g.node_list()[step])])
+        service.close()
+    described = service._engine.describe()
+    assert described["materialized"] == [] and described["maintained"] == []
+    builds = registry.get("epoch_builds_total").values()
+    assert described["artifact_builds"] == (
+        builds[("reachability",)] + builds[("pattern",)]
+    ) == 8
+    assert described["tol_builds"] == builds[("tol",)] == 4
+
+
 def test_versioned_queries_follow_publications():
     g = _mixed_graph(7)
     service = EngineService(g.copy(), journal=True)

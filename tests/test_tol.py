@@ -310,7 +310,7 @@ def test_service_reachability_is_served_from_the_labels():
     assert registry.get("tol_fallbacks_total") is None  # never incremented
 
 
-def test_session_tol_degradation_resets_on_next_apply(monkeypatch):
+def test_session_tol_degradation_resets_on_next_apply():
     rng = random.Random(13)
     g = _random_digraph(rng, 25, 60)
     engine = GraphEngine(g.copy())
@@ -319,18 +319,108 @@ def test_session_tol_degradation_resets_on_next_apply(monkeypatch):
         ReachabilityQuery(rng.choice(nodes), rng.choice(nodes))
         for _ in range(20)
     ]
-    want = [engine.query(q, on="original") for q in queries]
 
-    def boom(artifact):
-        raise RuntimeError("injected TOL build failure")
+    def bfs(graph):
+        return [evaluate_reachability(graph, q.source, q.target, "bfs")
+                for q in queries]
 
-    monkeypatch.setattr(engine, "_build_tol", boom)
-    assert engine.query_batch(queries) == want  # label-free, still exact
-    assert engine.tol() is None  # degraded until the next update batch
-    monkeypatch.undo()
-    engine.apply([("+", 0, 1)])  # clears the degradation marker
-    assert engine.query_batch(queries[:5]) == want[:5]
-    assert engine.tol() is not None
+    plan = FaultPlan(
+        [FaultRule(point="epoch.build.tol", kind="error", times=None)]
+    )
+    with plan.installed():
+        assert engine.query_batch(queries) == bfs(g)  # label-free, still exact
+        assert engine.context_for("reachability") is None
+    # Sticky until the next update batch: the plan is gone, the labels
+    # are not retried.
+    assert engine.query_batch(queries) == bfs(g)
+    assert engine.context_for("reachability") is None
+    engine.apply([("+", 0, 1)])  # a fresh view retries the build
+    g.add_edge(0, 1)
+    assert engine.query_batch(queries) == bfs(g)
+    assert engine.context_for("reachability") is not None
+
+
+def test_engine_carries_labels_across_batches():
+    """One seeded sequence takes every label path: the first build, a
+    rebuild over the maintainer's renumbered ``Gr``, a fresh carry (a
+    transitively implied edge leaves ``Gr`` as it is), two in-place
+    repairs (a new component is an insert-only delta on ``Gr``) and a
+    rebuild after a deletion.  The counts are the ones the engine recorded
+    when it kept its labels outside an epoch; answers equal BFS throughout."""
+    g = random_dag(40, 60, seed=3)
+    engine = GraphEngine(g.copy())
+    reference = g.copy()
+    implied = sorted(
+        (u, w) for u in g.node_list() for v in g.successors(u)
+        for w in g.successors(v) if u != w and not g.has_edge(u, w)
+    )
+    batches = [
+        [("+",) + implied[0]],
+        [("+",) + implied[1]],
+        [("+", 100, 101)],
+        [("+", 102, 103)],
+        [("+", 1, 100), ("-",) + sorted(g.edge_list())[0]],
+    ]
+    seen = []
+
+    def read():
+        nodes = reference.node_list()
+        queries = [ReachabilityQuery(u, v) for u in nodes for v in nodes]
+        assert engine.query_batch(queries) == [
+            evaluate_reachability(reference, q.source, q.target, "bfs")
+            for q in queries
+        ]
+        c = engine.counters
+        seen.append((c["tol_builds"], c["tol_repairs"], c["tol_rebuilds"]))
+
+    read()
+    for batch in batches:
+        engine.apply(batch)
+        for op, u, v in batch:
+            (reference.add_edge if op == "+" else reference.remove_edge)(u, v)
+        read()
+    # (tol_builds, tol_repairs, tol_rebuilds) after each read
+    assert seen == [(1, 0, 0), (2, 0, 1), (2, 0, 1), (2, 1, 1), (2, 2, 1), (3, 2, 2)]
+
+
+def test_engine_maintained_labels_never_cross_the_catalog(tmp_path):
+    """Labels over a maintained ``Gr`` (the maintainer's class ids) are
+    never read from or written to the catalog: a second engine opening the
+    same digest rehydrates canonical ``Gr`` and labels and answers every
+    pair exactly."""
+    from repro.store.catalog import SnapshotCatalog
+
+    rng = random.Random(17)
+    g = _random_digraph(rng, 30, 70)
+    catalog = SnapshotCatalog(tmp_path)
+    first = GraphEngine(g.copy(), catalog=catalog)
+    first.reachability()
+    first.bisimulation()
+    batch = [("-",) + e for e in rng.sample(sorted(g.edge_list()), 4)]
+    batch += [("+", rng.randrange(30), rng.randrange(30)) for _ in range(4)]
+    first.apply(batch)
+    reference = g.copy()
+    for op, u, v in batch:
+        (reference.add_edge if op == "+" else reference.remove_edge)(u, v)
+
+    def all_pairs():
+        nodes = reference.node_list() + ["ghost"]
+        return [ReachabilityQuery(u, v) for u in nodes for v in nodes]
+
+    def bfs(queries):
+        return [evaluate_reachability(reference, q.source, q.target, "bfs")
+                for q in queries]
+
+    registry = MetricsRegistry()
+    with installed(registry):
+        queries = all_pairs()
+        assert first.query_batch(queries) == bfs(queries)
+    requests = registry.get("catalog_variant_requests_total")
+    kinds = {labels[0] for labels in requests.values()} if requests else set()
+    assert "tol" not in kinds
+    second = GraphEngine(catalog.base(first.digest()), catalog=catalog)
+    queries = all_pairs()
+    assert second.query_batch(queries) == bfs(queries)
 
 
 # ----------------------------------------------------------------------
