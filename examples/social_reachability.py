@@ -2,8 +2,8 @@
 
 Mirrors the paper's headline use case: a social graph compresses by ~95%
 for reachability queries, and stock BFS/BiBFS then run on the small graph
-as-is.  Also builds 2-hop indexes on both graphs to show the Fig. 12(d)
-memory effect.
+as-is.  Also builds TOL reachability labels on both graphs to show the
+Fig. 12(d) memory effect.
 
 Run with::
 
@@ -15,7 +15,7 @@ import time
 
 from repro import GraphEngine, ReachabilityQuery
 from repro.datasets.catalog import load
-from repro.index.twohop import TwoHopIndex
+from repro.index import TOLIndex
 
 
 def main() -> None:
@@ -47,11 +47,11 @@ def main() -> None:
           f"({t_routed / t_direct:.0%} of the original cost)")
 
     # Existing index techniques apply directly to the compressed graph —
-    # both 2-hop builds run over the frozen CSR arrays (backend="csr").
-    hop_g = TwoHopIndex(engine.freeze())
-    hop_gr = TwoHopIndex(rc.compressed)
-    print(f"2-hop index entries on G:  {hop_g.entry_count()}")
-    print(f"2-hop index entries on Gr: {hop_gr.entry_count()} — existing "
+    # both label builds run over the frozen CSR arrays (backend="csr").
+    tol_g = TOLIndex(engine.freeze())
+    tol_gr = TOLIndex(rc.compressed)
+    print(f"TOL label entries on G:  {tol_g.entry_count()}")
+    print(f"TOL label entries on Gr: {tol_gr.entry_count()} — existing "
           "index techniques apply directly to the compressed graph.")
 
 

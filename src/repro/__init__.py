@@ -25,22 +25,55 @@ Quickstart::
     g = DiGraph.from_edges([("a", "b"), ("b", "c")])
     rc = compress_reachability(g)
     rc.query("a", "c")   # True — evaluated on the compressed graph
+
+The public surface, one line per exported name (figure baselines such as
+``compress_reachability_bfs`` stay importable from ``repro.core.*``):
+
+=====================================  ======================================================
+``DiGraph``                            mutable labeled digraph, the dict backend
+``NodeIndexer``                        dense integer ids of a graph's nodes
+``CSRGraph``                           frozen compressed-sparse-row snapshot, the CSR backend
+``Partition``                          node partition with refinement
+``CompressionStats``                   size counters of a compression
+``QueryPreservingCompression``         base class: compressed graph + query rewrite
+``ReachabilityCompression``            ``Gr`` with its class map and rewrite
+``compress_reachability``              ``compressR``: build ``Gr`` (Section 3)
+``PatternCompression``                 ``Gb`` with its class map and post-processing
+``compress_pattern``                   ``compressB``: build ``Gb`` (Section 4)
+``bisimulation_partition``             maximum bisimulation of a graph
+``reachability_partition``             reachability equivalence classes of a graph
+``IncrementalReachabilityCompressor``  ``incRCM``: maintain ``Gr`` under edge batches
+``IncrementalPatternCompressor``       ``incPCM``: maintain ``Gb`` under edge batches
+``STAR``                               unbounded edge bound in a pattern
+``GraphPattern``                       pattern query under (bounded) simulation
+``ReachabilityQuery``                  reachability query ``u ⇝ v``
+``evaluate_reachability``              stock reachability (BFS, BiBFS, DFS) on any graph
+``MatchContext``                       reusable per-graph matching tables
+``boolean_match``                      does a pattern match at all
+``match``                              maximum (bounded) simulation match
+``simulation``                         plain graph simulation
+``IncrementalMatcher``                 maintain a match under edge updates
+``SnapshotCatalog``                    content-addressed store of snapshots and variants
+``save_snapshot``                      write a frozen graph to an ``.rgs`` file
+``load_snapshot``                      read an ``.rgs`` file back
+``merge_deltas``                       splice an edge batch into a frozen snapshot
+``GraphEngine``                        mutable graph + routed reads + updates
+``QueryRouter``                        dispatch each query to ``G``, ``Gr`` or ``Gb``
+``RouterStats``                        per-route counters of a router
+``Epoch``                              immutable serving state of one graph version
+``EngineService``                      single writer, lock-free readers over epochs
+``QueryExecutor``                      thread pool with adaptive micro-batching
+``__version__``                        package version
+=====================================  ======================================================
 """
 
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph, NodeIndexer
 from repro.graph.partition import Partition
 from repro.core.base import CompressionStats, QueryPreservingCompression
-from repro.core.reachability import (
-    ReachabilityCompression,
-    compress_reachability,
-    compress_reachability_bfs,
-)
+from repro.core.reachability import ReachabilityCompression, compress_reachability
 from repro.core.pattern import PatternCompression, compress_pattern
-from repro.core.bisimulation import (
-    bisimulation_partition,
-    bisimulation_partition_naive,
-)
+from repro.core.bisimulation import bisimulation_partition
 from repro.core.equivalence import reachability_partition
 from repro.core.incremental_reach import IncrementalReachabilityCompressor
 from repro.core.incremental_pattern import IncrementalPatternCompressor
@@ -49,7 +82,6 @@ from repro.queries.reachability import ReachabilityQuery, evaluate_reachability
 from repro.queries.matching import MatchContext, boolean_match, match
 from repro.queries.simulation import simulation
 from repro.queries.incremental_match import IncrementalMatcher
-from repro.index.twohop import TwoHopIndex
 from repro.store import (
     SnapshotCatalog,
     load_snapshot,
@@ -70,11 +102,9 @@ __all__ = [
     "QueryPreservingCompression",
     "ReachabilityCompression",
     "compress_reachability",
-    "compress_reachability_bfs",
     "PatternCompression",
     "compress_pattern",
     "bisimulation_partition",
-    "bisimulation_partition_naive",
     "reachability_partition",
     "IncrementalReachabilityCompressor",
     "IncrementalPatternCompressor",
@@ -87,7 +117,6 @@ __all__ = [
     "match",
     "simulation",
     "IncrementalMatcher",
-    "TwoHopIndex",
     "SnapshotCatalog",
     "save_snapshot",
     "load_snapshot",

@@ -1,27 +1,14 @@
-"""Index structures used in the paper's evaluation and related-work analysis.
+"""Reachability labels built over the compressed ``Gr``.
 
-* :mod:`repro.index.twohop` — 2-hop reachability labeling [6]; Exp-2
-  (Fig. 12(d)) compares its memory cost on ``G`` vs on ``Gr``;
-* :mod:`repro.index.kindex` — 1-index / A(k)-index graphs [15, 19, 26];
-  Sections 3 and 4 show they do *not* preserve reachability / pattern
-  queries, and the tests reproduce the paper's counterexamples;
-* :mod:`repro.index.interval` — GRAIL-style interval labeling [34], a
-  negative-filter index included for the indexing-cost comparisons;
-* :mod:`repro.index.tol` — butterfly total-order reachability labels over
-  the compressed ``Gr`` (SIGMOD'14 TOL), incrementally maintained; the
-  router's reachability fast path.
+:mod:`repro.index.tol` — butterfly total-order reachability labels
+(SIGMOD'14 TOL) over the condensation of ``Gr``, incrementally maintained;
+the router's reachability fast path, and the index Exp-2 (Fig. 12(d))
+builds on both ``G`` and ``Gr`` to compare their memory cost.
 """
 
-from repro.index.twohop import TwoHopIndex
-from repro.index.kindex import KIndex, k_bisimulation_partition
-from repro.index.interval import IntervalIndex
 from repro.index.tol import TOLError, TOLIndex, refresh_index
 
 __all__ = [
-    "TwoHopIndex",
-    "KIndex",
-    "k_bisimulation_partition",
-    "IntervalIndex",
     "TOLError",
     "TOLIndex",
     "refresh_index",

@@ -33,9 +33,8 @@ Incremental maintenance (the dynamic half of TOL) is *bounded repair*:
   rebuild (the engine counts that and falls back down the existing
   degraded-representation ladder).
 
-Answers are byte-identical to BFS on the indexed graph and to
-:class:`~repro.index.twohop.TwoHopIndex` — the randomized suite in
-``tests/test_tol.py`` cross-validates all three on both backends.
+Answers are byte-identical to BFS on the indexed graph — the randomized
+suite in ``tests/test_tol.py`` checks that on both backends.
 """
 
 from __future__ import annotations
@@ -251,9 +250,6 @@ class TOLIndex:
         li = self._label_in[sv]
         return sv in lo or su in li or not lo.isdisjoint(li)
 
-    # TwoHopIndex spelling, so cross-validation loops read uniformly.
-    query = reachable
-
     def _reach_comp(self, a: int, b: int) -> bool:
         """:meth:`reachable` at component level, for distinct *a*, *b*."""
         lo = self._label_out[a]
@@ -456,7 +452,7 @@ class TOLIndex:
 
     def memory_cost(self) -> int:
         """Approximate bytes: entries + per-node bookkeeping (8B words)."""
-        return 8 * (self.entry_count() + 2 * self._ncomp + 2 * len(self._node_edges()))
+        return 8 * (self.entry_count() + 2 * self._ncomp)
 
     def stats(self) -> Dict[str, Union[int, float]]:
         """Size and staleness counters (the obs/bench surface)."""

@@ -1,67 +1,30 @@
-"""Tests for the index structures, including the paper's counterexamples.
+"""The paper's counterexamples: bisimulation index graphs are not preserving.
 
 Sections 3 and 4 argue that bisimulation-based *index graphs* (1-index,
 A(k)-index) are not query preserving: these tests reproduce the exact
 Fig. 4 and Fig. 6 scenarios and verify that this library's compressions get
-the same queries right.
+the same queries right.  Both index graphs are quotients built from public
+primitives: the 1-index [19] merges backward-bisimilar nodes, and backward
+maximum bisimulation is forward bisimulation of the reversed graph; the
+A(1)-index [15] merges nodes with equal labels and equal predecessor
+label sets.
 """
 
-import random
-
-from repro.core.pattern import compress_pattern
+from repro.core.bisimulation import bisimulation_partition
+from repro.core.pattern import compress_pattern, quotient_by_partition
 from repro.core.reachability import compress_reachability
-from repro.graph.generators import gnm_random_graph
+from repro.graph.partition import Partition
 from repro.graph.traversal import path_exists
-from repro.index.interval import IntervalIndex
-from repro.index.kindex import KIndex, k_bisimulation_partition
-from repro.index.twohop import TwoHopIndex
 from repro.queries.matching import match
 from repro.queries.pattern import GraphPattern
 
 
-# ----------------------------------------------------------------------
-# 2-hop and interval indexes answer correctly
-# ----------------------------------------------------------------------
-def test_twohop_correct_randomized():
-    rng = random.Random(3)
-    for trial in range(10):
-        n = rng.randrange(5, 35)
-        g = gnm_random_graph(n, rng.randrange(0, min(130, n * (n - 1))), seed=trial * 5)
-        idx = TwoHopIndex(g)
-        for _ in range(100):
-            u, v = rng.randrange(n), rng.randrange(n)
-            assert idx.query(u, v) == path_exists(g, u, v)
-        entries, avg = idx.stats()
-        assert entries >= 0 and avg >= 0
-        assert idx.memory_cost() > 0
-
-
-def test_interval_correct_randomized():
-    rng = random.Random(4)
-    for trial in range(10):
-        n = rng.randrange(5, 35)
-        g = gnm_random_graph(n, rng.randrange(0, min(130, n * (n - 1))), seed=trial * 7)
-        idx = IntervalIndex(g, dimensions=2, seed=trial)
-        for _ in range(100):
-            u, v = rng.randrange(n), rng.randrange(n)
-            assert idx.query(u, v) == path_exists(g, u, v)
-
-
-def test_twohop_on_compressed_graph_is_smaller():
-    g = gnm_random_graph(60, 300, seed=8)
-    gr = compress_reachability(g).compressed
-    assert TwoHopIndex(gr).entry_count() <= TwoHopIndex(g).entry_count()
-
-
-# ----------------------------------------------------------------------
-# The paper's negative results
-# ----------------------------------------------------------------------
 def test_fig4_one_index_breaks_reachability(fig4_g2):
     """Fig. 4: the 1-index merges C1/C2, destroying QR(C1, E2)."""
     g = fig4_g2
-    one_index = KIndex(g)  # full backward bisimulation, the 1-index [19]
+    one_index = quotient_by_partition(g, bisimulation_partition(g.reverse()))
     assert one_index.node_class("C1") == one_index.node_class("C2")
-    ig = one_index.index_graph
+    ig = one_index.compressed
     # On the index graph the merged [C] node reaches [E2] ...
     assert path_exists(ig, one_index.node_class("C1"), one_index.node_class("E2"))
     # ... but in G, C1 does not reach E2 — the index gives a wrong answer.
@@ -76,7 +39,11 @@ def test_fig4_one_index_breaks_reachability(fig4_g2):
 def test_fig6_ak_index_breaks_patterns(fig6_g1):
     """Fig. 6: A(1) merges all B nodes; the 2-edge pattern over-matches."""
     g = fig6_g1
-    a1_index = KIndex(g, k=1)
+    a1_blocks = Partition.by_key(
+        g.node_list(),
+        key=lambda v: (g.label(v), frozenset(g.label(p) for p in g.predecessors(v))),
+    )
+    a1_index = quotient_by_partition(g, a1_blocks)
     b_class = {a1_index.node_class(b) for b in ("B1", "B2", "B3", "B4", "B5")}
     assert len(b_class) == 1  # all five B nodes merged (1-bisimilar)
 
@@ -90,108 +57,10 @@ def test_fig6_ak_index_breaks_patterns(fig6_g1):
     truth = match(q, g)
     assert truth["B"] == {"B1", "B5"}  # the paper: "only B1 and B5"
 
-    index_answer = match(q, a1_index.index_graph)
-    expanded_b = set(a1_index.expand(index_answer["B"]))
+    index_answer = match(q, a1_index.compressed)
+    expanded_b = {v for h in index_answer["B"] for v in a1_index.members(h)}
     assert expanded_b == {"B1", "B2", "B3", "B4", "B5"}  # over-matches
 
     # The bisimulation-based compression answers exactly.
     pc = compress_pattern(g)
     assert pc.query(q, match)["B"] == {"B1", "B5"}
-
-
-def test_k_bisimulation_limits():
-    g = gnm_random_graph(20, 60, num_labels=3, seed=6)
-    # k = 0 is the label partition.
-    p0 = k_bisimulation_partition(g, 0, direction="forward")
-    assert p0.block_count() == len(g.label_set())
-    # Forward fixpoint equals the maximum bisimulation.
-    from repro.core.bisimulation import bisimulation_partition
-
-    pk = k_bisimulation_partition(g, 10 ** 6, direction="forward")
-    assert pk.as_frozen() == bisimulation_partition(g).as_frozen()
-    # Partitions refine monotonically with k.
-    sizes = [
-        k_bisimulation_partition(g, k, direction="forward").block_count()
-        for k in range(5)
-    ]
-    assert sizes == sorted(sizes)
-
-
-def test_kindex_rejects_bad_args():
-    import pytest
-
-    g = gnm_random_graph(5, 6, seed=1)
-    with pytest.raises(ValueError):
-        k_bisimulation_partition(g, -1)
-    with pytest.raises(ValueError):
-        k_bisimulation_partition(g, 1, direction="sideways")
-    with pytest.raises(ValueError):
-        k_bisimulation_partition(g, 1, backend="numpy")
-    with pytest.raises(ValueError):
-        IntervalIndex(g, dimensions=0)
-
-
-# ----------------------------------------------------------------------
-# CSR construction backends cross-validated against the dict paths
-# ----------------------------------------------------------------------
-def test_twohop_csr_backend_matches_dict():
-    """Both backends (and a pre-frozen snapshot) answer every query alike."""
-    from repro.graph.csr import CSRGraph
-
-    rng = random.Random(11)
-    for trial in range(12):
-        n = rng.randrange(3, 40)
-        m = rng.randrange(0, min(120, n * (n - 1) // 2))
-        g = gnm_random_graph(n, m, num_labels=3, seed=trial * 3 + 1)
-        via_csr = TwoHopIndex(g)  # default backend freezes internally
-        via_dict = TwoHopIndex(g, backend="dict")
-        via_snapshot = TwoHopIndex(CSRGraph.from_digraph(g))
-        for _ in range(40):
-            u, v = rng.randrange(n), rng.randrange(n)
-            want = path_exists(g, u, v)
-            assert via_csr.query(u, v) == want
-            assert via_dict.query(u, v) == want
-            assert via_snapshot.query(u, v) == want
-        assert via_csr.entry_count() >= 0 and via_csr.memory_cost() > 0
-
-
-def test_k_bisimulation_csr_backend_matches_dict():
-    """Same ``~_k`` partition from frozen arrays and dict adjacency."""
-    from repro.graph.csr import CSRGraph
-
-    rng = random.Random(13)
-    for trial in range(12):
-        n = rng.randrange(3, 35)
-        m = rng.randrange(0, min(100, n * (n - 1) // 2))
-        g = gnm_random_graph(n, m, num_labels=3, seed=trial * 7 + 2)
-        csr = CSRGraph.from_digraph(g)
-        for k in (0, 1, 2, 6, 10 ** 6):
-            for direction in ("backward", "forward"):
-                p_csr = k_bisimulation_partition(g, k, direction, backend="csr")
-                p_dict = k_bisimulation_partition(g, k, direction, backend="dict")
-                p_frozen = k_bisimulation_partition(csr, k, direction)
-                assert p_csr.as_frozen() == p_dict.as_frozen()
-                assert p_frozen.as_frozen() == p_dict.as_frozen()
-
-
-def test_k_bisimulation_csr_block_ids_canonical():
-    """CSR-backend block ids follow first-member node insertion order."""
-    g = gnm_random_graph(25, 70, num_labels=4, seed=21)
-    p = k_bisimulation_partition(g, 3, backend="csr")
-    order = {v: i for i, v in enumerate(g.node_list())}
-    firsts = [min(order[v] for v in p.members(bid)) for bid in sorted(p.block_ids())]
-    assert firsts == sorted(firsts)
-
-
-def test_kindex_csr_backend_matches_dict_quotient():
-    g = gnm_random_graph(20, 55, num_labels=3, seed=5)
-    for k in (None, 1, 2):
-        via_csr = KIndex(g, k=k)
-        via_dict = KIndex(g, k=k, backend="dict")
-
-        # Same blocks (ids may differ), same index-graph size.
-        def blocks(idx):
-            return {frozenset(idx.members(idx.node_class(v))) for v in g.nodes()}
-
-        assert blocks(via_csr) == blocks(via_dict)
-        assert via_csr.graph_size() == via_dict.graph_size()
