@@ -12,8 +12,7 @@
 * :mod:`repro.engine.counters` — :class:`RouterStats`, thread-safe
   per-class hit counts and latency aggregates;
 * :mod:`repro.engine.updates` — the uniform maintainer interface over the
-  Section 5 incremental algorithms plus the session's net-delta log and
-  the writer-side publication journal.
+  Section 5 incremental algorithms plus the session's net-delta log.
 
 See ``src/repro/engine/README.md`` for the lifecycle diagram.
 """
@@ -27,10 +26,8 @@ from repro.engine.updates import (
     CompressionMaintainer,
     PatternMaintainer,
     ReachabilityMaintainer,
-    UpdateJournal,
     UpdateLog,
     effective_updates,
-    replay_updates,
 )
 
 __all__ = [
@@ -47,8 +44,6 @@ __all__ = [
     "ReachabilityMaintainer",
     "PatternMaintainer",
     "MAINTAINERS",
-    "UpdateJournal",
     "UpdateLog",
     "effective_updates",
-    "replay_updates",
 ]

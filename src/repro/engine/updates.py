@@ -18,11 +18,6 @@ Two further pieces belong to the lifecycle:
   actually changes edge presence, computed *without mutating the graph*
   (an overlay simulation), so the log can be recorded before any
   maintainer touches its copy.
-* :class:`UpdateJournal` — the writer-side publication record of the
-  concurrent front: each published epoch's effective batch, by version,
-  so any epoch's exact graph can be reconstructed by replaying the prefix
-  (:func:`replay_updates`) — the ground truth the concurrency stress
-  tests verify reader answers against.
 """
 
 from __future__ import annotations
@@ -147,23 +142,6 @@ def effective_updates(
     return effective
 
 
-def replay_updates(
-    graph: DiGraph, batches: Iterable[Iterable[EdgeUpdate]]
-) -> DiGraph:
-    """Apply recorded effective batches to *graph* in place; returns it.
-
-    Replaying an :func:`effective_updates` sequence on any copy of the
-    pre-batch graph reproduces the exact final state (including node
-    creation order — endpoints appear in first-use order, matching what
-    ``DiGraph.add_edge`` did in the live graph), so snapshots of past
-    epochs can be reconstructed deterministically.
-    """
-    for batch in batches:
-        for op, u, v in batch:
-            (graph.add_edge if op == "+" else graph.remove_edge)(u, v)
-    return graph
-
-
 def refresh_reachability_index(
     index: "TOLIndex", artifact: QueryPreservingCompression
 ) -> str:
@@ -191,61 +169,6 @@ def refresh_reachability_index(
     if result is None:
         return "fresh"
     return "repaired" if result else "rebuild"
-
-
-class UpdateJournal:
-    """Writer-side publication record: effective batch per epoch version.
-
-    The concurrent front's writer appends each applied effective batch
-    under the version of the epoch it produced; :meth:`graph_at` rebuilds
-    the exact graph any reader saw by replaying the journalled prefix onto
-    a copy of the base graph.  This is verification machinery (the
-    concurrency stress suite and bench use it) — production services keep
-    it disabled to avoid unbounded growth, or bound it with *limit*, after
-    which older prefixes (and thus old-epoch reconstruction) are dropped.
-    """
-
-    def __init__(self, limit: int = 0) -> None:
-        #: Keep at most this many batches (0 = unbounded).
-        self.limit = limit
-        self._base_version = 0
-        self._batches: List[Tuple[int, List[EdgeUpdate]]] = []
-
-    def record(self, version: int, effective: List[EdgeUpdate]) -> None:
-        """Append the effective batch that produced epoch *version*."""
-        if self._batches and version <= self._batches[-1][0]:
-            raise ValueError(
-                f"journal versions must increase (got {version} after "
-                f"{self._batches[-1][0]})"
-            )
-        self._batches.append((version, list(effective)))
-        if self.limit and len(self._batches) > self.limit:
-            dropped = len(self._batches) - self.limit
-            self._batches = self._batches[dropped:]
-            self._base_version = -1  # prefix lost: no reconstruction
-
-    def versions(self) -> List[int]:
-        return [v for v, _ in self._batches]
-
-    def graph_at(self, base: DiGraph, version: int) -> DiGraph:
-        """The graph of epoch *version*, rebuilt from a copy of *base*.
-
-        *base* must be the graph of the journal's first epoch (version
-        ``0`` publication, before any journalled batch).  Raises
-        ``ValueError`` when the prefix needed was evicted by *limit*.
-        """
-        if self._base_version != 0:
-            raise ValueError(
-                "journal prefix was evicted (limit hit); cannot reconstruct"
-            )
-        replayed = base.copy()
-        replay_updates(
-            replayed, (batch for v, batch in self._batches if v <= version)
-        )
-        return replayed
-
-    def __len__(self) -> int:
-        return len(self._batches)
 
 
 class UpdateLog:

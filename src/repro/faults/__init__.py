@@ -19,10 +19,10 @@ the machinery that makes that contract machine-checkable:
 
 With no plan installed every instrumentation point is a single
 ``is None`` check — the serving benchmark gates the fault-free overhead
-at < 5%.  The chaos harness (:func:`repro.service.epoch_stress.run_chaos`)
-drives randomized plans end to end and re-verifies every delivered answer
-against from-scratch evaluation: degradation may change *latency and
-route*, never *answers*.
+at < 5%.  The stress harness (:func:`repro.service.epoch_stress.run_stress`
+with ``plan=``) drives randomized plans end to end and re-verifies every
+delivered answer against from-scratch evaluation: degradation may change
+*latency and route*, never *answers*.
 """
 
 from repro.faults.breaker import CircuitBreaker

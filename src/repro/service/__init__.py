@@ -5,10 +5,12 @@
   RCU-style, lock-free read paths, writer-lock-guarded ``apply``;
 * :mod:`repro.service.executor` — :class:`QueryExecutor`, the thread
   worker pool with adaptive micro-batching and future-based submission;
-* :mod:`repro.service.epoch_stress` — the randomized reader/writer stress
-  harness the tests and the CI ``concurrency-stress`` job run, plus
-  its chaos extension (``run_chaos`` / ``python -m repro.service chaos``)
-  that re-runs the workload under an injected fault schedule;
+* :mod:`repro.service.epoch_stress` — the randomized reader/writer
+  harness (``run_stress``) the tests and the CI ``concurrency-stress`` and
+  ``chaos-stress`` jobs run, with or without an injected fault schedule
+  (``plan=chaos_plan(seed)`` / ``python -m repro.service chaos``): one
+  oracle re-answers every recorded answer on the graph its version
+  served;
 * :mod:`repro.service.errors` — the typed failure vocabulary
   (:class:`ServiceFault` and friends) every serving-side failure is
   surfaced as.
@@ -21,7 +23,6 @@ from repro.service.epoch_stress import (
     build_schedule,
     chaos_plan,
     freeze_answer,
-    run_chaos,
     run_stress,
 )
 from repro.service.errors import (
@@ -43,6 +44,5 @@ __all__ = [
     "build_schedule",
     "chaos_plan",
     "freeze_answer",
-    "run_chaos",
     "run_stress",
 ]

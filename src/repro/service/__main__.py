@@ -3,12 +3,12 @@
 Three subcommands:
 
 ``chaos``
-    Run the seeded chaos harness (:func:`repro.service.epoch_stress
-    .run_chaos`): the concurrent reader/writer stress workload under an
-    injected fault schedule, followed by full answer re-verification.
-    Exit status 0 means the exactness invariant held — every delivered
-    answer matched from-scratch evaluation and no unhandled exception
-    escaped the service; 1 means it was violated.  The JSON report
+    One stress round (:func:`repro.service.epoch_stress.run_stress`) per
+    seed under that seed's fault plan (:func:`~repro.service.epoch_stress
+    .chaos_plan`), followed by full answer re-verification.  Exit status 0
+    means the exactness invariant held — every delivered answer matched
+    from-scratch evaluation and no unhandled exception escaped the
+    service; 1 means it was violated.  The JSON report
     (``--out``) is the artifact the CI ``chaos-stress`` job uploads;
     ``--trace-out`` additionally dumps every recorded span as JSONL.
 
@@ -29,9 +29,11 @@ Three subcommands:
     stdout line; runs until ``--duration`` elapses or Ctrl-C.  Binds
     localhost by default — the endpoint is unauthenticated.
 
-Both ``chaos`` and ``metrics`` accept ``--obs-port`` to mount the same
-introspection endpoint (registry + tracer, no service) for the duration
-of the run, so a live stress round can be scraped mid-flight.
+``chaos`` and ``metrics`` drive the same rounds (:func:`_stress_rounds`),
+each on a temporary catalog that is removed afterwards.  Both accept
+``--obs-port`` to mount the same introspection endpoint (registry +
+tracer, no service) for the duration of the run, so a live stress round
+can be scraped mid-flight.
 """
 
 from __future__ import annotations
@@ -42,13 +44,13 @@ import random
 import sys
 import tempfile
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.graph.generators import attach_equivalent_leaves, gnm_random_graph
 from repro.obs.metrics import MetricsRegistry, installed
 from repro.obs.serve import ObsHTTPServer
 from repro.obs.trace import Tracer, tracing, write_jsonl
-from repro.service.epoch_stress import build_schedule, run_chaos, run_stress
+from repro.service.epoch_stress import build_schedule, chaos_plan, run_stress
 from repro.service.executor import QueryExecutor
 from repro.service.front import EngineService
 
@@ -74,44 +76,58 @@ def _mount_obs(args: argparse.Namespace) -> Optional[ObsHTTPServer]:
     return server
 
 
-def _chaos(args: argparse.Namespace) -> int:
+def _stress_rounds(
+    args: argparse.Namespace, seeds: List[int], faults: bool
+) -> Tuple[List[Dict[str, Any]], MetricsRegistry, Tracer]:
+    """One :func:`run_stress` round per seed, sized by the flags, each on a
+    temporary catalog it removes, under a live registry and tracer (mounted
+    on ``--obs-port`` when given); ``faults`` runs each round under
+    ``chaos_plan(seed)``."""
     graph = _make_graph(args)
     registry = MetricsRegistry()
-    tracer = Tracer()
+    tracer = Tracer(slow_threshold_s=args.slow_ms / 1e3)
     reports: List[Dict[str, Any]] = []
-    violations = 0
     with installed(registry), tracing(tracer):
         obs_server = _mount_obs(args)
-        for seed in args.seeds:
-            report = run_chaos(
-                graph,
-                workers=args.workers,
-                seed=seed,
-                writer_batches=3 if args.quick else 5,
-                queries_per_reader=10 if args.quick else 25,
-            )
-            ok = (
-                report["mismatches"] == 0
-                and not report["unhandled"]
-                and report["delivered"] > 0
-            )
-            report["ok"] = ok
-            if not ok:
-                violations += 1
-            reports.append(report)
-            print(
-                f"chaos seed={seed}: "
-                f"delivered={report['delivered']} "
-                f"mismatches={report['mismatches']} "
-                f"failed={sum(report['failed'].values())} "
-                f"unhandled={len(report['unhandled'])} "
-                f"rollbacks={report['rollbacks_observed']} "
-                f"faults_fired={report['faults']['total_fired']} "
-                f"quarantined={len(report['quarantined'])} "
-                f"-> {'OK' if ok else 'VIOLATION'}"
-            )
+        for seed in seeds:
+            with tempfile.TemporaryDirectory(prefix="repro-") as catalog_dir:
+                reports.append(run_stress(
+                    graph,
+                    readers=args.readers,
+                    executor_workers=args.workers,
+                    writer_batches=3 if args.quick else 6,
+                    queries_per_reader=10 if args.quick else 30,
+                    seed=seed,
+                    catalog_dir=catalog_dir,
+                    plan=chaos_plan(seed) if faults else None,
+                ))
         if obs_server is not None:
             obs_server.stop()
+    return reports, registry, tracer
+
+
+def _chaos(args: argparse.Namespace) -> int:
+    reports, _, tracer = _stress_rounds(args, args.seeds, faults=True)
+    violations = 0
+    for report in reports:
+        ok = (
+            report["mismatches"] == 0
+            and not report["errors"]
+            and report["queries"] > 0
+        )
+        report["ok"] = ok
+        violations += not ok
+        print(
+            f"chaos seed={report['seed']}: "
+            f"delivered={report['queries']} "
+            f"mismatches={report['mismatches']} "
+            f"failed={sum(report['failed'].values())} "
+            f"errors={len(report['errors'])} "
+            f"rollbacks={report['rollbacks']} "
+            f"faults_fired={report['faults']['total_fired']} "
+            f"quarantined={len(report['quarantined'])} "
+            f"-> {'OK' if ok else 'VIOLATION'}"
+        )
     payload = {
         "workers": args.workers,
         "seeds": list(args.seeds),
@@ -134,22 +150,8 @@ def _chaos(args: argparse.Namespace) -> int:
 
 
 def _metrics(args: argparse.Namespace) -> int:
-    graph = _make_graph(args)
-    registry = MetricsRegistry()
-    tracer = Tracer(slow_threshold_s=args.slow_ms / 1e3)
-    with installed(registry), tracing(tracer):
-        obs_server = _mount_obs(args)
-        report = run_stress(
-            graph,
-            readers=args.readers,
-            executor_workers=args.workers,
-            writer_batches=3 if args.quick else 6,
-            queries_per_reader=10 if args.quick else 30,
-            seed=args.seed,
-            catalog_dir=tempfile.mkdtemp(prefix="repro-metrics-"),
-        )
-        if obs_server is not None:
-            obs_server.stop()
+    (report,), registry, tracer = _stress_rounds(args, [args.seed],
+                                                 faults=False)
     sys.stdout.write(registry.render())
     print(
         f"stress: queries={report['queries']} "
@@ -264,7 +266,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "for the run (0 = OS-assigned)")
     chaos.add_argument("--obs-host", default="127.0.0.1",
                        help="introspection bind address (default localhost)")
-    chaos.set_defaults(func=_chaos)
+    chaos.set_defaults(func=_chaos, readers=3, slow_ms=50.0)
 
     metrics = sub.add_parser(
         "metrics",

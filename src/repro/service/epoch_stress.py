@@ -1,22 +1,22 @@
-"""Randomized reader/writer stress harness for the concurrent front.
+"""Randomized reader/writer harness for the concurrent front.
 
 The service's whole contract is one sentence: *every answer is exact for
-the epoch that produced it*.  This module turns that sentence into a
-machine-checkable experiment run by the test suite
-(``tests/test_service.py``), the chaos harness and the ``python -m
+the epoch that produced it* — under concurrency and, with a fault plan,
+under injected faults.  :func:`run_stress` turns that sentence into a
+machine-checkable experiment, run by the test suite and the ``python -m
 repro.service`` subcommands:
 
 1. pre-generate a deterministic update schedule (so the run is
    reproducible for a given seed) and a mixed query pool;
 2. run N reader threads — either querying the service directly or
    submitting through a :class:`~repro.service.executor.QueryExecutor` —
-   *while* a writer thread applies the schedule, publishing a new epoch
-   per batch;
+   *while* a writer thread publishes the schedule, one epoch per batch,
+   recording each version's exact graph (:func:`publish`);
 3. every reader records ``(epoch_version, query, answer)``;
-4. afterwards, reconstruct each version's exact graph from the writer's
-   publication journal and re-answer every recorded query from scratch
-   (reference evaluators, no compression, no caches); any divergence is a
-   correctness bug, not noise.
+4. afterwards, re-answer every recorded query from scratch on its
+   version's graph (:func:`check_answers`: reference evaluators, no
+   compression, no caches); any divergence is a correctness bug, not
+   noise.
 
 The report also checks the memory side of the RCU contract: once readers
 drain, every retired epoch must have freed its derived state.
@@ -24,14 +24,15 @@ drain, every retired epoch must have freed its derived state.
 
 from __future__ import annotations
 
+import contextlib
 import random
-import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.datasets.patterns import random_pattern
 from repro.datasets.updates import mixed_batch
+from repro.engine.updates import EdgeUpdate
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.graph.digraph import DiGraph
 from repro.obs.metrics import current_registry
@@ -42,6 +43,14 @@ from repro.service.errors import ApplyError, ServiceFault
 from repro.service.executor import QueryExecutor
 from repro.service.front import EngineService
 from repro.store.catalog import SnapshotCatalog
+
+#: Executor and epoch settings of every round.  The build deadline and the
+#: per-attempt timeout apply only under a fault plan.
+BUILD_DEADLINE_S = 0.25
+TIMEOUT_S = 5.0
+RETRIES = 3
+BACKOFF_S = 0.005
+MAX_BATCH = 8
 
 
 def freeze_answer(answer: Any) -> Any:
@@ -56,9 +65,9 @@ def freeze_answer(answer: Any) -> Any:
 def obs_report() -> Optional[Dict[str, Any]]:
     """Snapshot of the installed obs registry/tracer, or ``None`` when off.
 
-    Embedded verbatim in stress/chaos reports so a JSON artifact from a
-    CI run carries the same series ``python -m repro.service metrics``
-    would have exposed live, plus the slow-query log keyed by trace id.
+    Embedded verbatim in stress reports so a JSON artifact from a CI run
+    carries the same series ``python -m repro.service metrics`` would have
+    exposed live, plus the slow-query log keyed by trace id.
     """
     registry = current_registry()
     tracer = current_tracer()
@@ -81,9 +90,50 @@ def direct_answer(graph: DiGraph, query: Any,
     return match(query, graph, context)
 
 
+def publish(service: EngineService, graphs: Dict[int, DiGraph],
+            batch: Optional[List[EdgeUpdate]] = None) -> None:
+    """Apply *batch* (``None``: refreeze) and record the new version's graph.
+
+    *graphs* maps each version published so far to its exact graph; seed
+    it with ``{service.version: <a copy of the source graph>}``.  The raw
+    batch is replayed onto a copy of the previous version's graph, as
+    ``EngineService.apply`` does: ``add_edge`` / ``remove_edge`` do nothing
+    on an edge already present or already absent.  A failed publication
+    (:class:`ApplyError`) raises before anything is recorded.
+    """
+    mirror = graphs[service.version]
+    if batch is None:
+        service.refreeze()
+    else:
+        service.apply(batch)
+        mirror = mirror.copy()
+        for op, u, v in batch:
+            (mirror.add_edge if op == "+" else mirror.remove_edge)(u, v)
+    graphs[service.version] = mirror
+
+
+def check_answers(
+    graphs: Mapping[int, DiGraph], records: Iterable[Tuple[int, Any, Any]]
+) -> Tuple[int, List[str]]:
+    """The oracle: how many ``(version, query, freeze_answer(answer))``
+    records differ from :func:`direct_answer` on ``graphs[version]``, plus
+    one error per record whose version was never recorded (it cannot be
+    checked, so it is not skipped)."""
+    contexts = {version: MatchContext(g) for version, g in graphs.items()}
+    mismatches = 0
+    errors: List[str] = []
+    for version, query, frozen in records:
+        if version not in graphs:
+            errors.append(f"answer from version {version}, which the writer "
+                          f"never published")
+        elif freeze_answer(direct_answer(graphs[version], query,
+                                         contexts[version])) != frozen:
+            mismatches += 1
+    return mismatches, errors
+
+
 def build_schedule(
     graph: DiGraph, *, writer_batches: int, batch_size: int, seed: int,
-    pool_pairs: int = 40, pool_patterns: int = 6,
 ) -> Tuple[List[List[Tuple[str, Any, Any]]], List[Any]]:
     """Deterministic update batches plus a mixed query pool.
 
@@ -104,143 +154,13 @@ def build_schedule(
     nodes = list(dict.fromkeys(graph.node_list() + evolve.node_list()))
     pool: List[Any] = [
         ReachabilityQuery(rng.choice(nodes), rng.choice(nodes))
-        for _ in range(pool_pairs)
+        for _ in range(40)
     ]
-    for i in range(pool_patterns):
+    for i in range(6):
         pool.append(random_pattern(graph, 3, 3, max_bound=2, star_prob=0.25,
                                    seed=seed + 211 + i))
     return batches, pool
 
-
-def run_stress(
-    graph: DiGraph,
-    *,
-    backend: str = "csr",
-    readers: int = 4,
-    writer_batches: int = 6,
-    batch_size: int = 8,
-    queries_per_reader: int = 30,
-    seed: int = 0,
-    executor_workers: int = 0,
-    max_batch: int = 8,
-    writer_pause_s: float = 0.002,
-    catalog_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """One full stress round; see the module docstring for the shape.
-
-    ``executor_workers > 0`` routes reader queries through a
-    :class:`QueryExecutor` of that size (micro-batching in the loop);
-    ``0`` has reader threads call the service directly.  ``catalog_dir``
-    attaches a :class:`SnapshotCatalog` so the store layer is in play
-    (and in the obs series) too.  Returns a report dict —
-    ``report["mismatches"] == 0`` and ``report["errors"] == []`` are the
-    assertions that matter.
-    """
-    batches, pool = build_schedule(
-        graph, writer_batches=writer_batches, batch_size=batch_size, seed=seed
-    )
-    catalog = SnapshotCatalog(catalog_dir) if catalog_dir is not None else None
-    service = EngineService(graph.copy(), catalog, backend=backend,
-                            journal=True)
-    executor = (
-        QueryExecutor(service, executor_workers, max_batch=max_batch)
-        if executor_workers else None
-    )
-
-    records: List[Tuple[int, int, Any]] = []
-    rec_lock = threading.Lock()
-    errors: List[str] = []
-    start_evt = threading.Event()
-    writer_done = threading.Event()
-
-    def reader(idx: int) -> None:
-        r = random.Random(seed * 977 + idx)
-        start_evt.wait()
-        done = 0
-        # Keep reading until the writer has retired every batch (so reads
-        # genuinely overlap publications), with a hard cap as a safety net.
-        while (done < queries_per_reader or not writer_done.is_set()) \
-                and done < queries_per_reader * 20:
-            done += 1
-            qi = r.randrange(len(pool))
-            try:
-                if executor is not None:
-                    fut = executor.submit(pool[qi])
-                    answer = fut.result(timeout=120.0)
-                    version = fut.epoch_version  # type: ignore[attr-defined]
-                else:
-                    version, answer = service.query_versioned(pool[qi])
-            except Exception as exc:  # noqa: BLE001 - report, don't hang
-                errors.append(f"reader {idx}: {type(exc).__name__}: {exc}")
-                return
-            with rec_lock:
-                records.append((version, qi, freeze_answer(answer)))
-            time.sleep(0)  # yield the GIL so the writer interleaves fairly
-
-    def writer() -> None:
-        start_evt.wait()
-        try:
-            for batch in batches:
-                service.apply(batch)
-                time.sleep(writer_pause_s)
-        except Exception as exc:  # noqa: BLE001
-            errors.append(f"writer: {type(exc).__name__}: {exc}")
-        finally:
-            writer_done.set()
-
-    threads = [
-        threading.Thread(target=reader, args=(i,), name=f"stress-reader-{i}")
-        for i in range(readers)
-    ]
-    threads.append(threading.Thread(target=writer, name="stress-writer"))
-    for t in threads:
-        t.start()
-    start_evt.set()
-    for t in threads:
-        t.join(timeout=300.0)
-        if t.is_alive():  # pragma: no cover - only on a real deadlock
-            errors.append(f"{t.name} stalled")
-    if executor is not None:
-        executor.shutdown(wait=True)
-
-    # ------------------------------------------------------------------
-    # Verification: every recorded answer vs from-scratch evaluation on
-    # the exact graph of its epoch.
-    # ------------------------------------------------------------------
-    expected_graphs: Dict[int, Tuple[DiGraph, MatchContext]] = {}
-    mismatches = 0
-    for version, qi, frozen in records:
-        if version not in expected_graphs:
-            g_at = service.graph_at(version)
-            expected_graphs[version] = (g_at, MatchContext(g_at))
-        g_at, ctx = expected_graphs[version]
-        expected = freeze_answer(direct_answer(g_at, pool[qi], ctx))
-        if expected != frozen:
-            mismatches += 1
-
-    draining = len(service.draining())
-    service.close()
-    obs = obs_report()
-    return {
-        **({"obs": obs} if obs is not None else {}),
-        "backend": backend,
-        "readers": readers,
-        "executor_workers": executor_workers,
-        "queries": len(records),
-        "checked": len(records),
-        "mismatches": mismatches,
-        "errors": errors,
-        "epochs_published": service.version + 1,
-        "versions_seen": sorted({v for v, _, _ in records}),
-        "draining_after_join": draining,
-        "current_freed_after_close": service.current.freed,
-        "per_class": service.stats.snapshot(),
-    }
-
-
-# ----------------------------------------------------------------------
-# Chaos extension: the same harness under an injected fault schedule.
-# ----------------------------------------------------------------------
 
 def chaos_plan(seed: int) -> FaultPlan:
     """A seeded menu of faults across every hardened layer.
@@ -282,53 +202,50 @@ def chaos_plan(seed: int) -> FaultPlan:
     return FaultPlan(rules, seed=seed)
 
 
-def run_chaos(
+def run_stress(
     graph: DiGraph,
     *,
-    workers: int = 2,
-    readers: int = 3,
-    writer_batches: int = 5,
-    batch_size: int = 6,
-    queries_per_reader: int = 25,
+    backend: str = "csr",
+    readers: int = 4,
+    writer_batches: int = 6,
+    batch_size: int = 8,
+    queries_per_reader: int = 30,
     seed: int = 0,
-    plan: Optional[FaultPlan] = None,
-    build_deadline_s: float = 0.25,
-    timeout_s: float = 5.0,
-    retries: int = 3,
+    executor_workers: int = 0,
+    writer_pause_s: float = 0.002,
     catalog_dir: Optional[str] = None,
+    plan: Optional[FaultPlan] = None,
 ) -> Dict[str, Any]:
-    """One chaos round: the stress workload under an injected fault plan.
+    """One full reader/writer round; see the module docstring for the shape.
 
-    The exactness invariant under test: *degradation may change latency
-    and route, never answers*.  Readers submit through a fully hardened
-    :class:`QueryExecutor`; a typed :class:`ServiceFault` is a tolerated
-    failed delivery, any other escaping exception is an unhandled one
-    (``report["unhandled"]`` must be empty).  After the run — faults
-    uninstalled — every delivered ``(version, query, answer)`` record is
-    re-verified against from-scratch evaluation on that version's exact
-    journal-reconstructed graph (``report["mismatches"]`` must be 0).
+    ``executor_workers > 0`` routes reader queries through a
+    :class:`QueryExecutor` of that size (micro-batching in the loop);
+    ``0`` has reader threads call the service directly.  ``catalog_dir``
+    attaches a :class:`SnapshotCatalog` so the store layer is in play
+    (and in the obs series) too.  ``plan`` runs the round under that fault
+    plan (``chaos_plan(seed)`` is the standard menu).  Returns a report
+    dict — ``report["mismatches"] == 0`` and ``report["errors"] == []``
+    are the assertions that matter.
     """
     batches, pool = build_schedule(
         graph, writer_batches=writer_batches, batch_size=batch_size, seed=seed
     )
-    if catalog_dir is None:
-        catalog_dir = tempfile.mkdtemp(prefix="repro-chaos-")
-    catalog = SnapshotCatalog(catalog_dir)
+    catalog = SnapshotCatalog(catalog_dir) if catalog_dir is not None else None
     service = EngineService(
-        graph.copy(), catalog, journal=True, build_deadline_s=build_deadline_s
+        graph.copy(), catalog, backend=backend,
+        build_deadline_s=BUILD_DEADLINE_S if plan is not None else None,
     )
     executor = QueryExecutor(
-        service, workers, max_batch=8,
-        timeout_s=timeout_s, retries=retries, backoff_s=0.005,
-    )
-    if plan is None:
-        plan = chaos_plan(seed)
+        service, executor_workers, max_batch=MAX_BATCH, retries=RETRIES,
+        backoff_s=BACKOFF_S, timeout_s=TIMEOUT_S if plan is not None else None,
+    ) if executor_workers else None
 
-    records: List[Tuple[int, int, Any]] = []
-    rec_lock = threading.Lock()
+    graphs: Dict[int, DiGraph] = {service.version: graph.copy()}
+    records: List[Tuple[int, Any, Any]] = []
     failed: Dict[str, int] = {}
-    unhandled: List[str] = []
+    errors: List[str] = []
     rollbacks = 0
+    lock = threading.Lock()
     start_evt = threading.Event()
     writer_done = threading.Event()
 
@@ -336,103 +253,104 @@ def run_chaos(
         r = random.Random(seed * 977 + idx)
         start_evt.wait()
         done = 0
+        # Keep reading until the writer has retired every batch (so reads
+        # genuinely overlap publications), with a hard cap as a safety net.
         while (done < queries_per_reader or not writer_done.is_set()) \
                 and done < queries_per_reader * 20:
             done += 1
-            qi = r.randrange(len(pool))
+            query = pool[r.randrange(len(pool))]
             try:
-                fut = executor.submit(pool[qi])
-                answer = fut.result(timeout=120.0)
-                version = fut.epoch_version  # type: ignore[attr-defined]
-            except (ServiceFault, TimeoutError) as exc:
-                # Typed, expected degradation: count it and keep reading.
-                with rec_lock:
-                    name = type(exc).__name__
+                if executor is not None:
+                    fut = executor.submit(query)
+                    answer = fut.result(timeout=120.0)
+                    version = fut.epoch_version  # type: ignore[attr-defined]
+                else:
+                    version, answer = service.query_versioned(query)
+            except Exception as exc:  # noqa: BLE001 - report, don't hang
+                name = type(exc).__name__
+                with lock:
+                    if plan is None or not isinstance(
+                            exc, (ServiceFault, TimeoutError)):
+                        errors.append(f"reader {idx}: {name}: {exc}")
+                        return
+                    # Typed, expected degradation: count it, keep reading.
                     failed[name] = failed.get(name, 0) + 1
                 continue
-            except Exception as exc:  # noqa: BLE001 - the invariant breach
-                with rec_lock:
-                    unhandled.append(
-                        f"reader {idx}: {type(exc).__name__}: {exc}"
-                    )
-                return
-            with rec_lock:
-                records.append((version, qi, freeze_answer(answer)))
-            time.sleep(0)
+            with lock:
+                records.append((version, query, freeze_answer(answer)))
+            time.sleep(0)  # yield the GIL so the writer interleaves fairly
 
     def writer() -> None:
         nonlocal rollbacks
         start_evt.wait()
         try:
-            for i, batch in enumerate(batches):
-                try:
-                    service.apply(batch)
-                except ApplyError:
-                    # Rolled back: the batch is dropped, the service keeps
-                    # serving the prior epoch.  Later batches still apply
-                    # cleanly (deletes of never-inserted edges are no-ops).
-                    rollbacks += 1
-                # Republishing the same graph revisits its digest: the
-                # warm-variant *read* path (and its corruption faults →
-                # quarantine → transparent rebuild) gets exercised.
-                try:
-                    service.refreeze()
-                except ApplyError:
-                    rollbacks += 1
-                time.sleep(0.002)
-        except Exception as exc:  # noqa: BLE001 - the invariant breach
-            with rec_lock:
-                unhandled.append(f"writer: {type(exc).__name__}: {exc}")
+            for batch in batches:
+                # Under a plan a rolled-back batch is dropped (the service
+                # keeps serving the prior epoch), and every batch is
+                # followed by a republication of the same graph, which
+                # revisits its digest: the warm-variant read path (and its
+                # corruption faults → quarantine → transparent rebuild)
+                # gets exercised.
+                for step in (batch, None) if plan is not None else (batch,):
+                    try:
+                        publish(service, graphs, step)
+                    except ApplyError:
+                        if plan is None:
+                            raise
+                        rollbacks += 1
+                time.sleep(writer_pause_s)
+        except Exception as exc:  # noqa: BLE001
+            with lock:
+                errors.append(f"writer: {type(exc).__name__}: {exc}")
         finally:
             writer_done.set()
 
     threads = [
-        threading.Thread(target=reader, args=(i,), name=f"chaos-reader-{i}")
+        threading.Thread(target=reader, args=(i,), name=f"stress-reader-{i}")
         for i in range(readers)
     ]
-    threads.append(threading.Thread(target=writer, name="chaos-writer"))
-    with plan.installed():
+    threads.append(threading.Thread(target=writer, name="stress-writer"))
+    faults: ContextManager[Any] = (
+        plan.installed() if plan is not None else contextlib.nullcontext()
+    )
+    with faults:
         for t in threads:
             t.start()
         start_evt.set()
         for t in threads:
             t.join(timeout=300.0)
             if t.is_alive():  # pragma: no cover - only on a real deadlock
-                unhandled.append(f"{t.name} stalled")
+                errors.append(f"{t.name} stalled")
     # Faults are uninstalled from here on: shutdown and verification run
     # clean (queued work during shutdown still resolves, fault-free).
-    executor.shutdown(wait=True)
+    if executor is not None:
+        executor.shutdown(wait=True)
 
-    expected_graphs: Dict[int, Tuple[DiGraph, MatchContext]] = {}
-    mismatches = 0
-    for version, qi, frozen in records:
-        if version not in expected_graphs:
-            g_at = service.graph_at(version)
-            expected_graphs[version] = (g_at, MatchContext(g_at))
-        g_at, ctx = expected_graphs[version]
-        expected = freeze_answer(direct_answer(g_at, pool[qi], ctx))
-        if expected != frozen:
-            mismatches += 1
-
+    mismatches, unrecorded = check_answers(graphs, records)
+    errors.extend(unrecorded)
+    draining = len(service.draining())
+    service.close()
     obs = obs_report()
-    report = {
+    report: Dict[str, Any] = {
         **({"obs": obs} if obs is not None else {}),
         "seed": seed,
-        "workers": workers,
-        "readers": readers,
-        "delivered": len(records),
-        "checked": len(records),
+        "queries": len(records),
+        "checked": len(records) - len(unrecorded),
         "mismatches": mismatches,
+        "errors": errors,
         "failed": dict(sorted(failed.items())),
-        "unhandled": unhandled,
-        "rollbacks_observed": rollbacks,
+        "rollbacks": rollbacks,
         "epochs_published": service.version + 1,
         "versions_seen": sorted({v for v, _, _ in records}),
+        "draining_after_join": draining,
+        "current_freed_after_close": service.current.freed,
         "counters": dict(service.counters),
         "per_class": service.stats.snapshot(),
-        "breaker": executor.breaker.snapshot(),
-        "quarantined": catalog.quarantined(),
-        "faults": plan.report(),
     }
-    service.close()
+    if executor is not None:
+        report["breaker"] = executor.breaker.snapshot()
+    if catalog is not None:
+        report["quarantined"] = catalog.quarantined()
+    if plan is not None:
+        report["faults"] = plan.report()
     return report

@@ -29,7 +29,8 @@ class ApplyError(ServiceFault):
     """An update batch failed mid-publication and was rolled back.
 
     The service still serves the *prior* epoch — readers never observed a
-    half-built one — and the failed batch left no trace in the journal.
+    half-built one — and the writer is reset to that epoch's exact graph,
+    so the failed batch leaves no trace.
     ``version`` is the epoch the service rolled back to.
     """
 

@@ -22,7 +22,8 @@ Concurrency contract (RCU-style):
 
 Every epoch's answers equal from-scratch evaluation on that epoch's graph
 — the stress harness (:mod:`repro.service.epoch_stress`) verifies exactly
-that against replayed update journals, across backends and hash seeds.
+that against the graph its writer recorded for each version, across
+backends, hash seeds and fault plans.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ from repro.engine.counters import RouterStats, bump
 from repro.engine.epoch import Epoch
 from repro.engine.router import QueryRouter
 from repro.engine.session import GraphEngine, GraphSource, UpdateReport
-from repro.engine.updates import EdgeUpdate, UpdateJournal, effective_updates
+from repro.engine.updates import EdgeUpdate
 from repro.faults.plan import fault_point
-from repro.graph.digraph import DiGraph
 from repro.index.tol import TOLError
 from repro.obs.metrics import inc as obs_inc
 from repro.obs.metrics import metrics_on
@@ -69,12 +69,6 @@ class EngineService:
         :class:`~repro.engine.session.GraphEngine` (same adoption
         semantics for a ``DiGraph`` source).  The engine's auto-refreeze
         is disabled — the service freezes at every publication anyway.
-    journal:
-        When true, keep the writer-side :class:`UpdateJournal` (plus a
-        copy of the initial graph) so :meth:`graph_at` can reconstruct
-        any epoch's exact graph.  Verification machinery — leave off in
-        production unless you need time travel; it grows with the update
-        history.
     build_deadline_s:
         Wall-clock budget for each published epoch's lazy Gr/Gb builds.
         A build over budget degrades that representation to direct-on-G
@@ -95,7 +89,6 @@ class EngineService:
         *,
         backend: str = "csr",
         router: Optional[QueryRouter] = None,
-        journal: bool = False,
         build_deadline_s: Optional[float] = None,
         obs_http: Optional[ObsHTTPServer] = None,
     ) -> None:
@@ -110,10 +103,6 @@ class EngineService:
         self.stats = RouterStats()
         self._writer_lock = threading.RLock()
         self._publish_lock = threading.Lock()
-        self._journal = UpdateJournal() if journal else None
-        self._journal_base: Optional[DiGraph] = (
-            self._engine.graph.copy() if journal else None
-        )
         self._closed = False
         self._version = 0
         self._current: Epoch = self._make_epoch(0)
@@ -289,8 +278,7 @@ class EngineService:
         new epoch rolls the writer back to the prior epoch's exact graph
         and raises :class:`~repro.service.errors.ApplyError`: readers
         never observe a half-applied batch (``self._current`` is only ever
-        swapped to a fully-built epoch), and the journal records only
-        published versions.
+        swapped to a fully-built epoch).
         """
         deltas = list(deltas)
         with self._writer_lock:
@@ -301,12 +289,6 @@ class EngineService:
             new_version = self._version + 1
             try:
                 fault_point("service.apply")
-                # The overlay simulation is journal-only bookkeeping (the
-                # engine recomputes its own); skip it on the plain write path.
-                effective = (
-                    effective_updates(self._engine.graph, deltas)
-                    if self._journal is not None else None
-                )
                 report = self._engine.apply(deltas)
                 new_epoch = self._make_epoch(new_version)
                 fault_point("service.publish")
@@ -316,8 +298,6 @@ class EngineService:
                 raise
             except Exception as exc:  # noqa: BLE001 - transactional boundary
                 self._rollback(prior, exc)
-            if self._journal is not None and effective is not None:
-                self._journal.record(new_version, effective)
             self._publish(new_epoch)
             obs_observe("service_publish_seconds",
                         time.perf_counter() - t_publish)
@@ -392,15 +372,6 @@ class EngineService:
         old.retire(forget=old._digest != new_epoch._digest)
         obs_inc("service_publications_total")
         return new_epoch
-
-    # ------------------------------------------------------------------
-    # Verification (journal-backed)
-    # ------------------------------------------------------------------
-    def graph_at(self, version: int) -> DiGraph:
-        """The exact graph epoch *version* served (journal required)."""
-        if self._journal is None or self._journal_base is None:
-            raise ValueError("service was built without journal=True")
-        return self._journal.graph_at(self._journal_base, version)
 
     # ------------------------------------------------------------------
     # Lifecycle

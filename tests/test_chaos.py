@@ -6,6 +6,9 @@ Faults are injected through seeded :class:`~repro.faults.plan.FaultPlan`
 schedules, so a failing case replays exactly.
 """
 
+import json
+import tempfile
+
 import pytest
 
 from repro.engine import GraphEngine
@@ -25,9 +28,9 @@ from repro.service import (
     ServiceFault,
     chaos_plan,
     freeze_answer,
-    run_chaos,
+    run_stress,
 )
-from repro.service.epoch_stress import direct_answer
+from repro.service.epoch_stress import direct_answer, publish
 
 
 def _graph(seed=11, n=40, m=110):
@@ -110,7 +113,7 @@ class TestEpochDegradation:
 
     def test_next_epoch_is_clean(self):
         g = _graph()
-        service = EngineService(g.copy(), journal=True)
+        service = EngineService(g.copy())
         plan = FaultPlan(
             [FaultRule(point="epoch.build.*", kind="error", times=None)]
         )
@@ -131,7 +134,8 @@ class TestEpochDegradation:
 class TestTransactionalApply:
     def test_publish_failure_rolls_back_and_later_apply_succeeds(self):
         g = _graph()
-        service = EngineService(g.copy(), journal=True)
+        service = EngineService(g.copy())
+        graphs = {0: g.copy()}
         queries = _reach_queries(g)
         before = [freeze_answer(service.query(q)) for q in queries]
 
@@ -141,25 +145,28 @@ class TestTransactionalApply:
         batch = [("+", g.node_list()[0], g.node_list()[1])]
         with plan.installed():
             with pytest.raises(ApplyError) as excinfo:
-                service.apply(batch)
-        assert excinfo.value.version == 0
+                publish(service, graphs, batch)
+        assert excinfo.value.version == 0 and list(graphs) == [0]
         assert service.version == 0
         assert service.counters["apply_rollbacks"] == 1
         # Post-rollback the service answers exactly as before the attempt.
         assert [freeze_answer(service.query(q)) for q in queries] == before
 
         # The same batch applies cleanly once the fault is gone, and the
-        # journal reconstructs both versions.
-        service.apply(batch)
+        # recorded graphs of both versions answer exactly as served.
+        publish(service, graphs, batch)
         assert service.version == 1
-        g0, g1 = service.graph_at(0), service.graph_at(1)
+        g0, g1 = graphs[0], graphs[1]
         assert not g0.has_edge(batch[0][1], batch[0][2])
         assert g1.has_edge(batch[0][1], batch[0][2])
+        assert [freeze_answer(service.query(q)) for q in queries] == [
+            freeze_answer(direct_answer(g1, q)) for q in queries
+        ]
         service.close()
 
     def test_apply_failure_before_mutation_also_rolls_back(self):
         g = _graph()
-        service = EngineService(g.copy(), journal=True)
+        service = EngineService(g.copy())
         plan = FaultPlan(
             [FaultRule(point="service.apply", kind="io_error", times=1)]
         )
@@ -270,15 +277,32 @@ class TestExecutorHardening:
 class TestChaosHarness:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_thread_chaos_never_changes_answers(self, tmp_path, seed):
-        report = run_chaos(
-            _graph(), workers=2, seed=seed,
+        report = run_stress(
+            _graph(), executor_workers=2, readers=3, batch_size=6, seed=seed,
             writer_batches=3, queries_per_reader=10,
-            catalog_dir=str(tmp_path),
+            catalog_dir=str(tmp_path), plan=chaos_plan(seed),
         )
-        assert report["unhandled"] == []
+        assert report["errors"] == []
         assert report["mismatches"] == 0
-        assert report["delivered"] > 0
+        assert report["checked"] == report["queries"] > 0
         assert report["faults"]["total_fired"] > 0  # chaos actually happened
+
+    def test_cli_rounds_leave_no_temp_directory(self, tmp_path, monkeypatch,
+                                                capsys):
+        from repro.service.__main__ import main
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert tempfile.gettempdir() == str(tmp_path)
+        small = ["--quick", "--nodes", "30", "--edges", "80"]
+        out = tmp_path / "chaos.json"
+        assert main(["chaos", "--seeds", "0", "--out", str(out), *small]) == 0
+        assert main(["metrics", "--workers", "1", *small]) == 0
+        # Both rounds ran on a catalog ...
+        assert "quarantined" in json.loads(out.read_text())["runs"][0]
+        assert "catalog_base_loads_total" in capsys.readouterr().out
+        # ... which is gone with its round.
+        assert [p.name for p in tmp_path.iterdir()
+                if p.name.startswith("repro-")] == []
 
     def test_chaos_plan_is_deterministic_per_seed(self):
         a, b = chaos_plan(7), chaos_plan(7)

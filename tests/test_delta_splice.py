@@ -27,6 +27,7 @@ from repro.graph.traversal import path_exists
 from repro.obs.trace import Tracer, tracing
 from repro.queries.reachability import ReachabilityQuery
 from repro.service import ApplyError, EngineService
+from repro.service.epoch_stress import publish
 from repro.store import SnapshotCatalog, load_snapshot, merge_deltas
 from repro.store import format as store_format
 from repro.store.format import (
@@ -271,9 +272,9 @@ def _published_digest(service):
     return service.describe()["epoch"]["digest"]
 
 
-def _assert_published_from_scratch(service, catalog):
+def _assert_published_from_scratch(service, catalog, graphs):
     """The current epoch's entry is the from-scratch snapshot of its graph."""
-    truth = CSRGraph.from_digraph(service.graph_at(service.version))
+    truth = CSRGraph.from_digraph(graphs[service.version])
     digest = _published_digest(service)
     assert digest == graph_digest(truth)
     stored = load_snapshot(catalog.root / digest / "base.rgs")
@@ -283,16 +284,17 @@ def _assert_published_from_scratch(service, catalog):
 def test_fault_after_spliced_merge_rolls_back_then_publishes_exactly(tmp_path):
     catalog = SnapshotCatalog(tmp_path)
     first, second = _batches(2)
-    with EngineService(_service_graph(), catalog=catalog, journal=True) as service:
-        service.apply(first)
+    graphs = {0: _service_graph()}
+    with EngineService(_service_graph(), catalog=catalog) as service:
+        publish(service, graphs, first)
         before = _published_digest(service)
         plan = FaultPlan([FaultRule(point="service.publish", kind="error", times=1)])
         with plan.installed(), pytest.raises(ApplyError):
-            service.apply(second)  # merged, spliced, stored - then the fault
+            publish(service, graphs, second)  # merged, spliced, stored - then the fault
         assert service.version == 1 and _published_digest(service) == before
-        service.apply(second)
+        publish(service, graphs, second)
         assert service.version == 2
-        _assert_published_from_scratch(service, catalog)
+        _assert_published_from_scratch(service, catalog, graphs)
 
 
 def test_cold_handle_encodes_once_then_splices(tmp_path, monkeypatch):
@@ -308,12 +310,13 @@ def test_cold_handle_encodes_once_then_splices(tmp_path, monkeypatch):
         store_format, "encode_segments",
         lambda csr: full_encodes.append(csr.n) or real(csr),
     )
-    with EngineService(base, catalog=catalog, journal=True) as service:
+    graphs = {0: _service_graph()}
+    with EngineService(base, catalog=catalog) as service:
         for k, batch in enumerate(_batches(4), start=1):
             del full_encodes[:]
-            service.apply(batch)
+            publish(service, graphs, batch)
             assert len(full_encodes) == (k == 1), f"publication {k}: {full_encodes}"
-            _assert_published_from_scratch(service, catalog)
+            _assert_published_from_scratch(service, catalog, graphs)
 
 
 def test_catalog_memo_is_bounded_by_live_epochs(tmp_path):
@@ -321,13 +324,14 @@ def test_catalog_memo_is_bounded_by_live_epochs(tmp_path):
     catalog = SnapshotCatalog(tmp_path)
     g = _service_graph()
     batches = _batches(20)
-    with EngineService(g, catalog=catalog, journal=True) as service:
+    graphs = {0: g.copy()}
+    with EngineService(g, catalog=catalog) as service:
         for batch in batches[:8]:
-            service.apply(batch)
+            publish(service, graphs, batch)
         assert len(catalog._graphs) <= 2
         pinned = service._acquire_current()  # a slow reader on version 8
         try:
-            pinned_graph = service.graph_at(8)
+            pinned_graph = graphs[8]
             for batch in batches[8:]:
                 service.apply(batch)
             assert service.version == 20

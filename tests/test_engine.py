@@ -556,44 +556,3 @@ def test_artifact_answer_batch_matches_per_query():
     assert pbatch[1] is not pbatch[2]
     with pytest.raises(TypeError):
         pat.answer_batch([ReachabilityQuery(1, 2)])
-
-
-# ----------------------------------------------------------------------
-# Writer-side publication journal
-# ----------------------------------------------------------------------
-def test_update_journal_reconstructs_each_version():
-    from repro.engine import UpdateJournal, replay_updates
-
-    g = _mixed_graph(24)
-    journal = UpdateJournal()
-    base = g.copy()
-    live = g.copy()
-    effs = []
-    for version in (1, 2, 3):
-        batch = mixed_batch(live, 6, insert_ratio=0.5, seed=40 + version)
-        eff = effective_updates(live, batch)
-        replay_updates(live, [eff])
-        journal.record(version, eff)
-        effs.append(eff)
-    assert journal.versions() == [1, 2, 3]
-    assert journal.graph_at(base, 0).structure_equal(g)
-    assert journal.graph_at(base, 3).structure_equal(live)
-    # Each intermediate version equals an independent replay of exactly
-    # that prefix — catches off-by-one prefix bugs in graph_at.
-    for version in (1, 2):
-        expected = replay_updates(g.copy(), effs[:version])
-        assert journal.graph_at(base, version).structure_equal(expected)
-    with pytest.raises(ValueError):
-        journal.record(2, [])  # versions must increase
-
-
-def test_update_journal_limit_drops_reconstruction():
-    from repro.engine import UpdateJournal
-
-    journal = UpdateJournal(limit=2)
-    g = _mixed_graph(25)
-    for v in (1, 2, 3):
-        journal.record(v, [("+", "a", f"b{v}")])
-    assert len(journal) == 2
-    with pytest.raises(ValueError):
-        journal.graph_at(g, 3)

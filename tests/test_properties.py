@@ -2,8 +2,9 @@
 
 These hammer the central claims of the paper on arbitrary small graphs:
 preservation of reachability and pattern answers, equivalence-relation laws,
-quotient soundness, transitive-reduction minimality, and incremental/batch
-agreement.
+quotient soundness, transitive-reduction minimality, incremental/batch
+agreement, and served answers on every published version against the
+stress harness's from-scratch oracle.
 """
 
 import random
@@ -20,14 +21,18 @@ from repro.core.incremental_pattern import IncrementalPatternCompressor
 from repro.core.incremental_reach import IncrementalReachabilityCompressor
 from repro.core.pattern import compress_pattern
 from repro.core.reachability import compress_reachability
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DEFAULT_LABEL, DiGraph
 from repro.graph.transitive import (
     dag_transitive_reduction,
     transitive_closure_pairs,
 )
 from repro.graph.traversal import path_exists
 from repro.queries.matching import match, match_naive
+from repro.queries.pattern import STAR, GraphPattern
+from repro.queries.reachability import ReachabilityQuery
 from repro.datasets.patterns import random_pattern
+from repro.service import EngineService, freeze_answer
+from repro.service.epoch_stress import check_answers, publish
 
 
 @st.composite
@@ -175,3 +180,57 @@ def test_incremental_pattern_agrees_with_batch(data):
         )
 
     assert canon(want) == canon(got)
+
+
+@st.composite
+def served_histories(draw):
+    """A small labelled graph, 1-4 update batches and a pattern mix.
+
+    Batches name nodes up to ``n + 2`` (inserts create nodes, deletes and
+    re-inserts are often redundant) and delete initial edges; patterns use
+    every label, including the one new nodes get, with bounds 1, 2 and
+    STAR.
+    """
+    g = draw(small_graphs(max_nodes=8))
+    n = g.order()
+    node = st.integers(min_value=0, max_value=n + 2)
+    op = st.tuples(st.sampled_from(["+", "-"]), node, node)
+    if g.size():
+        op = op | st.sampled_from([("-", u, v) for u, v in g.edges()])
+    batches = draw(st.lists(st.lists(op, min_size=1, max_size=6),
+                            min_size=1, max_size=4))
+    patterns = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        size = draw(st.integers(min_value=1, max_value=3))
+        pattern = GraphPattern()
+        for u in range(size):
+            pattern.add_node(u, draw(st.sampled_from(["X", "Y", DEFAULT_LABEL])))
+        for u, v in draw(st.lists(
+            st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+            max_size=3,
+        )):
+            pattern.add_edge(u, v, draw(st.sampled_from([1, 2, STAR])))
+        patterns.append(pattern)
+    return g, batches, patterns
+
+
+@settings(max_examples=100, deadline=None)
+@given(served_histories())
+def test_served_answers_equal_the_oracle_on_every_version(history):
+    # Single-threaded on purpose: a failure shrinks deterministically.
+    # Reach queries cover every pair over nodes 0..n+3; n+3 never exists.
+    g, batches, patterns = history
+    nodes = range(g.order() + 4)
+    queries = [ReachabilityQuery(u, v) for u in nodes for v in nodes]
+    queries += patterns
+    graphs = {0: g.copy()}
+    records = []
+    with EngineService(g.copy()) as service:
+        for batch in [*batches, None]:
+            for q in queries:
+                version, answer = service.query_versioned(q)
+                records.append((version, q, freeze_answer(answer)))
+            if batch is not None:
+                publish(service, graphs, batch)
+    assert sorted(graphs) == list(range(len(batches) + 1))
+    assert check_answers(graphs, records) == (0, [])

@@ -34,7 +34,7 @@ from repro.queries.matching import MatchContext, match_naive
 from repro.queries.pattern import STAR, GraphPattern
 from repro.queries.reachability import ReachabilityQuery
 from repro.service import EngineService, QueryExecutor, freeze_answer, run_stress
-from repro.service.epoch_stress import build_schedule, direct_answer
+from repro.service.epoch_stress import build_schedule, direct_answer, publish
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -185,14 +185,15 @@ def test_service_never_opens_the_engines_view():
 
 def test_versioned_queries_follow_publications():
     g = _mixed_graph(7)
-    service = EngineService(g.copy(), journal=True)
+    service = EngineService(g.copy())
+    graphs = {0: g.copy()}
     q = ReachabilityQuery(g.node_list()[0], g.node_list()[1])
     v0, _ = service.query_versioned(q)
-    service.apply([("+", "x1", "x2")])
+    publish(service, graphs, [("+", "x1", "x2")])
     v1, _ = service.query_versioned(q)
     assert (v0, v1) == (0, 1)
-    assert service.graph_at(0).has_edge("x1", "x2") is False
-    assert service.graph_at(1).has_edge("x1", "x2") is True
+    assert graphs[0].has_edge("x1", "x2") is False
+    assert graphs[1].has_edge("x1", "x2") is True
 
 
 # ----------------------------------------------------------------------
@@ -309,6 +310,36 @@ def test_stress_randomized_seeds():
         )
         assert report["errors"] == []
         assert report["mismatches"] == 0
+
+
+def test_stress_oracle_catches_a_wrong_answer_and_an_unpublished_version(
+        monkeypatch):
+    """The gate can go red: one negated reach answer is a mismatch, and an
+    answer tagged with a version the writer never published is an error."""
+    real = EngineService.query_versioned
+    tampered = []
+    lock = threading.Lock()
+
+    def tamper(self, q, **kwargs):
+        version, answer = real(self, q, **kwargs)
+        with lock:
+            if isinstance(q, ReachabilityQuery) and len(tampered) < 2:
+                tampered.append(q)
+                if len(tampered) == 1:
+                    return version, not answer
+                return version + 1000, answer
+        return version, answer
+
+    monkeypatch.setattr(EngineService, "query_versioned", tamper)
+    report = run_stress(
+        _mixed_graph(16), readers=2, writer_batches=2, batch_size=4,
+        queries_per_reader=6, seed=5,
+    )
+    assert len(tampered) == 2
+    assert report["mismatches"] == 1
+    assert len(report["errors"]) == 1
+    assert "never published" in report["errors"][0]
+    assert report["checked"] == report["queries"] - 1
 
 
 def test_build_schedule_is_deterministic():
