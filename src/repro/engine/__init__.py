@@ -12,7 +12,8 @@
 * :mod:`repro.engine.counters` — :class:`RouterStats`, thread-safe
   per-class hit counts and latency aggregates;
 * :mod:`repro.engine.updates` — the uniform maintainer interface over the
-  Section 5 incremental algorithms plus the session's net-delta log.
+  Section 5 incremental algorithms plus the writer's update log (the net
+  delta against the snapshot, its only mutable state).
 
 See ``src/repro/engine/README.md`` for the lifecycle diagram.
 """
@@ -27,7 +28,6 @@ from repro.engine.updates import (
     PatternMaintainer,
     ReachabilityMaintainer,
     UpdateLog,
-    effective_updates,
 )
 
 __all__ = [
@@ -45,5 +45,4 @@ __all__ = [
     "PatternMaintainer",
     "MAINTAINERS",
     "UpdateLog",
-    "effective_updates",
 ]

@@ -41,12 +41,8 @@ import time
 from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
 from repro.core.base import QueryPreservingCompression
-from repro.core.pattern import compress_pattern, compress_pattern_csr
-from repro.core.reachability import (
-    ReachabilityCompression,
-    compress_reachability,
-    compress_reachability_csr,
-)
+from repro.core.pattern import compress_pattern_csr
+from repro.core.reachability import ReachabilityCompression, compress_reachability_csr
 from repro.engine.counters import bump
 from repro.engine.router import ORIGINAL, RepresentationUnavailable
 from repro.faults.deadline import DeadlineExceeded, run_with_deadline
@@ -55,7 +51,6 @@ from repro.obs.metrics import inc as obs_inc
 from repro.obs.metrics import observe as obs_observe
 from repro.obs.trace import trace_span
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
 from repro.index.tol import TOLIndex
 from repro.queries.matching import MatchContext, match
 from repro.queries.pattern import GraphPattern
@@ -74,25 +69,21 @@ class EpochRetired(RuntimeError):
 def compress_frozen(
     key: str,
     csr: CSRGraph,
-    backend: str = "csr",
     catalog: Optional[Any] = None,
     digest: Optional[str] = None,
     counters: Optional[Dict[str, int]] = None,
-    thawed: Optional[DiGraph] = None,
 ) -> QueryPreservingCompression:
     """Build the *key* artifact for a frozen graph, catalog-aware.
 
     The one place the "compute ``Gr``/``Gb`` from a snapshot" decision
-    lives: a catalog (csr backend only) serves warm hits with zero
-    recomputation, otherwise the artifact is compressed from the snapshot
-    with the CSR kernels — or, for ``backend="dict"``, from the thawed
-    graph through the reference pipeline (*thawed* lets callers share one
-    thaw across both representations).  Every :class:`Epoch` build that is
-    not handed a maintained artifact runs here.
+    lives: a catalog serves warm hits with zero recomputation, otherwise
+    the artifact is compressed from the snapshot with the CSR kernels.
+    Every :class:`Epoch` build that is not handed a maintained artifact
+    runs here.
     """
     if key not in CATALOG_VARIANTS:
         raise ValueError(f"unknown representation {key!r}")
-    if backend == "csr" and catalog is not None:
+    if catalog is not None:
         if digest is None:
             digest = catalog.put(csr)
         warm = catalog.has_variant(digest, CATALOG_VARIANTS[key])
@@ -101,14 +92,9 @@ def compress_frozen(
         if counters is not None and warm:
             bump(counters, "catalog_warm_hits")
         return artifact
-    if backend == "csr":
-        if key == "reachability":
-            return compress_reachability_csr(csr)
-        return compress_pattern_csr(csr)
-    graph = thawed if thawed is not None else csr.to_digraph()
     if key == "reachability":
-        return compress_reachability(graph, backend="dict")
-    return compress_pattern(graph)
+        return compress_reachability_csr(csr)
+    return compress_pattern_csr(csr)
 
 
 class Epoch:
@@ -133,7 +119,6 @@ class Epoch:
         csr: CSRGraph,
         version: int = 0,
         *,
-        backend: str = "csr",
         catalog: Optional[Any] = None,
         digest: Optional[str] = None,
         counters: Optional[Dict[str, int]] = None,
@@ -141,8 +126,6 @@ class Epoch:
         artifacts: Optional[Dict[str, Callable[[], QueryPreservingCompression]]] = None,
         tol: Optional[Callable[[QueryPreservingCompression], Optional[TOLIndex]]] = None,
     ) -> None:
-        if backend not in ("csr", "dict"):
-            raise ValueError(f"unknown backend: {backend!r} (expected 'csr' or 'dict')")
         if build_deadline_s is not None and build_deadline_s <= 0:
             raise ValueError("build_deadline_s must be positive (or None)")
         if tol is not None and (artifacts is None or "reachability" not in artifacts):
@@ -150,7 +133,6 @@ class Epoch:
                              "pass artifacts['reachability'] with it")
         self.version = version
         self.csr = csr
-        self.backend = backend
         self._catalog = catalog
         self._digest = digest
         #: Shared build counters (the publishing engine's ``counters``).
@@ -168,7 +150,6 @@ class Epoch:
         #: failed build is not retried on every query (no rebuild storm).
         self._degraded: Dict[str, str] = {}
         self._contexts: Dict[str, MatchContext] = {}
-        self._thawed: Optional[DiGraph] = None  # dict-backend builds share one thaw
         #: Sealed TOL reachability labels over this epoch's Gr — built once
         #: (lazily, first routed reachability query), then read-only and
         #: shared by every reader thread.  A failed build degrades the
@@ -249,7 +230,6 @@ class Epoch:
         with self._build_lock:
             self._artifacts.clear()
             self._contexts.clear()
-            self._thawed = None
             self._tol = None
             self._reach = None
         if self._forget and self._catalog is not None and self._digest is not None:
@@ -303,15 +283,7 @@ class Epoch:
         source = self._sources.get(key)
         if source is not None:
             return source()
-        return compress_frozen(
-            key,
-            self.csr,
-            self.backend,
-            self._catalog,
-            self._digest,
-            self._counters,
-            thawed=self._thaw() if self.backend == "dict" else None,
-        )
+        return compress_frozen(key, self.csr, self._catalog, self._digest, self._counters)
 
     def _run_build(self, key: str, build: Callable[[], _T]) -> Tuple[_T, float]:
         """Run one lazy build behind the ``epoch.build.<key>`` fault point,
@@ -367,9 +339,7 @@ class Epoch:
             if ctx is None:
                 self._check_serving()
                 if key == "pattern":
-                    ctx = MatchContext(
-                        self.artifact("pattern").compressed, backend=self.backend
-                    )
+                    ctx = MatchContext(self.artifact("pattern").compressed)
                 else:
                     ctx = MatchContext(self.csr)
                 ctx.seal()
@@ -409,14 +379,13 @@ class Epoch:
                     carried = self._carried_tol(artifact)
                     if carried is not None:
                         return carried, False
-                if (self.backend == "csr" and self._catalog is not None
-                        and "reachability" not in self._sources):
+                if self._catalog is not None and "reachability" not in self._sources:
                     digest = self._digest
                     if digest is None:
                         digest = self._catalog.put(self.csr)
                     rehydrated: TOLIndex = self._catalog.tol(digest, gr=gr)
                     return rehydrated, True
-                return TOLIndex(gr, backend=self.backend), True
+                return TOLIndex(gr), True
 
             try:
                 # Fetched here, not inside labels(): the build lock is
@@ -476,15 +445,6 @@ class Epoch:
         )
 
     # ------------------------------------------------------------------
-    def _thaw(self) -> DiGraph:
-        """Thawed copy for dict-backend builds (shared across both keys).
-
-        Callers already hold ``_build_lock``.
-        """
-        if self._thawed is None:
-            self._thawed = self.csr.to_digraph()
-        return self._thawed
-
     def _check_serving(self) -> None:
         if self._freed:
             raise EpochRetired(
@@ -497,7 +457,6 @@ class Epoch:
             "version": self.version,
             "nodes": self.csr.n,
             "edges": self.csr.m,
-            "backend": self.backend,
             "digest": self._digest,
             "materialized": sorted(self._artifacts),
             "tol": self._tol is not None,

@@ -6,12 +6,13 @@ engine existed the caller wired that lifecycle by hand across four
 packages (``core`` to compress, ``queries`` to evaluate, ``store`` to
 persist, ``core.incremental_*`` to maintain).  ``GraphEngine`` owns it:
 
-* **load** — construct from a :class:`~repro.graph.digraph.DiGraph`, a
-  frozen :class:`~repro.graph.csr.CSRGraph`, or a path in any registered
-  graph format (``.rgs`` snapshots stay frozen — no thaw);
-* **freeze once** — the CSR snapshot is built lazily and reused by every
-  kernel; with a :class:`~repro.store.catalog.SnapshotCatalog` the freeze
-  is content-addressed and compressed variants rehydrate on warm hits with
+* **load and freeze once** — construct from a
+  :class:`~repro.graph.digraph.DiGraph` (frozen right away), a frozen
+  :class:`~repro.graph.csr.CSRGraph`, or a path in any registered graph
+  format (``.rgs`` snapshots stay frozen — no thaw); the CSR snapshot is
+  the one copy of ``G`` the engine holds, and every kernel reads it; with
+  a :class:`~repro.store.catalog.SnapshotCatalog` the snapshot is
+  content-addressed and compressed variants rehydrate on warm hits with
   zero recomputation;
 * **read through one view** — every read (:meth:`query`,
   :meth:`query_batch`, :meth:`artifact`, :meth:`context_for`) goes through
@@ -23,10 +24,11 @@ persist, ``core.incremental_*`` to maintain).  ``GraphEngine`` owns it:
 * **route** — the view answers each first-class query object on the
   representation that preserves it (:mod:`repro.engine.router`), over
   original nodes;
-* **maintain** — :meth:`apply` drives ``incRCM``/``incPCM`` through the
-  uniform maintainer interface (:mod:`repro.engine.updates`), tracking the
-  net delta against the last snapshot; the next view is handed the
-  maintained artifacts and the repaired labels;
+* **maintain** — :meth:`apply` checks a batch against the snapshot plus
+  the net delta logged since (:class:`~repro.engine.updates.UpdateLog`),
+  and drives ``incRCM``/``incPCM`` through the uniform maintainer
+  interface for every representation a view built; the next view is
+  handed the maintained artifacts and the repaired labels;
 * **re-freeze** — a read after :meth:`apply`, or a batch past the
   staleness threshold, folds the net delta into the snapshot via
   :func:`repro.store.delta.merge_deltas` (no full rebuild) and
@@ -49,7 +51,6 @@ from repro.engine.updates import (
     CompressionMaintainer,
     EdgeUpdate,
     UpdateLog,
-    effective_updates,
     refresh_reachability_index,
 )
 from repro.index.tol import TOLIndex
@@ -81,24 +82,17 @@ class GraphEngine:
     Parameters
     ----------
     source:
-        The graph — mutable ``DiGraph``, frozen ``CSRGraph``, or a path to
-        any registered on-disk format (binary ``.rgs`` snapshots load
-        straight into the frozen backend).  A ``DiGraph`` is **adopted**,
-        not copied (the engine's memory contract is to hold ``G`` once):
-        :meth:`apply` mutates it in place, and the caller must not mutate
-        it out-of-band afterwards — pass ``graph.copy()`` to keep an
-        independent handle.  Same aliasing contract as the ``copy=False``
-        incremental maintainers.
+        The graph — a ``DiGraph``, a frozen ``CSRGraph``, or a path to any
+        registered on-disk format (binary ``.rgs`` snapshots load straight
+        into a ``CSRGraph``).  A ``DiGraph`` is frozen here and never
+        read or mutated again: the engine holds ``G`` once, as its
+        snapshot plus the update log, and hands each Section 5 maintainer
+        a thaw of its own.
     catalog:
         Optional :class:`~repro.store.catalog.SnapshotCatalog`.  When
         given, the engine stores its snapshot there and rehydrates ``Gr`` /
         ``Gb`` from cached variants (warm hit: zero recomputation); cold
         misses are computed once and persisted for the next session.
-    backend:
-        ``"csr"`` (default) runs compression over the frozen integer
-        kernels; ``"dict"`` forces the reference dict-of-sets pipeline
-        everywhere — a cross-validation knob, not a production mode.  Both
-        produce identical answers (and identical artifacts).
     refreeze_threshold:
         When the net edge delta since the last freeze exceeds this, a
         re-freeze is triggered at the end of :meth:`apply`; below it the
@@ -113,36 +107,28 @@ class GraphEngine:
         source: GraphSource,
         catalog: Optional[Any] = None,
         *,
-        backend: str = "csr",
         refreeze_threshold: Union[float, int, None] = 0.25,
         router: Optional[QueryRouter] = None,
     ) -> None:
-        if backend not in ("csr", "dict"):
-            raise ValueError(f"unknown backend: {backend!r} (expected 'csr' or 'dict')")
         if isinstance(refreeze_threshold, (int, float)) and refreeze_threshold <= 0:
             raise ValueError("refreeze_threshold must be positive (or None)")
-        self.backend = backend
         self.refreeze_threshold = refreeze_threshold
         self._catalog = catalog
         self._router = router if router is not None else QueryRouter()
 
-        self._graph: Optional[DiGraph] = None
-        self._csr: Optional[CSRGraph] = None
         if isinstance(source, (str, Path)):
             source = self._load(Path(source))
-        if isinstance(source, CSRGraph):
-            self._csr = source
-        elif isinstance(source, DiGraph):
-            self._graph = source
-        else:
+        if isinstance(source, DiGraph):
+            source = CSRGraph.from_digraph(source)
+        if not isinstance(source, CSRGraph):
             raise TypeError(
                 f"cannot build an engine from {type(source).__name__}; "
                 "expected a DiGraph, CSRGraph or path"
             )
-
+        #: The last frozen snapshot; with ``_log`` it is the whole graph.
+        self._csr: CSRGraph = source
         self._digest: Optional[str] = None
         self._maintainers: Dict[str, CompressionMaintainer] = {}
-        self._graph_owner: Optional[str] = None  # maintainer adopting _graph
         self._log = UpdateLog()
         #: The epoch every read goes through; ``None`` until the next read.
         self._view: Optional[Epoch] = None
@@ -179,15 +165,19 @@ class GraphEngine:
     # ------------------------------------------------------------------
     @property
     def graph(self) -> DiGraph:
-        """The current (updated) graph, thawed on demand.
-
-        May be owned by a maintainer after :meth:`apply` — read-only for
-        callers; all mutation goes through :meth:`apply`.
+        """The current graph: a fresh thaw of the snapshot plus the pending
+        delta on every call, for callers only — the engine never reads it,
+        and mutating it changes nothing; updates go through :meth:`apply`.
         """
-        if self._graph is None:
-            assert self._csr is not None
-            self._graph = self._csr.to_digraph()
-        return self._graph
+        log = self._log
+        graph = self._csr.to_digraph()
+        for v in log.new_nodes:
+            graph.add_node(v)
+        for u, v in log.removed:
+            graph.remove_edge(u, v)
+        for u, v in log.added:
+            graph.add_edge(u, v)
+        return graph
 
     @property
     def staleness(self) -> int:
@@ -197,36 +187,23 @@ class GraphEngine:
     def freeze(self) -> CSRGraph:
         """The frozen snapshot of the *current* graph (idempotent).
 
-        First call freezes (or adopts the construction-time snapshot);
-        after updates the pending net delta is folded in with
+        A pending delta is folded in with
         :func:`~repro.store.delta.merge_deltas` — untouched adjacency rows
-        are copied, not re-sorted.  With a catalog the snapshot is
-        ``put`` there, memoising the content digest.
+        are copied, not re-sorted, and created nodes keep their creation
+        order.  With a catalog the snapshot is ``put`` there, memoising
+        the content digest.
         """
-        if self._csr is not None and self._log.staleness == 0:
-            if self._catalog is not None and self._digest is None:
-                self._digest = self._catalog.put(self._csr)
-            return self._csr
-        was_refreeze = self._csr is not None
-        if self._csr is not None:
-            merged = merge_deltas(self._csr, self._log.added, self._log.removed)
-            # Node order can only diverge when nodes were created since the
-            # last freeze; otherwise the |V|-long comparison is skipped.
-            if self._log.new_nodes and merged.node_order() != self.graph.node_list():
-                # The live graph holds a node the surviving edge delta no
-                # longer mentions (or insertion orders diverged) — fall
-                # back to the always-correct full freeze.
-                merged = CSRGraph.from_digraph(self.graph)
-        else:
-            merged = CSRGraph.from_digraph(self.graph)
-        self._csr = merged
-        self._log.clear()
-        self._digest = None
-        if was_refreeze:
+        log = self._log
+        if log.staleness:
+            self._csr = merge_deltas(
+                self._csr, log.added, log.removed, new_nodes=log.new_nodes
+            )
+            log.clear()
+            self._digest = None
             bump(self.counters, "refreezes")
-        if self._catalog is not None:
-            self._digest = self._catalog.put(merged)
-        return merged
+        if self._catalog is not None and self._digest is None:
+            self._digest = self._catalog.put(self._csr)
+        return self._csr
 
     # Re-freezing is freezing; the distinct name marks the lifecycle stage.
     refreeze = freeze
@@ -260,7 +237,6 @@ class GraphEngine:
             sources[key] = _constant(artifact)
         return Epoch(
             csr,
-            backend=self.backend,
             catalog=self._catalog,
             digest=self._digest,
             counters=self.counters,
@@ -375,7 +351,6 @@ class GraphEngine:
         return Epoch(
             csr,
             version,
-            backend=self.backend,
             catalog=self._catalog,
             digest=self._digest,
             counters=self.counters,
@@ -389,58 +364,53 @@ class GraphEngine:
         """Apply a ΔG batch across the whole session.
 
         Every representation the view materialised is kept exact by its
-        Section 5 incremental maintainer (created lazily on the first batch
-        — the first one *adopts* the engine's working graph, ``copy=False``,
-        so the graph is held once); representations never yet materialised
-        stay lazy and will compress the updated graph on first use.  The
-        view is dropped (its labels are kept for the next one to repair),
-        the net delta is logged, and the snapshot re-freezes once the
-        staleness threshold trips.
+        Section 5 incremental maintainer (created on the first batch after
+        the build, over a thaw of its own); representations never yet
+        materialised stay lazy and will compress the updated graph on
+        first use.  The batch is checked against the snapshot plus the
+        logged delta, and a bad update raises before anything changes.
+        The view is dropped (its labels are kept for the next one to
+        repair), and the snapshot re-freezes once the staleness threshold
+        trips.
         """
         deltas = list(deltas)
-        graph = self.graph  # thaw before anything reads it
-        built = self._drop_view()
-        for key in MAINTAINERS:
-            if key in self._maintainers or key not in built:
-                continue
-            adopt = self._graph_owner is None
-            self._maintainers[key] = MAINTAINERS[key](graph, copy=not adopt)
-            if adopt:
-                self._graph_owner = key
-
-        effective = effective_updates(graph, deltas)
-        # Nodes this batch creates: edge deltas can net out while the node
-        # they introduced survives, so node creation is logged separately
-        # (it keeps the snapshot stale until the next freeze).
-        new_nodes = []
-        seen_new = set()
-        for op, u, v in effective:
-            if op == "+":
-                for x in (u, v):
-                    if x not in graph and x not in seen_new:
-                        seen_new.add(x)
-                        new_nodes.append(x)
-        self._log.record(effective, new_nodes)
+        built = self._view._artifacts if self._view is not None else {}
+        for key, make in MAINTAINERS.items():
+            if key in built and key not in self._maintainers:
+                # A view opens only over a folded snapshot: it is the graph.
+                assert self._log.staleness == 0
+                self._maintainers[key] = make(self._csr.to_digraph(), copy=False)
+        applied, redundant = self._log.record(self._csr, deltas)
+        self._drop_view()
         for maintainer in self._maintainers.values():
             maintainer.apply(deltas)
-        if self._graph_owner is None:
-            for op, u, v in deltas:
-                (graph.add_edge if op == "+" else graph.remove_edge)(u, v)
 
         refrozen = False
         if self._should_refreeze():
             self.freeze()
             refrozen = True
         return UpdateReport(
-            applied=len(effective),
-            redundant=len(deltas) - len(effective),
+            applied=applied,
+            redundant=redundant,
             staleness=self._log.staleness,
             refrozen=refrozen,
         )
 
+    def reset(self, snapshot: CSRGraph, digest: Optional[str]) -> None:
+        """Make *snapshot* (content digest *digest*) the current graph.
+
+        The pending delta, the view, carried labels and maintainers are
+        dropped; the counters stay.  A publisher rolls its writer back to
+        the last published epoch with this.
+        """
+        self._csr, self._digest = snapshot, digest
+        self._log.clear()
+        self._view = self._labels = None
+        self._maintainers.clear()
+
     def _should_refreeze(self) -> bool:
         threshold = self.refreeze_threshold
-        if threshold is None or self._csr is None or self._log.staleness == 0:
+        if threshold is None or self._log.staleness == 0:
             return False
         if isinstance(threshold, float) and threshold < 1.0:
             budget = threshold * (self._csr.n + self._csr.m)
@@ -453,14 +423,11 @@ class GraphEngine:
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, Any]:
         """Lifecycle snapshot for logging/benchmarks."""
-        graph = self._graph
-        csr = self._csr
+        log, csr = self._log, self._csr
         built = set(self._view._artifacts) if self._view is not None else set()
         return {
-            "nodes": graph.order() if graph is not None else (csr.n if csr else 0),
-            "edges": graph.size() if graph is not None else (csr.m if csr else 0),
-            "backend": self.backend,
-            "frozen": csr is not None,
+            "nodes": csr.n + len(log.new_nodes),
+            "edges": csr.m + len(log.added) - len(log.removed),
             "staleness": self._log.staleness,
             "materialized": sorted(built | set(self._maintainers)),
             "maintained": sorted(self._maintainers),

@@ -7,27 +7,24 @@ engine drives both through one :class:`CompressionMaintainer` interface so
 :meth:`repro.engine.session.GraphEngine.apply` is a loop over
 representations, not a pair of special cases.
 
-Two further pieces belong to the lifecycle:
-
-* :class:`UpdateLog` — the *net* edge delta of the session relative to its
-  last frozen snapshot, plus staleness accounting.  The log is what makes
-  cheap re-freezing possible: :func:`repro.store.delta.merge_deltas` takes
-  exactly this net delta and folds it into the existing snapshot without
-  re-sorting untouched rows.
-* :func:`effective_updates` — the subsequence of a raw update batch that
-  actually changes edge presence, computed *without mutating the graph*
-  (an overlay simulation), so the log can be recorded before any
-  maintainer touches its copy.
+The other piece of the lifecycle is :class:`UpdateLog`, the writer's only
+mutable state: the *net* edge delta and the nodes created since the last
+frozen snapshot.  Snapshot plus log is the live graph, so an update is
+checked against the snapshot's sorted rows (``CSRGraph.has_edge``) and the
+log, with no thawed copy of ``G``; and the log is exactly what
+:func:`repro.store.delta.merge_deltas` folds into the snapshot at the next
+freeze, without re-sorting untouched rows.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.core.incremental_pattern import IncrementalPatternCompressor
 from repro.core.incremental_reach import IncrementalReachabilityCompressor
 from repro.core.base import QueryPreservingCompression
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.index.tol import TOLIndex
 from repro.index.tol import refresh_index as tol_refresh_index
@@ -41,10 +38,9 @@ EdgeUpdate = Tuple[str, Node, Node]
 class CompressionMaintainer(ABC):
     """Uniform driver interface over the Section 5 incremental algorithms.
 
-    A maintainer owns a mutable copy of ``G ⊕ ΔG`` (possibly *adopted* from
-    the engine with ``copy=False`` — see the aliasing contract on the
-    underlying compressors) and keeps its compression artifact exact under
-    batch updates.
+    A maintainer owns a mutable copy of ``G ⊕ ΔG`` (the engine hands each
+    one a thaw of its own, with ``copy=False``) and keeps its compression
+    artifact exact under batch updates.
     """
 
     #: Representation key this maintainer serves (router vocabulary).
@@ -110,38 +106,6 @@ MAINTAINERS = {
 }
 
 
-def effective_updates(
-    graph: DiGraph, updates: Iterable[EdgeUpdate]
-) -> List[EdgeUpdate]:
-    """The subsequence of *updates* that changes edge presence in *graph*.
-
-    Simulated against an overlay — *graph* is **not** mutated and reflects
-    the pre-batch state.  Inserting a present edge / deleting an absent one
-    is dropped (the maintainers count those as redundant); an insert+delete
-    pair inside the batch survives as both entries, preserving order, so
-    replaying the result on any copy of the pre-batch graph reproduces the
-    exact final state.
-    """
-    overlay: Dict[Edge, bool] = {}
-    effective: List[EdgeUpdate] = []
-    for op, u, v in updates:
-        edge = (u, v)
-        present = overlay.get(edge)
-        if present is None:
-            present = graph.has_edge(u, v)
-        if op == "+":
-            if not present:
-                overlay[edge] = True
-                effective.append((op, u, v))
-        elif op == "-":
-            if present:
-                overlay[edge] = False
-                effective.append((op, u, v))
-        else:
-            raise ValueError(f"unknown update op {op!r}")
-    return effective
-
-
 def refresh_reachability_index(
     index: "TOLIndex", artifact: QueryPreservingCompression
 ) -> str:
@@ -172,17 +136,17 @@ def refresh_reachability_index(
 
 
 class UpdateLog:
-    """Net edge delta of a session relative to its last frozen snapshot.
+    """The writer's pending change relative to its last frozen snapshot.
 
-    ``added`` holds edges now present that the snapshot lacks (insertion
-    order preserved — :func:`repro.store.delta.merge_deltas` appends new
-    nodes in first-appearance order over the added edges, which must match
-    the order ``DiGraph.add_edge`` created them in the live graph);
-    ``removed`` holds edges the snapshot has that are now gone.  The two
-    are disjoint by construction.  ``new_nodes`` tracks nodes *created*
-    since the last freeze: edge deltas can net out while the node they
-    introduced survives (``DiGraph.remove_edge`` keeps endpoints), so node
-    creation is logged separately and never cancelled by edge removals.
+    Snapshot plus log is the live graph: an edge is present when it is in
+    ``added``, or the snapshot has it and it is not in ``removed``.
+    ``added`` holds edges now present that the snapshot lacks, ``removed``
+    edges the snapshot has that are now gone (the two are disjoint), both
+    in insertion order.  ``new_nodes`` holds the nodes created since the
+    snapshot, in creation order: an edge delta can net out while the node
+    it introduced survives (``DiGraph.remove_edge`` keeps endpoints), so
+    node creation is logged separately and never cancelled, and
+    :func:`repro.store.delta.merge_deltas` takes it as ``new_nodes=``.
     ``staleness`` (the total of all three) is the engine's re-freeze
     trigger — and its freshness test: a snapshot is current only when it
     is zero.
@@ -193,32 +157,44 @@ class UpdateLog:
         self._added: Dict[Edge, None] = {}
         self._removed: Dict[Edge, None] = {}
         self._new_nodes: Dict[Node, None] = {}
-        #: Total effective (presence-changing) updates ever recorded.
-        self.ops_applied = 0
 
     def record(
-        self, effective: Iterable[EdgeUpdate], new_nodes: Iterable[Node] = ()
-    ) -> None:
-        """Fold an :func:`effective_updates` batch into the net delta.
+        self, snapshot: CSRGraph, updates: Sequence[EdgeUpdate]
+    ) -> Tuple[int, int]:
+        """Fold a raw ΔG batch, read against *snapshot* plus this log.
 
-        *new_nodes* are the nodes this batch creates (endpoints of
-        effective insertions absent from the pre-batch graph).
+        Returns ``(applied, redundant)``: updates that changed edge
+        presence, and no-ops (inserting a present edge, deleting an absent
+        one).  Every update is validated before anything changes, so a
+        bad one raises ``ValueError`` (``TypeError`` for an unhashable
+        node) and leaves the log as it was.
         """
-        for op, u, v in effective:
+        for op, u, v in updates:
+            if op not in ("+", "-"):
+                raise ValueError(f"unknown update op {op!r}")
+            hash((u, v))
+        added, removed, created = self._added, self._removed, self._new_nodes
+        applied = 0
+        for op, u, v in updates:
             edge = (u, v)
-            self.ops_applied += 1
-            if op == "+":
-                if edge in self._removed:
-                    del self._removed[edge]  # back to its snapshot state
+            present = edge in added or (
+                edge not in removed and snapshot.has_edge(u, v))
+            if present == (op == "+"):
+                continue
+            applied += 1
+            if op == "-":
+                if edge in added:
+                    del added[edge]
                 else:
-                    self._added[edge] = None
+                    removed[edge] = None
+            elif edge in removed:
+                del removed[edge]  # back to its snapshot state
             else:
-                if edge in self._added:
-                    del self._added[edge]
-                else:
-                    self._removed[edge] = None
-        for node in new_nodes:
-            self._new_nodes[node] = None
+                added[edge] = None
+                for x in edge:
+                    if x not in snapshot and x not in created:
+                        created[x] = None
+        return applied, len(updates) - applied
 
     @property
     def added(self) -> List[Edge]:
@@ -234,7 +210,7 @@ class UpdateLog:
 
     @property
     def staleness(self) -> int:
-        """Size of the net delta — how far the snapshot lags the graph.
+        """Size of the pending change — how far the snapshot lags the graph.
 
         Counts node creations on top of the edge delta, so a batch whose
         edges cancel out but which introduced a node still reads as stale
@@ -243,7 +219,7 @@ class UpdateLog:
         return len(self._added) + len(self._removed) + len(self._new_nodes)
 
     def clear(self) -> None:
-        """Forget the delta (called right after a re-freeze)."""
+        """Forget the pending change (right after a freeze or a rollback)."""
         self._added.clear()
         self._removed.clear()
         self._new_nodes.clear()
@@ -251,5 +227,5 @@ class UpdateLog:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"UpdateLog(+{len(self._added)}, -{len(self._removed)}, "
-            f"nodes+{len(self._new_nodes)}, ops={self.ops_applied})"
+            f"nodes+{len(self._new_nodes)})"
         )

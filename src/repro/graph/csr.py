@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
+from bisect import bisect_left
 from itertools import accumulate, chain, compress
 from operator import ge, le
 from typing import (
@@ -453,6 +454,18 @@ class CSRGraph:
         return v in self.indexer
 
     __contains__ = has_node
+
+    def has_edge(self, u: Node, v: Node) -> bool:
+        """Does the snapshot hold edge ``(u, v)`` of original nodes?  One
+        bisect on ``u``'s sorted row; an absent endpoint means no edge."""
+        index = self.indexer._index
+        iu, iv = index.get(u), index.get(v)
+        if iu is None or iv is None:
+            return False
+        indptr, flat = self._fwd_lists
+        hi = indptr[iu + 1]
+        at = bisect_left(flat, iv, indptr[iu], hi)
+        return at < hi and flat[at] == iv
 
     def successors(self, i: int) -> array:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]

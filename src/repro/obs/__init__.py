@@ -8,13 +8,11 @@ site) until explicitly installed:
 * :mod:`repro.obs.trace` — per-query spans (route → build → dispatch →
   answer-map) exported as JSON-lines, with a slow-query log.
 
-Two live-ops facilities build on them:
+A live-ops facility builds on them:
 
-* :mod:`repro.obs.profile` — an on-demand cross-thread sampling profiler
-  whose samples are attributed to the ambient span stack;
 * :mod:`repro.obs.serve` — a stdlib-only HTTP introspection server
-  (``/metrics``, ``/health``, ``/epochs``, ``/slow``, ``/traces``,
-  ``/profile``) mountable by a service or harness.
+  (``/metrics``, ``/health``, ``/epochs``, ``/slow``, ``/traces``)
+  mountable by a service or harness.
 
 See ``src/repro/obs/README.md`` for the metric catalogue, span schema,
 exposition format and endpoint catalogue.
@@ -36,7 +34,6 @@ from repro.obs.metrics import (
     set_gauge,
     uninstall_registry,
 )
-from repro.obs.profile import SamplingProfiler
 from repro.obs.serve import METRICS_CONTENT_TYPE, ObsHTTPServer
 from repro.obs.trace import (
     DEFAULT_MAX_SPANS,
@@ -64,7 +61,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ObsHTTPServer",
-    "SamplingProfiler",
     "Span",
     "Tracer",
     "attach",

@@ -326,8 +326,6 @@ SCHEMA: Dict[str, Tuple[str, str, Labels, Optional[Tuple[float, ...]]]] = {
     "obs_http_requests_total": (
         "counter", "Introspection-endpoint requests by path and status.",
         ("endpoint", "status"), None),
-    "profile_samples_total": (
-        "counter", "Stack samples captured by the sampling profiler.", (), None),
 }
 
 

@@ -1,4 +1,4 @@
-"""Live-ops HTTP surface: metrics, health, epochs, traces, profiling.
+"""Live-ops HTTP surface: metrics, health, epochs, traces.
 
 Everything :mod:`repro.obs` measures in-process becomes reachable over
 plain HTTP — stdlib only (``http.server``), so the serving stack gains an
@@ -23,8 +23,6 @@ Endpoint catalogue (all ``GET``; see ``src/repro/obs/README.md``):
 ``/slow``                 the tracer's slow-query log
                           (``?threshold_ms=&limit=``)
 ``/traces``               recent finished spans as JSONL (``?limit=``)
-``/profile``              on-demand sampling profile
-                          (``?seconds=N&format=folded|json``)
 ========================  ====================================================
 
 Security: the server binds ``127.0.0.1`` by default and performs no
@@ -34,9 +32,7 @@ proxy that adds auth.
 
 The registry/tracer default to the *installed* process instances at each
 request, so a server started before ``install_registry`` serves whatever
-is live when scraped.  Handlers are read-only; ``/profile`` is the one
-endpoint that does work (a bounded sampling window) and is serialised —
-concurrent requests get ``409``.
+is live when scraped.  Handlers are read-only.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.metrics import MetricsRegistry, current_registry
 from repro.obs.metrics import inc as obs_inc
-from repro.obs.profile import SamplingProfiler
 from repro.obs.trace import Tracer, current_tracer
 
 #: Prometheus text exposition content type.
@@ -71,15 +66,12 @@ class ObsHTTPServer:
     service:
         An :class:`~repro.service.front.EngineService` to introspect for
         ``/health``, ``/ready`` and ``/epochs``.  Optional — without one
-        those endpoints answer 503 and the metrics/trace/profile side
-        still works (the chaos CLI mounts exactly that way).
+        those endpoints answer 503 and the metrics/trace side still
+        works (the chaos CLI mounts exactly that way).
     executor:
         A :class:`~repro.service.executor.QueryExecutor` whose circuit
         breaker feeds ``/health`` (attachable later via
         :meth:`attach_executor`).
-    profile_interval_s, max_profile_seconds:
-        Sampling tick for ``/profile`` windows and the cap on one
-        window's duration.
     """
 
     def __init__(
@@ -91,24 +83,17 @@ class ObsHTTPServer:
         tracer: Optional[Tracer] = None,
         service: Optional[Any] = None,
         executor: Optional[Any] = None,
-        profile_interval_s: float = 0.005,
-        max_profile_seconds: float = 30.0,
         traces_limit: int = 1000,
     ) -> None:
-        if max_profile_seconds <= 0:
-            raise ValueError("max_profile_seconds must be positive")
         self.host = host
         self.port = port
         self._registry = registry
         self._tracer = tracer
         self.service = service
         self.executor = executor
-        self.profile_interval_s = profile_interval_s
-        self.max_profile_seconds = max_profile_seconds
         self.traces_limit = traces_limit
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
-        self._profile_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -210,7 +195,6 @@ class ObsHTTPServer:
         return 200, {
             "status": status,
             "version": described.get("version"),
-            "backend": described.get("backend"),
             "draining": described.get("draining"),
             "degraded": degraded,
             "breaker": breaker,
@@ -276,21 +260,6 @@ class ObsHTTPServer:
             spans = spans[-limit:]
         return "".join(json.dumps(s, sort_keys=True) + "\n" for s in spans)
 
-    def profile_result(self, seconds: float) -> Optional[SamplingProfiler]:
-        """Run one bounded sampling window; ``None`` when one is already
-        in flight (the caller maps that to 409)."""
-        seconds = min(max(seconds, 0.0), self.max_profile_seconds)
-        if not self._profile_lock.acquire(blocking=False):
-            return None
-        try:
-            profiler = SamplingProfiler(
-                self.profile_interval_s, tracer=self.tracer()
-            )
-            profiler.run_for(seconds)
-            return profiler
-        finally:
-            self._profile_lock.release()
-
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes one GET to the payload builders above.  Read-only."""
@@ -326,7 +295,7 @@ class _Handler(BaseHTTPRequestHandler):
         if endpoint == "/":
             return self._send_json(200, {
                 "endpoints": ["/metrics", "/health", "/ready", "/epochs",
-                              "/slow", "/traces", "/profile"],
+                              "/slow", "/traces"],
                 "service_mounted": obs.service is not None,
             })
         if endpoint == "/metrics":
@@ -353,24 +322,6 @@ class _Handler(BaseHTTPRequestHandler):
             if body is None:
                 return self._send_json(503, {"detail": "no tracer installed"})
             return self._send_text(200, body, "application/x-ndjson")
-        if endpoint == "/profile":
-            seconds = self._float_param(params, "seconds", 1.0) or 1.0
-            fmt = params.get("format", ["folded"])[-1]
-            if fmt not in ("folded", "json"):
-                return self._send_json(
-                    400, {"error": f"unknown format {fmt!r}; "
-                          "expected 'folded' or 'json'"}
-                )
-            profiler = obs.profile_result(seconds)
-            if profiler is None:
-                return self._send_json(
-                    409, {"error": "a profile window is already running"}
-                )
-            if fmt == "json":
-                return self._send_json(200, profiler.to_dict())
-            return self._send_text(
-                200, profiler.to_folded(), "text/plain; charset=utf-8"
-            )
         return self._send_json(404, {"error": f"unknown endpoint {endpoint!r}"})
 
     # -- response helpers ------------------------------------------------

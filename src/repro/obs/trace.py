@@ -58,14 +58,11 @@ _ALL_TRACERS: "weakref.WeakSet[Tracer]" = weakref.WeakSet()
 def _rearm_after_fork() -> None:  # pragma: no cover - fork plumbing
     # A forked child shares the parent's counter state; its pid prefix
     # already disambiguates, but re-arming the locks avoids inheriting a
-    # lock held mid-acquire at fork time.  Ambient name stacks belong to
-    # parent threads that do not exist in the child — drop them so the
-    # profiler never attributes child samples to a dead thread's spans.
+    # lock held mid-acquire at fork time.
     global _ids_lock
     _ids_lock = threading.Lock()
     for tracer in list(_ALL_TRACERS):
         tracer._lock = threading.Lock()
-        tracer._name_stacks = {}
 
 
 if hasattr(os, "register_at_fork"):
@@ -112,9 +109,6 @@ class Span:
 class _Ambient(threading.local):
     def __init__(self) -> None:
         self.stack: List[TraceContext] = []
-        #: Span names parallel to ``stack`` (``None`` for adopted contexts
-        #: pushed by :func:`attach`, whose span name lives elsewhere).
-        self.names: List[Optional[str]] = []
 
 
 #: Default hard cap on retained finished spans per tracer.  A long-lived
@@ -144,12 +138,6 @@ class Tracer:
         self.slow_threshold_s = slow_threshold_s
         self.max_spans = max_spans
         self._dropped = 0
-        #: thread ident -> that thread's live ambient *names* list (the
-        #: same object the thread mutates).  Registered on a thread's
-        #: first push, dropped when its stack empties, and read by the
-        #: sampling profiler to attribute stack samples to engine phases.
-        #: Plain dict ops under the GIL; sampled reads tolerate staleness.
-        self._name_stacks: Dict[int, List[Optional[str]]] = {}
         _ALL_TRACERS.add(self)
 
     # -- ambient context (thread-local) ----------------------------------
@@ -157,37 +145,11 @@ class Tracer:
         stack = self._ambient.stack
         return stack[-1] if stack else None
 
-    def _push(self, ctx: TraceContext, name: Optional[str] = None) -> None:
-        ambient = self._ambient
-        if not ambient.stack:
-            self._name_stacks[threading.get_ident()] = ambient.names
-        ambient.stack.append(ctx)
-        ambient.names.append(name)
+    def _push(self, ctx: TraceContext) -> None:
+        self._ambient.stack.append(ctx)
 
     def _pop(self) -> None:
-        ambient = self._ambient
-        ambient.stack.pop()
-        ambient.names.pop()
-        if not ambient.stack:
-            self._name_stacks.pop(threading.get_ident(), None)
-
-    def span_name_stacks(self) -> Dict[int, Tuple[str, ...]]:
-        """Per-thread ambient span-name stacks, outermost first.
-
-        The profiler's attribution source: a snapshot of which named
-        spans each traced thread is currently inside.  Unnamed entries
-        (adopted contexts) are skipped; threads with no open span are
-        omitted.  Racy by design — sampling tolerates a one-frame skew.
-        """
-        out: Dict[int, Tuple[str, ...]] = {}
-        for ident in list(self._name_stacks.keys()):
-            names = self._name_stacks.get(ident)
-            if not names:
-                continue
-            stack = tuple(n for n in list(names) if n is not None)
-            if stack:
-                out[ident] = stack
-        return out
+        self._ambient.stack.pop()
 
     # -- span lifecycle --------------------------------------------------
     def start_span(self, name: str,
@@ -371,7 +333,7 @@ class _LiveSpan:
     def __enter__(self) -> "_LiveSpan":
         span = self._tracer.start_span(self._name, self._parent, self._attrs)
         self._span = span
-        self._tracer._push((span.trace_id, span.span_id), self._name)
+        self._tracer._push((span.trace_id, span.span_id))
         return self
 
     def __exit__(self, exc_type: Any, *exc_info: Any) -> None:

@@ -23,7 +23,7 @@ Three subcommands:
 ``serve-obs``
     Stand up a live :class:`~repro.service.front.EngineService` with the
     HTTP introspection endpoint mounted (``/metrics``, ``/health``,
-    ``/epochs``, ``/slow``, ``/traces``, ``/profile`` — see
+    ``/epochs``, ``/slow``, ``/traces`` — see
     ``src/repro/obs/README.md``) and keep it under a light self-traffic
     loop so every endpoint has live data.  The bound URL is the first
     stdout line; runs until ``--duration`` elapses or Ctrl-C.  Binds
@@ -190,7 +190,7 @@ def _serve_obs(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     with installed(registry), tracing(tracer):
         server = ObsHTTPServer(args.host, args.port)
-        service = EngineService(graph.copy(), backend="csr", obs_http=server)
+        service = EngineService(graph.copy(), obs_http=server)
         executor = (
             QueryExecutor(service, args.workers, max_batch=8)
             if args.workers else None

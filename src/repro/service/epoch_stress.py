@@ -96,9 +96,10 @@ def publish(service: EngineService, graphs: Dict[int, DiGraph],
 
     *graphs* maps each version published so far to its exact graph; seed
     it with ``{service.version: <a copy of the source graph>}``.  The raw
-    batch is replayed onto a copy of the previous version's graph, as
-    ``EngineService.apply`` does: ``add_edge`` / ``remove_edge`` do nothing
-    on an edge already present or already absent.  A failed publication
+    batch is replayed onto a copy of the previous version's graph with
+    ``add_edge`` / ``remove_edge``, which do nothing on an edge already
+    present or already absent — the same semantics the service's update
+    log applies to its snapshot.  A failed publication
     (:class:`ApplyError`) raises before anything is recorded.
     """
     mirror = graphs[service.version]
@@ -205,7 +206,6 @@ def chaos_plan(seed: int) -> FaultPlan:
 def run_stress(
     graph: DiGraph,
     *,
-    backend: str = "csr",
     readers: int = 4,
     writer_batches: int = 6,
     batch_size: int = 8,
@@ -232,7 +232,7 @@ def run_stress(
     )
     catalog = SnapshotCatalog(catalog_dir) if catalog_dir is not None else None
     service = EngineService(
-        graph.copy(), catalog, backend=backend,
+        graph.copy(), catalog,
         build_deadline_s=BUILD_DEADLINE_S if plan is not None else None,
     )
     executor = QueryExecutor(

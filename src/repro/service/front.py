@@ -22,8 +22,8 @@ Concurrency contract (RCU-style):
 
 Every epoch's answers equal from-scratch evaluation on that epoch's graph
 — the stress harness (:mod:`repro.service.epoch_stress`) verifies exactly
-that against the graph its writer recorded for each version, across
-backends, hash seeds and fault plans.
+that against the graph its writer recorded for each version, across hash
+seeds and fault plans.
 """
 
 from __future__ import annotations
@@ -64,11 +64,13 @@ class EngineService:
 
     Parameters
     ----------
-    source, catalog, backend, router:
+    source, catalog, router:
         Forwarded to the underlying single-writer
-        :class:`~repro.engine.session.GraphEngine` (same adoption
-        semantics for a ``DiGraph`` source).  The engine's auto-refreeze
-        is disabled — the service freezes at every publication anyway.
+        :class:`~repro.engine.session.GraphEngine`, which freezes a
+        ``DiGraph`` source and holds ``G`` as that snapshot plus the net
+        delta of the batch in flight — the writer never thaws it.  The
+        engine's auto-refreeze is disabled — the service freezes at every
+        publication anyway.
     build_deadline_s:
         Wall-clock budget for each published epoch's lazy Gr/Gb builds.
         A build over budget degrades that representation to direct-on-G
@@ -87,13 +89,12 @@ class EngineService:
         source: GraphSource,
         catalog: Optional[Any] = None,
         *,
-        backend: str = "csr",
         router: Optional[QueryRouter] = None,
         build_deadline_s: Optional[float] = None,
         obs_http: Optional[ObsHTTPServer] = None,
     ) -> None:
         self._engine = GraphEngine(
-            source, catalog, backend=backend, refreeze_threshold=None, router=router
+            source, catalog, refreeze_threshold=None, router=router
         )
         self._catalog = catalog
         self._build_deadline_s = build_deadline_s
@@ -121,10 +122,6 @@ class EngineService:
     def version(self) -> int:
         """Version of the current epoch (publication ordinal)."""
         return self._version
-
-    @property
-    def backend(self) -> str:
-        return self._engine.backend
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -162,7 +159,6 @@ class EngineService:
         epoch = self._current
         return {
             "version": self._version,
-            "backend": self.backend,
             "draining": len(self.draining()),
             "closed": self._closed,
             "epoch": epoch.describe(),
@@ -323,32 +319,19 @@ class EngineService:
         """Reset the writer to *prior*'s exact graph and raise ApplyError.
 
         Readers are untouched — ``self._current`` still is *prior* (the
-        swap never happened).  Only the writer-side engine may hold
-        partially-applied state, so it is rebuilt from the prior epoch's
-        frozen snapshot: cheap (the CSR is already frozen and, with a
-        catalog, content-addressed, so no recompression happens) and
-        exact (the snapshot *is* the published graph).
+        swap never happened).  Only the writer may hold partially-applied
+        state — a logged delta, or a snapshot nobody will serve — so it is
+        reset in place to the prior epoch's frozen snapshot and digest:
+        cheap (nothing is thawed or recompressed) and exact (the snapshot
+        *is* the published graph).
         """
-        counters = self._engine.counters
         # The batch may have been stored before it failed: that graph will
         # never be served, so the catalog handle need not remember it.
         failed = self._engine._digest
         if failed is not None and failed != prior._digest:
             self._catalog.forget(failed)
-        self._engine = GraphEngine(
-            prior.csr,
-            self._catalog,
-            backend=self._engine.backend,
-            refreeze_threshold=None,
-            router=self._router,
-        )
-        # Keep the lifecycle counters dict *identity*: published epochs
-        # (including *prior*, still serving) bump into it.
-        counters.update(
-            {k: v for k, v in self._engine.counters.items() if k not in counters}
-        )
-        self._engine.counters = counters
-        bump(counters, "apply_rollbacks")
+        self._engine.reset(prior.csr, prior._digest)
+        bump(self._engine.counters, "apply_rollbacks")
         obs_inc("service_rollbacks_total")
         raise ApplyError(
             f"update batch failed before publication "
@@ -398,6 +381,5 @@ class EngineService:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"EngineService(v{self._version}, backend={self.backend!r}, "
-            f"closed={self._closed})"
+            f"EngineService(v{self._version}, closed={self._closed})"
         )

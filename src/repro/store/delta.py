@@ -18,16 +18,18 @@ is spliced the same way (:func:`repro.store.format.splice_body`), so the
 successor's digest and snapshot file cost no re-encode either.
 
 The output is *identical* to applying the same delta to the thawed graph
-and freezing again: new nodes are appended in first-appearance order over
-the added edges (matching ``DiGraph.add_edge``'s ``add_node`` order), label
-codes of existing nodes are preserved, and new labels are interned after
-the existing table.  ``tests/test_store.py`` enforces buffer-for-buffer
+and freezing again: new nodes are appended in the order the writer created
+them (``new_nodes=``, which also keeps a node whose edges netted out), then
+any other endpoint of an added edge in first-appearance order (matching
+``DiGraph.add_edge``'s ``add_node`` order); label codes of existing nodes
+are preserved, and new labels are interned after the existing table.  ``tests/test_store.py`` enforces buffer-for-buffer
 equality against the rebuild-from-scratch path, ``tests/test_delta_splice.py``
 byte-for-byte equality of the spliced body with a fresh encode.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.csr import CSRGraph, splice_rows
@@ -76,12 +78,15 @@ def merge_deltas(
     added_edges: Iterable[Edge] = (),
     removed_edges: Iterable[Edge] = (),
     labels: Optional[Dict[Node, str]] = None,
+    new_nodes: Iterable[Node] = (),
 ) -> CSRGraph:
     """Merge an edge delta into *csr*, returning a new frozen graph.
 
-    *added_edges* may introduce new nodes (appended after the existing
-    ones, in order of first appearance); *labels* assigns labels to those
-    new nodes (default σ).  *removed_edges* that are absent are ignored,
+    *new_nodes* are nodes created since *csr* was frozen, in creation
+    order; they are appended after the existing ones even when no
+    surviving edge mentions them.  *added_edges* may introduce further
+    nodes (appended next, in order of first appearance); *labels* assigns
+    labels to all of these (default σ).  *removed_edges* that are absent are ignored,
     exactly like ``DiGraph.remove_edge``; an edge present in both lists
     ends up present (removals are applied first).  Nodes are never removed
     — matching the dict backend, where deleting an edge keeps its
@@ -95,10 +100,9 @@ def merge_deltas(
     indexer = csr.indexer
     added = list(added_edges)
     fresh: Dict[Node, int] = {}  # introduced nodes -> id, first appearance first
-    for edge in added:
-        for x in edge:
-            if x not in indexer and x not in fresh:
-                fresh[x] = n_old + len(fresh)
+    for x in chain(new_nodes, chain.from_iterable(added)):
+        if x not in indexer and x not in fresh:
+            fresh[x] = n_old + len(fresh)
 
     def find(v: Node) -> Optional[int]:
         return indexer.index(v) if v in indexer else fresh.get(v)

@@ -111,6 +111,15 @@ def test_scc_partition_matches_dict(g):
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=POOL_IDS)
+def test_has_edge_matches_dict(g):
+    csr = CSRGraph.from_digraph(g)
+    nodes = g.node_list() + ["absent", -1]  # absent endpoints on both sides
+    for u in nodes:
+        for v in nodes:
+            assert csr.has_edge(u, v) == g.has_edge(u, v), (u, v)
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=POOL_IDS)
 def test_condensation_matches_dict(g):
     csr = CSRGraph.from_digraph(g)
     cond = csr_condensation(csr)

@@ -178,6 +178,32 @@ def test_two_byte_label_codes_splice():
     _check_step(merged, g)
 
 
+def test_netted_out_new_nodes_splice_in_creation_order():
+    """The writer's one freeze path: nodes whose creating edges netted out
+    reach the snapshot through ``new_nodes=``, in creation order, across
+    batches — equal to freezing the replayed graph, body spliced."""
+    from repro.engine.updates import UpdateLog
+
+    g = DiGraph.from_edges([(1, 2), (2, 3)])
+    csr = CSRGraph.from_digraph(g)
+    csr.digest()  # holds its body: the merge splices it
+    batches = [
+        [("+", 9, 1), ("+", 1, 8), ("-", 9, 1), ("+", 2, 1)],
+        [("+", "s", "s"), ("-", 1, 8), ("+", 9, 2), ("-", 2, 3), ("+", 2, 3)],
+    ]
+    log = UpdateLog()
+    for batch in batches:
+        log.record(csr, batch)
+        for op, u, v in batch:
+            (g.add_edge if op == "+" else g.remove_edge)(u, v)
+    assert log.new_nodes == [9, 8, "s"]  # 8 keeps no edge, 9 is re-linked
+    assert log.added == [(2, 1), ("s", "s"), (9, 2)] and log.removed == []
+    merged = merge_deltas(csr, log.added, log.removed, new_nodes=log.new_nodes)
+    assert merged.node_order() == [1, 2, 3, 9, 8, "s"]
+    assert csr.encoded is None  # the body was spliced, not re-encoded
+    _check_step(merged, g)
+
+
 def test_splice_hands_over_the_only_body():
     """Fast path: the successor gets the body, the superseded parent drops it."""
     g = DiGraph.from_edges([(1, 2), (2, 3), (3, 1)])

@@ -2,8 +2,9 @@
 
 The engine's contract is exactness: every routed answer — after hypernode
 expansion — equals from-scratch evaluation of the same query on the
-original graph, before and after arbitrary interleaved update batches, on
-both construction backends, under any ``PYTHONHASHSEED``.  These tests
+original graph, before and after arbitrary interleaved update batches,
+whether the engine is built from a ``DiGraph`` (``dict``) or a
+``CSRGraph`` (``csr``), under any ``PYTHONHASHSEED``.  These tests
 randomize all of it.
 """
 
@@ -17,7 +18,7 @@ import sys
 
 import pytest
 
-from repro.engine import GraphEngine, QueryRouter, UpdateLog, effective_updates
+from repro.engine import GraphEngine, QueryRouter, UpdateLog
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import attach_equivalent_leaves, gnm_random_graph
@@ -48,6 +49,15 @@ def _workload(graph: DiGraph, rng: random.Random, pairs: int = 25, patterns: int
             )
         )
     return queries
+
+
+def _source(graph: DiGraph, backend: str):
+    """A copy of *graph* in the given graph backend, to build an engine on."""
+    return CSRGraph.from_digraph(graph) if backend == "csr" else graph.copy()
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the engine must not convert between graph backends here")
 
 
 def _direct_answer(graph: DiGraph, q):
@@ -85,8 +95,6 @@ def test_router_rejects_bad_targets():
 def test_engine_rejects_bad_args():
     g = gnm_random_graph(5, 6, seed=1)
     with pytest.raises(ValueError):
-        GraphEngine(g, backend="numpy")
-    with pytest.raises(ValueError):
         GraphEngine(g, refreeze_threshold=0)
     with pytest.raises(TypeError):
         GraphEngine(42)
@@ -105,7 +113,7 @@ def test_routed_equals_direct_randomized(backend):
     rng = random.Random(101)
     for trial in range(6):
         g = _mixed_graph(seed=trial * 11)
-        engine = GraphEngine(g.copy(), backend=backend)
+        engine = GraphEngine(_source(g, backend))
         for q in _workload(g, rng):
             want = _direct_answer(g, q)
             assert engine.query(q) == want
@@ -114,7 +122,7 @@ def test_routed_equals_direct_randomized(backend):
             assert engine.query(q, on=forced) == want
 
 
-def test_engine_from_snapshot_and_paths(tmp_path):
+def test_engine_from_snapshot_and_paths(tmp_path, monkeypatch):
     from repro.graph.io import write_graph
     from repro.store.format import save_snapshot
 
@@ -138,9 +146,10 @@ def test_engine_from_snapshot_and_paths(tmp_path):
     for source in (frozen, str(tmp_path / "g.rgs"), tmp_path / "g.txt"):
         engine = GraphEngine(source)
         assert engine.query_batch(workload) == want
-    # .rgs stays frozen — no thaw before first use.
+    # .rgs stays frozen — the engine answers without a thaw.
+    monkeypatch.setattr(CSRGraph, "to_digraph", _forbidden)
     engine = GraphEngine(str(tmp_path / "g.rgs"))
-    assert engine.describe()["frozen"]
+    assert engine.query_batch(workload) == want
 
 
 def test_failed_pattern_build_degrades_the_route_until_the_next_apply():
@@ -188,7 +197,7 @@ def test_interleaved_queries_and_updates_equivalence(backend):
         g = _mixed_graph(seed=trial * 17, n=50, m=150)
         reference = g.copy()  # maintained independently of the engine
         engine = GraphEngine(
-            g.copy(), backend=backend, refreeze_threshold=40 if trial % 2 else 0.25
+            _source(g, backend), refreeze_threshold=40 if trial % 2 else 0.25
         )
         if trial % 2:
             engine.query_batch(_workload(reference, rng, pairs=5, patterns=1))
@@ -255,19 +264,46 @@ def test_update_report_counts_redundant_ops():
     assert engine.graph.structure_equal(g)
 
 
-def test_effective_updates_and_update_log_net_semantics():
-    g = DiGraph.from_edges([(1, 2), (2, 3)])
+def test_update_log_record_net_semantics():
+    snapshot = CSRGraph.from_digraph(DiGraph.from_edges([(1, 2), (2, 3)]))
     ops = [("+", 1, 2), ("-", 1, 2), ("+", 1, 2), ("+", 3, 4), ("-", 3, 4), ("-", 2, 3)]
-    eff = effective_updates(g, ops)
-    # The first (1,2) insert is redundant; afterwards presence toggles.
-    assert eff == [("-", 1, 2), ("+", 1, 2), ("+", 3, 4), ("-", 3, 4), ("-", 2, 3)]
-    assert not g.has_edge(3, 4) and g.has_edge(1, 2)  # graph untouched
     log = UpdateLog()
-    log.record(eff)
+    # The first (1,2) insert is redundant; afterwards presence toggles
+    # against snapshot + log, and the toggles net out.
+    assert log.record(snapshot, ops) == (5, 1)
     assert log.added == [] and log.removed == [(2, 3)]
-    assert log.staleness == 1
+    assert log.new_nodes == [4]  # created, kept though its edge netted out
+    assert log.staleness == 2
+    # Presence reads the log: (2, 3) is gone, (3, 4) absent, (1, 2) there.
+    assert log.record(snapshot, [("-", 2, 3), ("-", 3, 4), ("+", 1, 2)]) == (0, 3)
+    assert log.record(snapshot, [("+", 2, 3)]) == (1, 0)
+    assert log.removed == [] and log.staleness == 1
+    # A bad op anywhere in the batch raises before anything is recorded.
     with pytest.raises(ValueError):
-        effective_updates(g, [("?", 1, 2)])
+        log.record(snapshot, [("+", 5, 6), ("?", 1, 2)])
+    with pytest.raises(TypeError):
+        log.record(snapshot, [("+", 5, 6), ("+", [7], 1)])
+    assert log.added == [] and log.new_nodes == [4] and log.staleness == 1
+
+
+def test_bad_batch_leaves_the_engine_untouched():
+    g = _mixed_graph(seed=45, n=25, m=70)
+    engine = GraphEngine(g.copy(), refreeze_threshold=None)
+    engine.reachability()
+    engine.bisimulation()
+    engine.apply(mixed_batch(g, 6, insert_ratio=0.5, seed=2))
+    engine.query(ReachabilityQuery(*g.node_list()[:2]))  # a view over the fold
+    digest = engine.digest()
+    stale = engine.staleness
+    before = {k: m.graph.copy() for k, m in engine._maintainers.items()}
+    bad = [("+", "fresh", g.node_list()[0]), ("?", 1, 2), ("-",) + g.edge_list()[0]]
+    with pytest.raises(ValueError):
+        engine.apply(bad)
+    assert engine.staleness == stale
+    assert engine.freeze().digest() == digest
+    assert sorted(engine._maintainers) == ["pattern", "reachability"]
+    for key, graph in before.items():
+        assert engine._maintainers[key].graph.structure_equal(graph)
 
 
 def test_net_zero_batch_with_new_node_keeps_snapshot_stale():
@@ -294,19 +330,23 @@ def test_net_zero_batch_with_new_node_keeps_snapshot_stale():
     assert engine.staleness == 0
 
 
-def test_freeze_falls_back_when_new_node_order_diverges():
-    """A deleted edge that introduced a node forces the full-freeze path."""
+def test_freeze_keeps_the_creation_order_of_new_nodes(monkeypatch):
+    """A deleted edge that introduced a node still orders the snapshot."""
     g = DiGraph.from_edges([("a", "b")])
     engine = GraphEngine(g.copy(), refreeze_threshold=None)
     engine.freeze()
     engine.apply([("+", "n1", "a"), ("+", "n2", "a"), ("-", "n1", "a")])
-    # The net delta only mentions n2, but the live graph created n1 first:
-    # merge_deltas would order n1 after n2 — freeze() must detect and fall
-    # back, keeping the snapshot identical to a from-scratch freeze.
+    # The net delta only mentions n2, but n1 was created first: the log
+    # hands merge_deltas both, in creation order, so the one freeze path
+    # matches a from-scratch freeze (and never builds one itself).
+    monkeypatch.setattr(CSRGraph, "from_digraph", _forbidden)
+    merged = engine.freeze()
+    monkeypatch.undo()
     reference = g.copy()
     for op, u, v in [("+", "n1", "a"), ("+", "n2", "a"), ("-", "n1", "a")]:
         (reference.add_edge if op == "+" else reference.remove_edge)(u, v)
-    assert engine.freeze().digest() == CSRGraph.from_digraph(reference).digest()
+    assert merged.node_order() == ["a", "b", "n1", "n2"]
+    assert merged.digest() == CSRGraph.from_digraph(reference).digest()
 
 
 # ----------------------------------------------------------------------
@@ -396,17 +436,26 @@ def test_incremental_maintainers_copy_opt_out():
     assert bisim.partition().as_frozen() == ref_bisim.partition().as_frozen()
 
 
-def test_engine_holds_one_graph_for_first_maintainer():
+def test_engine_holds_no_digraph_each_maintainer_its_own():
     g = _mixed_graph(seed=43, n=25, m=70)
-    engine = GraphEngine(g.copy(), refreeze_threshold=None)
+    source = g.copy()
+    engine = GraphEngine(source, refreeze_threshold=None)
     engine.reachability()
     engine.bisimulation()
-    engine.apply(mixed_batch(g, 5, insert_ratio=0.5, seed=1))
-    owner = engine._graph_owner
-    assert owner is not None
-    assert engine._maintainers[owner].graph is engine._graph  # adopted, not copied
-    others = [k for k in engine._maintainers if k != owner]
-    assert all(engine._maintainers[k].graph is not engine._graph for k in others)
+    batch = mixed_batch(g, 5, insert_ratio=0.5, seed=1)
+    engine.apply(batch)
+    assert source.structure_equal(g)  # frozen at construction, never mutated
+    assert not any(isinstance(v, DiGraph) for v in vars(engine).values())
+    graphs = [m.graph for m in engine._maintainers.values()]
+    assert len(graphs) == 2 and graphs[0] is not graphs[1]
+    for op, u, v in batch:
+        (g.add_edge if op == "+" else g.remove_edge)(u, v)
+    assert all(graph.structure_equal(g) for graph in graphs)
+    # ``graph`` is a fresh thaw for callers: mutating it changes nothing.
+    thawed = engine.graph
+    assert thawed.structure_equal(g) and engine.graph is not thawed
+    thawed.add_edge("stray", "edge")
+    assert engine.graph.structure_equal(g)
 
 
 # ----------------------------------------------------------------------

@@ -547,30 +547,24 @@ class TestTracerBounds:
         with pytest.raises(ValueError):
             Tracer(max_spans=0)
 
-    def test_span_name_stacks_follow_ambient_spans(self):
-        tracer = Tracer()
-        ident = threading.get_ident()
-        with tracing(tracer):
-            assert tracer.span_name_stacks() == {}
-            with trace_span("outer"):
-                with trace_span("inner"):
-                    assert tracer.span_name_stacks()[ident] == \
-                        ("outer", "inner")
-                assert tracer.span_name_stacks()[ident] == ("outer",)
-        assert tracer.span_name_stacks() == {}
-
     def test_attached_context_is_unnamed(self):
         from repro.obs.trace import attach
 
         tracer = Tracer()
-        ident = threading.get_ident()
         with tracing(tracer):
             with trace_span("root"):
                 ctx = current_context()
         with tracing(tracer):
+            assert current_context() is None
             with attach(ctx):
-                # Adopted contexts have no name — filtered, and with no
-                # named span open the thread is omitted entirely.
-                assert ident not in tracer.span_name_stacks()
+                # The adopted context is ambient, and spans nest under it.
+                assert current_context() == ctx
                 with trace_span("named"):
-                    assert tracer.span_name_stacks()[ident] == ("named",)
+                    inner = current_context()
+                assert current_context() == ctx
+            assert current_context() is None
+        # Adopting a context records no span of its own.
+        assert [s["name"] for s in tracer.spans()] == ["root", "named"]
+        named = tracer.spans()[1]
+        assert (named["trace_id"], named["parent_id"]) == ctx
+        assert inner == (named["trace_id"], named["span_id"])

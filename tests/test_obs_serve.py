@@ -1,12 +1,10 @@
-"""Tests for :mod:`repro.obs.serve` and :mod:`repro.obs.profile` — the
-live-ops HTTP surface and the span-attributed sampling profiler.
+"""Tests for :mod:`repro.obs.serve` — the live-ops HTTP surface.
 
-Four contracts:
+Three contracts:
 
 * **Endpoints** — every route answers with the documented status codes
   and content types; ``/metrics`` renders scrape-parseable Prometheus
-  text; ``/traces`` is JSONL; unknown paths 404; ``/profile`` validates
-  its format and serialises concurrent windows (409).
+  text; ``/traces`` is JSONL; unknown paths 404.
 * **Health semantics** — ``/health`` is 503 only when no service is
   mounted or the service is closed; a degraded epoch build or an open
   breaker circuit flips ``status`` to ``"degraded"`` while staying 200
@@ -14,9 +12,6 @@ Four contracts:
   recovers to ``"ok"``.
 * **Lifecycle** — ``EngineService(obs_http=...)`` starts the server on
   construction and stops it on ``close()``; start/stop are idempotent.
-* **Profiler** — samples from other threads are attributed to their
-  ambient span-name stacks; the distinct-stack table is bounded with
-  drops counted; invalid parameters are rejected.
 """
 
 from __future__ import annotations
@@ -25,19 +20,15 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import time
 import urllib.error
 import urllib.request
 
-import pytest
-
 from repro.faults import FaultPlan, FaultRule
 from repro.graph.generators import attach_equivalent_leaves, gnm_random_graph
-from repro.obs.metrics import MetricsRegistry, installed
-from repro.obs.profile import SamplingProfiler
+from repro.obs.metrics import installed
 from repro.obs.serve import METRICS_CONTENT_TYPE, ObsHTTPServer
-from repro.obs.trace import Tracer, trace_span, tracing
+from repro.obs.trace import Tracer
 from repro.queries.reachability import ReachabilityQuery
 from repro.service import EngineService
 
@@ -129,32 +120,6 @@ class TestEndpoints:
             assert status == 404
             assert "unknown endpoint" in json.loads(body)["error"]
 
-    def test_profile_bad_format_400(self):
-        with ObsHTTPServer() as server:
-            status, _, _ = _get(server.url + "/profile?format=svg")
-            assert status == 400
-
-    def test_profile_folded_and_json(self):
-        with ObsHTTPServer(profile_interval_s=0.002) as server:
-            status, _, body = _get(
-                server.url + "/profile?seconds=0.05&format=json"
-            )
-            assert status == 200
-            payload = json.loads(body)
-            assert {"interval_s", "ticks", "samples", "stacks"} <= set(payload)
-            status, headers, _ = _get(
-                server.url + "/profile?seconds=0.05&format=folded"
-            )
-            assert status == 200
-            assert headers["Content-Type"].startswith("text/plain")
-
-    def test_profile_single_flight_409(self):
-        with ObsHTTPServer() as server:
-            with server._profile_lock:
-                status, _, body = _get(server.url + "/profile?seconds=0.01")
-            assert status == 409
-            assert "already running" in json.loads(body)["error"]
-
 
 # ----------------------------------------------------------------------
 # Health semantics: degraded flip under injected faults, recovery
@@ -185,7 +150,7 @@ class TestHealth:
         assert server.epochs_payload()[0] == 503
 
     def test_ok_then_closed(self):
-        service = EngineService(_small_graph(), backend="csr")
+        service = EngineService(_small_graph())
         server = ObsHTTPServer(service=service)
         try:
             status, payload = server.health_payload()
@@ -202,7 +167,7 @@ class TestHealth:
     def test_degraded_flip_under_epoch_build_fault_and_recovery(self):
         graph = _small_graph()
         nodes = graph.node_list()
-        service = EngineService(graph, backend="csr")
+        service = EngineService(graph)
         server = ObsHTTPServer(service=service)
         query = ReachabilityQuery(nodes[0], nodes[-1])
         try:
@@ -228,7 +193,7 @@ class TestHealth:
             service.close()
 
     def test_open_breaker_flips_degraded(self):
-        service = EngineService(_small_graph(), backend="csr")
+        service = EngineService(_small_graph())
         server = ObsHTTPServer(service=service)
         try:
             server.attach_executor(
@@ -244,7 +209,7 @@ class TestHealth:
             service.close()
 
     def test_epochs_payload_tracks_publications(self):
-        service = EngineService(_small_graph(), backend="csr")
+        service = EngineService(_small_graph())
         server = ObsHTTPServer(service=service)
         try:
             status, payload = server.epochs_payload()
@@ -265,8 +230,7 @@ class TestHealth:
 class TestLifecycle:
     def test_engine_service_manages_server(self):
         server = ObsHTTPServer()
-        service = EngineService(_small_graph(), backend="csr",
-                                obs_http=server)
+        service = EngineService(_small_graph(), obs_http=server)
         assert server.running and server.service is service
         assert service.obs_http is server
         status, _, body = _get(server.url + "/health")
@@ -285,94 +249,13 @@ class TestLifecycle:
         assert not server.running
 
     def test_health_catalog_lock_absent_without_catalog(self):
-        service = EngineService(_small_graph(), backend="csr")
+        service = EngineService(_small_graph())
         server = ObsHTTPServer(service=service)
         try:
             _, payload = server.health_payload()
             assert payload["catalog_lock"] is None
         finally:
             service.close()
-
-
-# ----------------------------------------------------------------------
-# Sampling profiler: attribution, bounds, parameter validation
-# ----------------------------------------------------------------------
-
-class TestProfiler:
-    def test_span_attributed_cross_thread_samples(self):
-        tracer = Tracer()
-        profiler = SamplingProfiler(0.002, tracer=tracer)
-        stop = threading.Event()
-
-        def hot():
-            with trace_span("hotspot"):
-                while not stop.is_set():
-                    sum(i * i for i in range(400))
-
-        with tracing(tracer):
-            worker = threading.Thread(target=hot)
-            worker.start()
-            try:
-                with profiler:
-                    time.sleep(0.2)
-            finally:
-                stop.set()
-                worker.join()
-        assert profiler.sample_count > 0
-        attributed = [
-            stack for stack in profiler.samples()
-            if stack and stack[0] == "span:hotspot"
-        ]
-        assert attributed, "no sample carried the ambient span prefix"
-        # Folded export keeps the prefix so flamegraphs read in phases.
-        assert any(line.startswith("span:hotspot;")
-                   for line in profiler.to_folded().splitlines())
-
-    def test_distinct_stack_table_is_bounded(self):
-        profiler = SamplingProfiler(0.001, max_stacks=1)
-        stop = threading.Event()
-
-        def spin_a():
-            while not stop.is_set():
-                sum(i for i in range(300))
-
-        def spin_b():
-            while not stop.is_set():
-                max(i for i in range(300))
-
-        workers = [threading.Thread(target=f) for f in (spin_a, spin_b)]
-        for w in workers:
-            w.start()
-        try:
-            profiler.run_for(0.15)
-        finally:
-            stop.set()
-            for w in workers:
-                w.join()
-        assert len(profiler.samples()) == 1
-        assert profiler.dropped_stacks > 0
-        assert profiler.to_dict()["dropped_stacks"] == profiler.dropped_stacks
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(0.0)
-        with pytest.raises(ValueError):
-            SamplingProfiler(0.01, max_stacks=0)
-        with pytest.raises(ValueError):
-            SamplingProfiler(0.01, max_depth=0)
-        with pytest.raises(ValueError):
-            ObsHTTPServer(max_profile_seconds=0)
-
-    def test_start_stop_idempotent_and_clear(self):
-        profiler = SamplingProfiler(0.002)
-        profiler.start()
-        profiler.start()  # no second ticker
-        assert profiler.running
-        profiler.stop()
-        profiler.stop()
-        assert not profiler.running
-        profiler.clear()
-        assert profiler.sample_count == 0 and profiler.samples() == {}
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The contract under test is exactness under concurrency: every answer a
 reader (or executor worker) receives must equal from-scratch evaluation on
 the graph of the epoch that answered it — including queries in flight
-while the writer publishes — on both backends, under any thread count and
-any ``PYTHONHASHSEED``.  The RCU memory side is tested too: retired
+while the writer publishes — from a ``DiGraph`` or a ``CSRGraph`` source,
+under any thread count and any ``PYTHONHASHSEED``.  The RCU memory side is tested too: retired
 epochs must free their derived state once readers drain, and never before.
 
 ``REPRO_STRESS_WORKERS`` (CI's thread-sanity matrix: 1, 4, 16) sizes the
@@ -26,6 +26,8 @@ import pytest
 
 from repro.engine import EpochRetired, GraphEngine, QueryRouter
 from repro.faults import CircuitBreaker, FaultPlan, FaultRule
+from repro.datasets.updates import mixed_batch
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import attach_equivalent_leaves, gnm_random_graph
 from repro.datasets.patterns import random_pattern
@@ -33,8 +35,9 @@ from repro.obs.metrics import MetricsRegistry, current_registry, installed
 from repro.queries.matching import MatchContext, match_naive
 from repro.queries.pattern import STAR, GraphPattern
 from repro.queries.reachability import ReachabilityQuery
-from repro.service import EngineService, QueryExecutor, freeze_answer, run_stress
-from repro.service.epoch_stress import build_schedule, direct_answer, publish
+from repro.service import ApplyError, EngineService, QueryExecutor, freeze_answer, run_stress
+from repro.service.epoch_stress import build_schedule, check_answers, direct_answer, publish
+from repro.store.catalog import SnapshotCatalog
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -150,8 +153,10 @@ def test_unbalanced_release_raises():
 def test_service_answers_match_engine_and_direct(backend):
     g = _mixed_graph(6)
     workload = _workload(g, seed=11)
-    service = EngineService(g.copy(), backend=backend)
-    engine = GraphEngine(g.copy(), backend=backend)
+    # The source's graph backend: a DiGraph is frozen at construction.
+    source = CSRGraph.from_digraph if backend == "csr" else DiGraph.copy
+    service = EngineService(source(g))
+    engine = GraphEngine(source(g))
     for q in workload:
         a = freeze_answer(service.query(q))
         assert a == freeze_answer(engine.query(q))
@@ -181,6 +186,53 @@ def test_service_never_opens_the_engines_view():
         builds[("reachability",)] + builds[("pattern",)]
     ) == 8
     assert described["tol_builds"] == builds[("tol",)] == 4
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the serving writer thawed its snapshot")
+
+
+@pytest.mark.parametrize("source", ["digraph", "catalog"])
+def test_serving_writer_stays_frozen(tmp_path, monkeypatch, source):
+    """The writer reads batches against the snapshot plus its net delta
+    and folds them with ``merge_deltas``: no publication, refreeze or
+    rollback thaws ``G``, and every answer equals the oracle's."""
+    g = _mixed_graph(23, n=40, m=110)
+    catalog = SnapshotCatalog(tmp_path) if source == "catalog" else None
+    start = (catalog.base(catalog.put(CSRGraph.from_digraph(g)))
+             if catalog is not None else g.copy())
+    monkeypatch.setattr(CSRGraph, "to_digraph", _forbidden)
+    service = EngineService(start, catalog)
+    graphs = {service.version: g.copy()}
+    records = []
+
+    def read(seed):
+        for q in _workload(graphs[service.version], seed, pairs=8, patterns=2):
+            version, answer = service.query_versioned(q)
+            records.append((version, q, freeze_answer(answer)))
+
+    read(0)
+    anchor, other = g.node_list()[:2]
+    # "n1" is created and netted out in one batch: the node survives.
+    publish(service, graphs, [("+", "n1", anchor), ("+", other, "n2"),
+                              ("-", "n1", anchor), ("+", anchor, other)])
+    read(1)
+    publish(service, graphs, mixed_batch(graphs[service.version], 10,
+                                         insert_ratio=0.5, seed=3))
+    read(2)
+    publish(service, graphs, None)  # refreeze
+    read(3)
+    plan = FaultPlan([FaultRule(point="service.publish", kind="error", times=1)])
+    with plan.installed():
+        with pytest.raises(ApplyError):
+            publish(service, graphs, [("+", "n3", anchor), ("-", anchor, other)])
+    assert service.counters["apply_rollbacks"] == 1
+    read(4)
+    publish(service, graphs, [("+", "n3", "n1"), ("-", other, "n2")])
+    read(5)
+    service.close()
+    assert service.version == 4 and "n1" in graphs[4]
+    assert check_answers(graphs, records) == (0, [])
 
 
 def test_versioned_queries_follow_publications():
@@ -274,11 +326,10 @@ def test_executor_error_propagates_through_future():
 # ----------------------------------------------------------------------
 # Randomized reader/writer interleavings (the headline contract)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["csr", "dict"])
-def test_stress_interleaved_readers_and_writer(backend):
+def test_stress_interleaved_readers_and_writer():
     g = _mixed_graph(13)
     report = run_stress(
-        g, backend=backend, readers=STRESS_WORKERS, writer_batches=5,
+        g, readers=STRESS_WORKERS, writer_batches=5,
         batch_size=6, queries_per_reader=12, seed=101, writer_pause_s=0.003,
     )
     assert report["errors"] == []
