@@ -4,7 +4,8 @@ Per dataset: ``RCaho`` (AHO transitive reduction [1] vs ``|G|``), ``RCscc``
 (``|Gr| / |Gscc|``) and ``RCr`` (``|Gr| / |G|``), against the paper's
 reported percentages.  Shape claims checked: ``compressR`` beats ``AHO``
 everywhere, it also shrinks the SCC graph, and the family ordering (social
-compresses best, citation/internet worst) holds.
+compresses best, citation/internet worst) holds.  The datasets are the
+synthetic stand-ins of :mod:`repro.datasets.catalog`: compare shape only.
 """
 
 from __future__ import annotations
@@ -75,5 +76,5 @@ def run(quick: bool = True) -> ExperimentResult:
         ],
         rows=rows,
         checks=checks,
-        notes="synthetic stand-ins (see DESIGN.md); compare shape, not absolutes",
+        notes="synthetic stand-ins (see the table1 docstring); compare shape, not absolutes",
     )

@@ -5,6 +5,8 @@ well below 100%), the Internet hierarchy compresses best, and every
 dataset's ``PCr`` exceeds its ``RCr`` (pattern preservation demands more
 structure than reachability preservation — the paper's Section 6
 observation "compressR performs better than compressB over all datasets").
+The datasets are the synthetic stand-ins of :mod:`repro.datasets.catalog`:
+compare shape only.
 """
 
 from __future__ import annotations
@@ -58,5 +60,5 @@ def run(quick: bool = True) -> ExperimentResult:
         columns=["dataset", "|V|", "|E|", "|L|", "PCr%", "paper PCr%", "RCr%"],
         rows=rows,
         checks=checks,
-        notes="synthetic stand-ins (see DESIGN.md); compare shape, not absolutes",
+        notes="synthetic stand-ins (see the table2 docstring); compare shape, not absolutes",
     )

@@ -283,6 +283,9 @@ SCHEMA: Dict[str, Tuple[str, str, Labels, Optional[Tuple[float, ...]]]] = {
     "match_memo_lookups_total": (
         "counter", "Coalescing answer-memo lookups by result (hit|miss|coalesced).",
         ("result",), None),
+    "match_rows_scanned_total": (
+        "counter", "Data-graph rows the match kernel tested (added once per match call).",
+        (), None),
     # service front
     "service_publications_total": ("counter", "Epoch publications.", (), None),
     "service_publish_seconds": (

@@ -10,8 +10,8 @@ reachability bitsets, so those are maintained incrementally — an edge change
 hops of ``u`` (their bounded neighbourhood is the only thing that changed),
 and the ``*`` closure only when the change is not transitively redundant.
 Rows are rewritten in place (tables are lists indexed by dense id), and the
-context's round-0 preimage masks, which are derived from those rows, are
-dropped with every edit and rebuilt by the next ``Match``.
+context's scan memo, which is derived from those rows, is dropped with every
+edit and refilled by the next ``Match``.
 The candidate fixpoint is then re-run on the refreshed bitsets; it is linear
 in the candidate sets and pattern size, and the unique-maximum-match
 property (Lemma 1 of [9]) guarantees the result equals a from-scratch
@@ -109,7 +109,7 @@ class IncrementalMatcher:
         index = indexer.index
         successors = self._graph.successors
 
-        # The preimage masks are derived from the rows edited below.
+        # The scan memo is derived from the rows edited below.
         ctx._pre.clear()
 
         # Adjacency (reach_1): only u's row changed.

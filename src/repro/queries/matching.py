@@ -25,35 +25,35 @@ patterns of a run; neither the builders nor the kernel hash a node or
 translate an id per element — original nodes are named only when the final
 candidate sets are expanded (:func:`repro.graph.bitset.select`).
 
-*Round 0 is a table lookup.*  ``cand(u)`` starts as the label mask of
-``fv(u)``.  While ``cand(u')`` is still the full label mask of ``fv(u')``,
-the candidates of ``u`` that satisfy edge ``(u, u', b)`` are exactly
-``cand(u) & pre[b, fv(u')]``, where ``pre[b, l]`` = nodes whose
-``reach_b`` row meets the label mask of ``l`` — a property of the data
-graph alone, built once per context (:meth:`MatchContext.preimage`).  So
-the first pass over every pattern edge is one AND per edge.
+*One memoised scan.*  Every deletion the kernel makes answers one
+question: which ids of a candidate mask have a ``reach_b`` row that meets
+a target set ``T``?  The answer is ``mask & pre_b(T)``, where ``pre_b(T)``
+(ids whose ``reach_b`` row meets ``T``) depends on the data graph and ``T``
+alone, so :meth:`MatchContext.kept` memoises it per context: rows already
+tested against ``T`` cost one AND, and only the untested rows of the mask
+are scanned.  No row is tested twice against one target, within one
+pattern or across the many patterns that share a context.
 
 *Worklist invariant.*  Call an edge ``(u, u', b)`` *settled* when every
-``i`` in ``cand(u)`` has ``reach_b[i] & cand(u') != 0``.  After round 0
-every edge whose target still holds its full label mask is settled.  The
+``i`` in ``cand(u)`` has ``reach_b[i] & cand(u') != 0``.  Round 0 asks the
+question once per edge with ``T`` = the full label mask of ``fv(u')``;
+after it every edge whose target still holds that mask is settled.  The
 worklist holds the pattern nodes whose candidate set shrank since the
 edges entering them were last scanned; every edge whose target is not on
-the worklist is settled.  Popping ``u'`` rescans only the edges entering
-``u'`` — candidates only ever shrink, so an edge can become unsettled in
-no other way (the Henzinger–Henzinger–Kopke scheduling) — and pushes each
-source that lost candidates.  The scan is one pass over the ids of
-``cand(u)`` testing ``reach_b[i] & cand(u')``; the ids that fail are
-folded back into the mask in one step.  An empty candidate set means no
-match; an empty worklist means every edge is settled, i.e. the candidate
-sets form a match relation.
+the worklist is settled.  Popping ``u'`` re-asks only for the edges
+entering ``u'``, with ``T = cand(u')`` — candidates only ever shrink, so an
+edge can become unsettled in no other way (the Henzinger–Henzinger–Kopke
+scheduling) — and pushes each source that lost candidates.  An empty
+candidate set means no match; an empty worklist means every edge is
+settled, i.e. the candidate sets form a match relation.
 
 *Why the order does not matter.*  A candidate is deleted only when it
 violates the definition against the *current* sets, which contain the
 maximum match ``SM`` (induction: they start as supersets, and a member of
 ``SM`` always has its witness inside ``SM``, so it is never deleted).  Any
 schedule therefore ends in a match relation that contains ``SM`` — which
-by maximality (Lemma 1) *is* ``SM``.  Worklist order, the round-0
-shortcut and the old edge-by-edge global loop all reach the same sets;
+by maximality (Lemma 1) *is* ``SM``.  Worklist order, the scan
+memo and the old edge-by-edge global loop all reach the same sets;
 :func:`match_naive`, a direct depth-bounded-BFS implementation of the
 definition, and ``backend="dict"`` are kept as the cross-validation
 references.
@@ -68,7 +68,7 @@ from typing import (
     Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union,
 )
 
-from repro.graph.bitset import bitset_of, iter_bits, mask_of_flags, select
+from repro.graph.bitset import bitset_of, iter_bits, select
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph, NodeIndexer
 from repro.obs.metrics import inc as obs_inc
@@ -174,7 +174,7 @@ class MatchContext:
         self._star: Optional[List[int]] = None
         # Derived from the tables above: whoever edits or drops those must
         # drop these too (invalidate, IncrementalMatcher._refresh_after).
-        self._pre: Dict[Tuple[Bound, str], int] = {}
+        self._pre: Dict[Tuple[Bound, int], Tuple[int, int]] = {}
         self._label_bits: Dict[str, int] = {}
         self._label_masks: Optional[Dict[str, int]] = None
         # Reentrant: bounded_reach(k) builds bounded_reach(k-1) while held.
@@ -338,27 +338,35 @@ class MatchContext:
     def reach(self, bound: Bound) -> List[int]:
         return self.star_reach() if bound == STAR else self.bounded_reach(bound)
 
-    def preimage(self, bound: Bound, label: str) -> int:
-        """``pre[bound, label]``: nodes with a *label* node within *bound* hops.
+    def kept(self, bound: Bound, target: int, mask: int) -> Tuple[int, int]:
+        """``mask & pre_bound(target)``, and the number of rows tested for it.
 
-        Bit ``i`` is set iff ``reach(bound)[i]`` meets
-        ``label_candidates(label)`` — the survivors of any pattern edge
-        ``(u, u', bound)`` with ``fv(u') = label`` while ``cand(u')`` is
-        still the full label mask.  Built once per context and shared like
-        the tables it is derived from.
+        ``pre_bound(target)`` holds the ids whose ``reach(bound)`` row meets
+        *target*.  It is memoised in ``_pre`` as ``(bound, target) →
+        (checked, hit)``: for ``i`` in ``checked``, ``i`` is in ``hit`` iff
+        ``reach(bound)[i] & target`` is non-empty.  A call tests only the
+        rows of ``mask & ~checked``, so a repeated target costs one AND.
+        Each entry is three ints of at most ``n`` bits; the memo stops
+        adding entries at ``n // 3`` (never more bits than one reach
+        table), after which new targets are still answered, just not kept.
         """
-        key = (bound, label)
-        cached = self._pre.get(key)
-        if cached is None:
-            with self._cache_lock:
-                cached = self._pre.get(key)
-                if cached is None:
-                    cached = self._build_preimage(bound, label)
-                    self._pre[key] = cached
-        return cached
-
-    def _build_preimage(self, bound: Bound, label: str) -> int:
-        return mask_of_flags(map(self.label_candidates(label).__and__, self.reach(bound)))
+        key = (bound, target)
+        checked, hit = self._pre.get(key, (0, 0))
+        todo = mask & ~checked
+        if not todo:
+            return mask & hit, 0
+        rows = self.reach(bound)
+        dead = [i for i in iter_bits(todo) if not rows[i] & target]
+        hit |= todo ^ bitset_of(dead)
+        with self._cache_lock:
+            # Merge: a concurrent reader may have stored rows of its own,
+            # and the union of two exact entries is exact.
+            old = self._pre.get(key)
+            if old is not None:
+                self._pre[key] = (old[0] | checked | todo, old[1] | hit)
+            elif 3 * (len(self._pre) + 1) <= len(self.indexer):
+                self._pre[key] = (checked | todo, hit)
+        return mask & hit, todo.bit_count()
 
     # -- sharing contract -------------------------------------------------
     @property
@@ -505,30 +513,33 @@ def match_bitsets(
         return {}
     cand = dict(full)
     edges_into: Dict[Node, List[Tuple[Node, Bound]]] = {u: [] for u in labels}
-    for (u, child), bound in pattern.edges.items():
-        # Round 0: the target still holds its whole label mask.
-        cand[u] &= context.preimage(bound, labels[child])
-        edges_into[child].append((u, bound))
-    if not all(cand.values()):
-        return {}
+    scanned = 0
+    try:
+        for (u, child), bound in pattern.edges.items():
+            # Round 0: the target still holds its whole label mask.
+            cand[u], tested = context.kept(bound, full[child], cand[u])
+            scanned += tested
+            if not cand[u]:
+                return {}
+            edges_into[child].append((u, bound))
 
-    # The worklist: targets whose entering edges may be unsettled (a dict as
-    # a set with a deterministic pop order).
-    pending = dict.fromkeys(u for u in labels if cand[u] != full[u])
-    while pending:
-        child = pending.popitem()[0]
-        for u, bound in edges_into[child]:
-            rows = context.reach(bound)
-            target = cand[child]  # re-read: a self-loop shrinks it mid-loop
-            mask = cand[u]
-            dead = [i for i in iter_bits(mask) if not rows[i] & target]
-            if dead:
-                mask ^= bitset_of(dead)
-                if not mask:
-                    return {}
-                cand[u] = mask
-                pending[u] = None
-    return cand
+        # The worklist: targets whose entering edges may be unsettled (a dict
+        # as a set with a deterministic pop order).
+        pending = dict.fromkeys(u for u in labels if cand[u] != full[u])
+        while pending:
+            child = pending.popitem()[0]
+            for u, bound in edges_into[child]:
+                # cand[child] is re-read: a self-loop shrinks it mid-loop.
+                mask, tested = context.kept(bound, cand[child], cand[u])
+                scanned += tested
+                if mask != cand[u]:
+                    if not mask:
+                        return {}
+                    cand[u] = mask
+                    pending[u] = None
+        return cand
+    finally:
+        obs_inc("match_rows_scanned_total", n=scanned)
 
 
 def match(

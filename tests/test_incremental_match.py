@@ -40,12 +40,12 @@ def test_randomized_batches_match_from_scratch():
 
 def test_every_update_of_a_mixed_batch_matches_a_fresh_context():
     """The matcher edits the context's rows in place; whatever the context
-    derives from them (the round-0 preimage masks) must follow each edit.
+    derives from them (the scan memo) must follow each edit.
 
-    Update by update — a batch-level check can hide a stale mask behind a
+    Update by update — a batch-level check can hide a stale entry behind a
     later update that happens to refresh it — on both backends of the
     fresh context, and with a deletion that turns a matched node into a
-    sink: a stale ``pre[1, B]`` would keep it matched.
+    sink: a stale entry for ``(1, cand(B))`` would keep it matched.
     """
     g = DiGraph.from_edges([("a1", "b1"), ("a2", "b1"), ("a2", "b2"),
                             ("b1", "c1"), ("b2", "c1")])

@@ -14,6 +14,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnm_random_graph
 from repro.graph.traversal import is_acyclic
+from repro.obs.metrics import installed
 from repro.queries import matching
 from repro.queries.matching import (
     MatchContext,
@@ -133,14 +134,20 @@ def test_match_vs_naive_randomized(monkeypatch):
     """The worklist kernel against the definition, not against its own past.
 
     Cyclic multi-label graphs, ``*`` bounds and pattern self-loops; the
-    fold counter proves the scans past round 0 really deleted candidates
-    (a run where the preimage masks decide everything would not test them).
+    deletion counter proves the scans past round 0 really deleted
+    candidates (a run where round 0 decides everything would not test
+    them).  Past round 0 a target is a strict subset of one label's mask,
+    so it is no label's full mask: that tells the two kinds of call apart.
     """
-    folds = []
-    monkeypatch.setattr(
-        matching, "bitset_of",
-        lambda dead, fold=matching.bitset_of: folds.append(len(dead)) or fold(dead),
-    )
+    deleted = []  # candidates each scan past round 0 deleted
+
+    def spy(self, bound, target, mask, kept=MatchContext.kept):
+        result = kept(self, bound, target, mask)
+        if target not in self._label_masks.values():
+            deleted.append((mask & ~result[0]).bit_count())
+        return result
+
+    monkeypatch.setattr(MatchContext, "kept", spy)
     rng = random.Random(6)
     cyclic = starred = looped = matched = 0
     for trial in range(60):
@@ -161,7 +168,7 @@ def test_match_vs_naive_randomized(monkeypatch):
         assert got == match_naive(q, g), f"trial {trial}"
         assert verify_match(q, g, got)
     assert cyclic >= 40 and starred >= 20 and looped >= 20 and matched >= 10
-    assert len(folds) >= 20 and max(folds) > 1
+    assert sum(map(bool, deleted)) >= 20 and max(deleted) > 1
 
 
 def test_context_reuse_and_invalidate():
@@ -174,7 +181,7 @@ def test_context_reuse_and_invalidate():
     ctx.invalidate()
     assert match(q, g, ctx) == match_naive(q, g)
     # invalidate() must also forget what was derived from the old tables:
-    # "x" turns into a sink, a stale pre[1, B] would keep it matched.
+    # "x" turns into a sink, a stale memo entry for (1, B) would keep it matched.
     g = DiGraph.from_edges([("x", "y"), ("w", "y")])
     g.set_label("x", "A"); g.set_label("w", "A"); g.set_label("y", "B")
     ctx = MatchContext(g)
@@ -385,11 +392,13 @@ def test_golden_answers_on_every_backend(hash_seed):
 # One context, many first-time readers
 # ----------------------------------------------------------------------
 class _CountingContext(MatchContext):
-    """Counts table and mask builds; a second build of one key is a bug."""
+    """Counts table builds (a second build of one key is a bug) and names
+    the target each scan memo lookup is for."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.builds = []
+        self.target = None
 
     def _build_adjacency(self):
         self.builds.append("adjacency")
@@ -403,12 +412,12 @@ class _CountingContext(MatchContext):
         self.builds.append("star")
         return super()._build_star()
 
-    def _build_preimage(self, bound, label):
-        self.builds.append(("pre", bound, label))
-        return super()._build_preimage(bound, label)
+    def kept(self, bound, target, mask):
+        self.target = (bound, target)
+        return super().kept(bound, target, mask)
 
 
-def test_concurrent_first_patterns_build_each_table_once():
+def test_concurrent_first_patterns_build_each_table_once(monkeypatch):
     g = gnm_random_graph(400, 1600, num_labels=3, seed=17)
     patterns = [
         random_pattern(g, 4, 6, max_bound=3, star_prob=0.3, seed=seed)
@@ -438,7 +447,21 @@ def test_concurrent_first_patterns_build_each_table_once():
     assert not any(t.is_alive() for t in threads)
     assert answers == expected
     assert len(ctx.builds) == len(set(ctx.builds)), sorted(map(repr, ctx.builds))
-    assert {b for b in ctx.builds if b[0] == "pre"} == {
-        ("pre", bound, p.label(child))
-        for p in patterns for (_u, child), bound in p.edges.items()
-    }
+    top = max(b for p in patterns for b in p.edges.values() if b != STAR)
+    assert set(ctx.builds) == {"adjacency", "star"} | {("bounded", b) for b in range(1, top + 1)}
+
+    # The scan memo, single-threaded: every row the kernel tests is tagged
+    # with the (bound, target) it was tested against; none twice.
+    ctx = _CountingContext(g).seal()
+    scans = []
+
+    def tagged_iter_bits(mask, iter_bits=matching.iter_bits):
+        for i in iter_bits(mask):
+            scans.append((*ctx.target, i))
+            yield i
+
+    monkeypatch.setattr(matching, "iter_bits", tagged_iter_bits)
+    with installed() as registry:
+        assert [match(p, g, ctx) for p in patterns + patterns] == expected + expected
+    assert len(scans) == len(set(scans)) > 0
+    assert registry.get("match_rows_scanned_total").value() == len(scans)

@@ -27,7 +27,7 @@ from repro.graph.transitive import (
     transitive_closure_pairs,
 )
 from repro.graph.traversal import path_exists
-from repro.queries.matching import match, match_naive
+from repro.queries.matching import MatchContext, match, match_naive
 from repro.queries.pattern import STAR, GraphPattern
 from repro.queries.reachability import ReachabilityQuery
 from repro.datasets.patterns import random_pattern
@@ -117,6 +117,28 @@ def test_pattern_preservation(g, seed):
         star_prob=0.3, seed=seed,
     )
     assert pc.query(q, match) == match_naive(q, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_graphs(labels=("X", "Y", "Z")),
+    st.lists(st.integers(min_value=0, max_value=1 << 30), min_size=2, max_size=6),
+)
+def test_patterns_on_one_shared_context_equal_the_definition(g, seeds):
+    # The scan memo carries rows from one pattern to the next: whatever
+    # came before, each answer is the definition's.
+    patterns = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        patterns.append(random_pattern(
+            g, rng.randrange(2, 5), rng.randrange(1, 6), max_bound=3,
+            star_prob=0.3, seed=seed,
+        ))
+    expected = [match_naive(q, g) for q in patterns]
+    for order in (range(len(seeds)), reversed(range(len(seeds)))):
+        ctx = MatchContext(g).seal()
+        for k in order:
+            assert match(patterns[k], g, ctx) == expected[k]
 
 
 @settings(max_examples=60, deadline=None)
