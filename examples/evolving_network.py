@@ -72,7 +72,7 @@ def main() -> None:
     fresh_reach = compress_reachability(work)
     fresh_pattern = compress_pattern(work)
     assert engine.reachability().compressed.order() == fresh_reach.compressed.order()
-    assert engine.bisimulation().compressed.order() == fresh_pattern.compressed.order()
+    assert engine.bisimulation().compressed.n == fresh_pattern.compressed.n
     print(
         f"engine state matches batch recompression after all updates "
         f"(re-froze {engine.counters['refreezes']} times)."

@@ -42,8 +42,8 @@ def main() -> None:
 
     # ---- Pattern preserving compression (Section 4) ---------------------
     pc = compress_pattern(g)
-    print(f"pattern-compressed: {pc.compressed.order()} hypernodes, "
-          f"{pc.compressed.size()} edges (ratio {pc.compression_ratio():.0%})")
+    print(f"pattern-compressed: {pc.compressed.n} hypernodes, "
+          f"{pc.compressed.m} edges (ratio {pc.compression_ratio():.0%})")
 
     # A pattern: an agent within 2 hops of a customer who visits a shop.
     q = GraphPattern()

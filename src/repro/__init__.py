@@ -38,7 +38,7 @@ The public surface, one line per exported name (figure baselines such as
 ``QueryPreservingCompression``         base class: compressed graph + query rewrite
 ``ReachabilityCompression``            ``Gr`` with its class map and rewrite
 ``compress_reachability``              ``compressR``: build ``Gr`` (Section 3)
-``PatternCompression``                 ``Gb`` with its class map and post-processing
+``PatternCompression``                 ``Gb`` as a ``CSRGraph``, ``block_of`` and member rows
 ``compress_pattern``                   ``compressB``: build ``Gb`` (Section 4)
 ``bisimulation_partition``             maximum bisimulation of a graph
 ``reachability_partition``             reachability equivalence classes of a graph

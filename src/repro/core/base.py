@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
-from repro.graph.csr import flatten_rows, split_rows
+from repro.graph.csr import CSRGraph, flatten_rows, split_rows
 from repro.graph.digraph import DiGraph
 
 Node = Hashable
@@ -172,8 +172,8 @@ class QueryPreservingCompression(ABC):
 
     @property
     @abstractmethod
-    def compressed(self) -> DiGraph:
-        """The compressed graph ``Gr = R(G)``."""
+    def compressed(self) -> Union[DiGraph, CSRGraph]:
+        """The compressed graph ``Gr = R(G)`` (``compressB``'s is a ``CSRGraph``)."""
 
     @abstractmethod
     def node_class(self, v: Node) -> int:

@@ -49,8 +49,8 @@ from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.core.bisimulation import bisimulation_partition
-from repro.core.pattern import PatternCompression
-from repro.graph.digraph import DiGraph
+from repro.core.pattern import PatternCompression, quotient_artifact
+from repro.graph.digraph import DiGraph, NodeIndexer
 from repro.graph.partition import Partition
 from repro.graph.rank import NEG_INF, Rank
 from repro.graph.scc import strongly_connected_components_within
@@ -393,24 +393,11 @@ class IncrementalPatternCompressor:
     # Artifact construction
     # ------------------------------------------------------------------
     def _build_artifact(self) -> PatternCompression:
-        partition = self._partition
-        gr = DiGraph()
-        class_members: Dict[int, List[Node]] = {}
-        class_of: Dict[Node, int] = {}
-        for bid in partition.block_ids():
-            members = partition.members(bid)
-            rep = next(iter(members))
-            gr.add_node(bid, self._g.label(rep))
-            class_members[bid] = list(members)
-            for v in members:
-                class_of[v] = bid
-        for (a, b), count in self._q_support.items():
-            if count > 0:
-                gr.add_edge(a, b)
-        return PatternCompression(
-            compressed=gr,
-            class_of=class_of,
-            class_members=class_members,
-            original_nodes=self._g.order(),
-            original_edges=self._g.size(),
+        nodes = self._g.node_list()
+        return quotient_artifact(
+            NodeIndexer(nodes),
+            list(map(self._partition.block_of, nodes)),
+            (pair for pair, count in self._q_support.items() if count > 0),
+            self._g.label,
+            self._g.size(),
         )

@@ -11,26 +11,35 @@ linear in the size of the query answer.
 Fig. 7; *no* transitive reduction here, unlike ``compressR`` — pattern
 queries inspect actual edges/path lengths, not just reachability).
 
-``F`` is the identity: the same pattern runs on ``Gr``.  ``P`` expands each
+``F`` is the identity: the same pattern runs on ``Gb``.  ``P`` expands each
 matched hypernode into its members using the inverse node-mapping index; for
 Boolean pattern queries ``P`` is not needed.
+
+The artifact is arrays from end to end.  Hypernodes are the block ids
+``0..k-1``, numbered canonically by first member in ``G``'s node order, so
+``Gb`` is a :class:`~repro.graph.csr.CSRGraph` whose nodes *are* its dense
+ids.  Its forward rows are the sorted distinct block pairs an edge joins
+(for the maximum bisimulation, one member's successors mapped to blocks:
+bisimilar nodes have the same successor blocks), and
+:func:`~repro.graph.csr.reverse_from_forward` gives the reverse rows.
+``R`` is a ``block_of`` list over ``G``'s dense ids (read through
+``G``'s :class:`~repro.graph.digraph.NodeIndexer`) and the inverse index is
+one member row per hypernode, in ``G``'s node order.  A
+:class:`~repro.queries.matching.MatchContext` adopts ``Gb`` as it is, and
+``P`` expands block bitsets straight from the member rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
-from typing import Any, ClassVar, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Any, Callable, ClassVar, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.core.base import (
-    CompressionStats,
-    QueryPreservingCompression,
-    decode_quotient_arrays,
-    quotient_rows,
-)
+from repro.core.base import CompressionStats, QueryPreservingCompression, decode_quotient_arrays
 from repro.core.bisimulation import bisimulation_partition, bisimulation_partition_naive
 from repro.graph.bitset import select
-from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
+from repro.graph.csr import CSRGraph, flatten_rows, reverse_from_forward
+from repro.graph.digraph import DiGraph, NodeIndexer
 from repro.graph.kernels import csr_bisimulation_blocks
 from repro.graph.partition import Partition
 from repro.queries.pattern import GraphPattern
@@ -38,45 +47,62 @@ from repro.queries.pattern import GraphPattern
 Node = Hashable
 
 
+def _quotient_graph(labels: List[str], indptr: List[int], indices: List[int]) -> CSRGraph:
+    """``Gb`` over hypernodes ``0..k-1`` from its sorted forward rows, with
+    ``labels[h]`` the label of hypernode ``h`` (the lists are adopted)."""
+    k = len(labels)
+    names = list(dict.fromkeys(labels))
+    codes = list(map({name: i for i, name in enumerate(names)}.__getitem__, labels))
+    rindptr, rindices = reverse_from_forward(k, indptr, indices)
+    return CSRGraph(k, len(indices), indptr, indices, rindptr, rindices,
+                    codes, names, NodeIndexer(range(k)))
+
+
 class PatternCompression(QueryPreservingCompression):
-    """The artifact produced by :func:`compress_pattern`."""
+    """The artifact produced by :func:`compress_pattern`.
+
+    ``compressed`` is ``Gb`` as a :class:`CSRGraph` over hypernodes
+    ``0..k-1``; ``block_of[i]`` is the hypernode of ``G``'s node ``i`` in
+    *indexer*'s order; ``member_rows[h]`` lists the members of hypernode
+    ``h`` in that order (module docstring).
+    """
 
     QUERY_CLASSES: ClassVar[Tuple[type, ...]] = (GraphPattern,)
 
     def __init__(
         self,
-        compressed: DiGraph,
-        class_of: Dict[Node, int],
-        class_members: Dict[int, List[Node]],
-        original_nodes: int,
+        compressed: CSRGraph,
+        block_of: List[int],
+        indexer: NodeIndexer,
+        member_rows: List[List[Node]],
         original_edges: int,
     ) -> None:
-        self._gr = compressed
-        self._class_of = class_of
-        self._members = class_members
-        self._original_nodes = original_nodes
+        self._gb = compressed
+        self._block_of = block_of
+        self._indexer = indexer
+        self._rows = member_rows
         self._original_edges = original_edges
-        # Member lists in Gb's node order (= the dense ids of any
-        # MatchContext over Gb); built on the first answer().
-        self._member_rows: Optional[List[List[Node]]] = None
 
     # -- QueryPreservingCompression interface ---------------------------
     @property
-    def compressed(self) -> DiGraph:
-        return self._gr
+    def compressed(self) -> CSRGraph:
+        return self._gb
 
     def node_class(self, v: Node) -> int:
-        return self._class_of[v]
+        return self._block_of[self._indexer.index(v)]
 
     def members(self, hypernode: int) -> List[Node]:
-        return list(self._members[hypernode])
+        return list(self._rows[hypernode])
+
+    def class_sizes(self) -> Dict[int, int]:
+        return dict(enumerate(map(len, self._rows)))
 
     def stats(self) -> CompressionStats:
         return CompressionStats(
-            original_nodes=self._original_nodes,
+            original_nodes=len(self._block_of),
             original_edges=self._original_edges,
-            compressed_nodes=self._gr.order(),
-            compressed_edges=self._gr.size(),
+            compressed_nodes=self._gb.n,
+            compressed_edges=self._gb.m,
         )
 
     def canonical_form(self) -> tuple:
@@ -84,12 +110,13 @@ class PatternCompression(QueryPreservingCompression):
 
         Same contract as ``ReachabilityCompression.canonical_form``: two
         compressions agree byte-for-byte iff these compare equal.  Member
-        lists are rendered sorted by ``repr`` because the dict-backend
-        quotient emits them in set order — content equality is what the
-        cross-backend and catalog-rehydration tests assert.
+        lists are rendered sorted by ``repr``, so the form does not depend
+        on the order a producer listed them in.
         """
-        gr = self._gr
+        gb = self._gb
         stats = self.stats()
+        indptr, indices = gb.fwd()
+        hypernodes = range(gb.n)
         return (
             (
                 stats.original_nodes,
@@ -97,14 +124,11 @@ class PatternCompression(QueryPreservingCompression):
                 stats.compressed_nodes,
                 stats.compressed_edges,
             ),
-            tuple(sorted(gr.nodes())),
-            tuple(sorted(gr.edges())),
-            tuple((h, gr.label(h)) for h in sorted(gr.nodes())),
-            tuple(sorted((repr(v), cid) for v, cid in self._class_of.items())),
-            tuple(
-                (h, tuple(sorted(repr(v) for v in self._members[h])))
-                for h in sorted(gr.nodes())
-            ),
+            tuple(hypernodes),
+            tuple((h, indices[e]) for h in hypernodes for e in range(indptr[h], indptr[h + 1])),
+            tuple((h, gb.label(h)) for h in hypernodes),
+            tuple(sorted(zip(map(repr, self._indexer.node_order()), self._block_of))),
+            tuple((h, tuple(sorted(map(repr, self._rows[h])))) for h in hypernodes),
         )
 
     # -- persistence (repro.store catalog) -------------------------------
@@ -115,13 +139,13 @@ class PatternCompression(QueryPreservingCompression):
         hypernode labels are not stored — they are recovered from the base
         graph's labels (bisimilar nodes share their label by definition).
         """
-        indptr, targets = quotient_rows(self._gr)
+        indptr, targets = self._gb.fwd()
         return {
-            "stats": [self._original_nodes, self._original_edges],
-            "nblocks": [self._gr.order()],
-            "block_of": list(map(self._class_of.__getitem__, node_order)),
-            "gb_indptr": indptr,
-            "gb_targets": targets,
+            "stats": [len(self._block_of), self._original_edges],
+            "nblocks": [self._gb.n],
+            "block_of": list(map(self._block_of.__getitem__, self._indexer.indices(node_order))),
+            "gb_indptr": list(indptr),
+            "gb_targets": list(targets),
         }
 
     @classmethod
@@ -135,42 +159,33 @@ class PatternCompression(QueryPreservingCompression):
 
         *node_labels* is the base graph's label per node, aligned with
         *node_order*; each hypernode takes the label of its first member.
+        The arrays are adopted as ``Gb``'s rows once
+        :func:`~repro.core.base.decode_quotient_arrays` has validated them.
         Raises ``ValueError`` when the arrays do not fit *node_order* (a
         variant persisted for a different base graph) or are internally
         inconsistent; the catalog treats that as a corrupt variant and
         recomputes.
         """
         nblocks = arrays["nblocks"][0]
-        class_of, class_members, rows = decode_quotient_arrays(
-            node_order,
-            arrays["block_of"],
-            nblocks,
-            arrays["gb_indptr"],
-            arrays["gb_targets"],
-        )
+        block_of, indptr, targets = arrays["block_of"], arrays["gb_indptr"], arrays["gb_targets"]
+        _, members, _ = decode_quotient_arrays(node_order, block_of, nblocks, indptr, targets)
+        rows = list(members.values())
         label_of_node = dict(zip(node_order, node_labels, strict=True))
-        labels = [label_of_node[members[0]] for members in class_members.values()]
-        gr = DiGraph.from_rows(range(nblocks), labels, rows)
-        return cls(
-            compressed=gr,
-            class_of=class_of,
-            class_members=class_members,
-            original_nodes=arrays["stats"][0],
-            original_edges=arrays["stats"][1],
-        )
+        gb = _quotient_graph([label_of_node[row[0]] for row in rows], indptr, targets)
+        return cls(gb, block_of, NodeIndexer(node_order), rows, arrays["stats"][1])
 
     # -- P: post-processing ----------------------------------------------
     def post_process(
         self, compressed_answer: Dict[Hashable, Set[int]]
     ) -> Dict[Hashable, FrozenSet[Node]]:
-        """Expand a match over ``Gr`` into the match over ``G``.
+        """Expand a match over ``Gb`` into the match over ``G``.
 
         ``compressed_answer`` maps each pattern node to the set of matched
         hypernodes; the result maps it to the set of original nodes — the
         paper's ``P`` ("replaces [v]Rb with all the nodes v' in the class"),
         linear in the output size.
         """
-        members = self._members.__getitem__
+        members = self._rows.__getitem__
         return {
             pattern_node: frozenset(chain.from_iterable(map(members, hypernodes)))
             for pattern_node, hypernodes in compressed_answer.items()
@@ -178,27 +193,27 @@ class PatternCompression(QueryPreservingCompression):
 
     # -- end-to-end evaluation ------------------------------------------
     def query(self, pattern, matcher) -> Dict[Hashable, FrozenSet[Node]]:
-        """Evaluate a pattern on ``Gr`` with any stock matcher, then expand.
+        """Evaluate a pattern on ``Gb`` with any stock matcher, then expand.
 
         *matcher* has the signature ``(pattern, graph) -> dict``; the default
         library matcher is :func:`repro.queries.matching.match`.
         """
-        return self.post_process(matcher(pattern, self._gr))
+        return self.post_process(matcher(pattern, self._gb))
 
     def boolean_query(self, pattern, matcher) -> bool:
         """Boolean pattern query — no post-processing required (Section 4.1)."""
-        return bool(matcher(pattern, self._gr))
+        return bool(matcher(pattern, self._gb))
 
     # -- answer-mapping protocol (router entry point) --------------------
     def answer(self, query: GraphPattern, *, context: Any = None,
                algorithm: Optional[str] = None) -> Dict[Hashable, FrozenSet[Node]]:
-        """Answer a :class:`GraphPattern` on ``Gr`` and expand via ``P``.
+        """Answer a :class:`GraphPattern` on ``Gb`` and expand via ``P``.
 
-        ``F`` is the identity (the pattern runs on ``Gr`` as is), so this is
+        ``F`` is the identity (the pattern runs on ``Gb`` as is), so this is
         ``Match`` on the compressed graph followed by ``P`` — the same
-        answer as ``post_process(match(query, Gr))``, expanded in one pass.
+        answer as ``post_process(match(query, Gb))``, expanded in one pass.
         *context* is an optional :class:`repro.queries.matching.MatchContext`
-        built over ``Gr`` — a session evaluating many patterns passes one so
+        built over ``Gb`` — a session evaluating many patterns passes one so
         the candidate/reachability bitsets are shared across the batch.
         """
         return self._answer(query, context, algorithm, None)
@@ -214,14 +229,12 @@ class PatternCompression(QueryPreservingCompression):
         from repro.queries.matching import MatchContext, match_bitsets
 
         if context is None:
-            context = MatchContext(self._gr)
-        rows = self._member_rows
-        if rows is None:
-            rows = self._member_rows = [self._members[h] for h in self._gr.nodes()]
+            context = MatchContext(self._gb)
+        rows = self._rows
         # Match and P fused: block bitsets expand straight to original
         # nodes, no intermediate set of hypernodes.
         answer = {}
-        for u, bits in match_bitsets(query, self._gr, context).items():
+        for u, bits in match_bitsets(query, self._gb, context).items():
             nodes = shared.get(bits) if shared is not None else None
             if nodes is None:
                 nodes = frozenset(chain.from_iterable(select(bits, rows)))
@@ -282,7 +295,9 @@ def compress_pattern(graph: DiGraph, algorithm: str = "stratified") -> PatternCo
 
     ``algorithm`` selects the bisimulation computation: ``"stratified"``
     (default, Dovier–Piazza–Policriti style) or ``"naive"`` (the reference
-    fixpoint; used in tests for cross-validation).
+    fixpoint; used in tests for cross-validation).  Either partition is
+    quotiented over every edge of *graph* by :func:`quotient_by_partition`,
+    a construction independent of :func:`compress_pattern_csr`'s.
     """
     if algorithm == "stratified":
         partition = bisimulation_partition(graph)
@@ -297,66 +312,70 @@ def compress_pattern_csr(csr: CSRGraph) -> PatternCompression:
     """``compressB`` on an already-frozen graph (no dict backend involved).
 
     The entry point for snapshot consumers: runs the rank-stratified
-    bisimulation kernel directly over the CSR arrays and materialises the
-    quotient.  Block ids, labels, stats and edges are content-identical to
+    bisimulation kernel directly over the CSR arrays and reads ``Gb`` off
+    its blocks.  Bisimilar nodes have the same successor blocks, so a
+    hypernode's row is its first member's successors, mapped to blocks.
+    Block ids, labels, stats and edges are content-identical to
     ``compress_pattern(thawed)`` (``canonical_form()`` compares equal).
     """
     blocks = csr_bisimulation_blocks(csr)
-    node_of = csr.indexer.node
     block_of = [0] * csr.n
-    class_of: Dict[Node, int] = {}
-    class_members: Dict[int, List[Node]] = {}
-    gr = DiGraph()
-    for bid, block in enumerate(blocks):
-        gr.add_node(bid, csr.label(block[0]))
-        class_members[bid] = [node_of(i) for i in block]
+    for h, block in enumerate(blocks):
         for i in block:
-            block_of[i] = bid
-        for v in class_members[bid]:
-            class_of[v] = bid
+            block_of[i] = h
     indptr, indices = csr.fwd()
-    nblocks = len(blocks)
-    seen: set = set()
-    add = seen.add
-    for i in range(csr.n):
-        bi = block_of[i]
-        base = bi * nblocks
-        for ei in range(indptr[i], indptr[i + 1]):
-            add(base + block_of[indices[ei]])
-    for code in sorted(seen):
-        gr.add_edge(*divmod(code, nblocks))
-    return PatternCompression(
-        compressed=gr,
-        class_of=class_of,
-        class_members=class_members,
-        original_nodes=csr.n,
-        original_edges=csr.m,
+    heads = [block[0] for block in blocks]
+    gb_rows = flatten_rows(
+        sorted(set(map(block_of.__getitem__, indices[indptr[i] : indptr[i + 1]]))) for i in heads
     )
+    names, codes = csr.label_names, csr.label_codes()
+    gb = _quotient_graph([names[codes[i]] for i in heads], *gb_rows)
+    node_of = csr.node_order().__getitem__
+    rows = [list(map(node_of, block)) for block in blocks]
+    return PatternCompression(gb, block_of, csr.indexer, rows, csr.m)
+
+
+def quotient_artifact(
+    indexer: NodeIndexer,
+    ids: List[int],
+    edges: Iterable[Tuple[int, int]],
+    label: Callable[[Node], str],
+    original_edges: int,
+) -> PatternCompression:
+    """The quotient of a partition given as one block id per node of ``G``
+    (*ids*, in *indexer*'s order) and the block pairs its edges join.
+
+    Blocks are renumbered canonically (by first member), so any partition
+    equal to the maximum bisimulation yields :func:`compress_pattern_csr`'s
+    artifact exactly.
+    """
+    canon = {b: h for h, b in enumerate(dict.fromkeys(ids))}
+    k = len(canon)
+    block_of = list(map(canon.__getitem__, ids))
+    rows: List[List[Node]] = [[] for _ in range(k)]
+    for v, h in zip(indexer.node_order(), block_of):
+        rows[h].append(v)
+    codes = sorted({canon[a] * k + canon[b] for a, b in edges})
+    gb = _quotient_graph(
+        [label(row[0]) for row in rows],
+        [bisect_left(codes, h * k) for h in range(k + 1)],
+        [code % k for code in codes],
+    )
+    return PatternCompression(gb, block_of, indexer, rows, original_edges)
 
 
 def quotient_by_partition(graph: DiGraph, partition: Partition) -> PatternCompression:
     """Quotient *graph* by an arbitrary node partition (lines 4–9 of Fig. 7).
 
     Exposed separately so the A(k)-index comparison (Section 4's
-    counterexample) and the incremental maintainer can reuse the quotient
-    construction.
+    counterexample) can reuse the quotient construction.
     """
-    class_of: Dict[Node, int] = {}
-    class_members: Dict[int, List[Node]] = {}
-    gr = DiGraph()
-    for bid in partition.block_ids():
-        members = partition.members(bid)
-        representative = next(iter(members))
-        gr.add_node(bid, graph.label(representative))
-        class_members[bid] = list(members)
-        for v in members:
-            class_of[v] = bid
-    for u, v in graph.edges():
-        gr.add_edge(class_of[u], class_of[v])
-    return PatternCompression(
-        compressed=gr,
-        class_of=class_of,
-        class_members=class_members,
-        original_nodes=graph.order(),
-        original_edges=graph.size(),
+    nodes = graph.node_list()
+    block = partition.block_of
+    return quotient_artifact(
+        NodeIndexer(nodes),
+        list(map(block, nodes)),
+        ((block(u), block(v)) for u, v in graph.edges()),
+        graph.label,
+        graph.size(),
     )

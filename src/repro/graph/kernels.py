@@ -584,8 +584,14 @@ def csr_bisimulation_blocks(
     (see its docstring for the invariants) with nodes as dense ints: strata
     in ascending rank order, initial grouping by ``(label, finalized
     lower-rank successor blocks)``, then an intra-stratum fixpoint on the
-    same-rank successor signatures.  Returns the blocks as lists of node
-    ids, each sorted ascending, in canonical (first-member) order.
+    same-rank successor signatures.  Each stratum's same-rank successor
+    rows are collected once and every node's signature is cached: after a
+    round of splits only the same-rank predecessors of the nodes that moved
+    are re-signed, and only the blocks holding them are regrouped (a split
+    keeps its largest part in place, so the others are the ones that move).
+    Returns the blocks as lists of node ids, each sorted ascending, in
+    canonical (first-member) order — the ``compressB`` quotient
+    (:func:`repro.core.pattern.compress_pattern_csr`) is read off them.
     """
     n = csr.n
     if cond is None:
@@ -600,10 +606,12 @@ def csr_bisimulation_blocks(
         strata[node_rank[v] + 1].append(v)  # +1: slot 0 holds rank -∞
 
     indptr, indices = csr.fwd()
+    rindptr, rindices = csr.rev()
     label_ids = csr.label_codes()
     final_block = [-1] * n
     local_block = [0] * n  # scratch, valid only for the current stratum
     blocks: List[List[int]] = []
+    no_sig: frozenset = frozenset()
 
     for slot in range(len(strata)):
         stratum = strata[slot]
@@ -611,81 +619,62 @@ def csr_bisimulation_blocks(
             continue
         rank = slot - 1
         # Initial grouping: label + finalized blocks of lower-rank children.
+        # The same-rank children are all the refinement below reads.
         groups: Dict[Tuple[int, frozenset], List[int]] = {}
+        same: Dict[int, List[int]] = {}
         for v in stratum:
-            low: List[int] = []
-            for ei in range(indptr[v], indptr[v + 1]):
-                c = indices[ei]
-                if node_rank[c] < rank:
-                    low.append(final_block[c])
-            key = (label_ids[v], frozenset(low))
+            row = indices[indptr[v] : indptr[v + 1]]
+            low = frozenset([final_block[c] for c in row if node_rank[c] < rank])
+            row = [c for c in row if node_rank[c] == rank]
+            if row:
+                same[v] = row
+            key = (label_ids[v], low)
             bucket = groups.get(key)
             if bucket is None:
                 groups[key] = [v]
             else:
                 bucket.append(v)
 
-        next_id = 0
-        for members in groups.values():
-            for v in members:
-                local_block[v] = next_id
-            next_id += 1
+        members = list(groups.values())
+        for bid, group in enumerate(members):
+            for v in group:
+                local_block[v] = bid
 
-        # Only nodes with a same-rank successor can still move.
-        movable: List[int] = []
-        for v in stratum:
-            for ei in range(indptr[v], indptr[v + 1]):
-                if node_rank[indices[ei]] == rank:
-                    movable.append(v)
-                    break
-
-        while movable:
-            by_old: Dict[int, Dict[frozenset, List[int]]] = {}
-            for v in movable:
-                sig_list: List[int] = []
-                for ei in range(indptr[v], indptr[v + 1]):
-                    c = indices[ei]
-                    if node_rank[c] == rank:
-                        sig_list.append(local_block[c])
-                sig = frozenset(sig_list)
-                sub = by_old.get(local_block[v])
-                if sub is None:
-                    by_old[local_block[v]] = {sig: [v]}
-                else:
-                    bucket = sub.get(sig)
+        # Fixpoint: nodes without a same-rank successor keep the empty
+        # signature; the first round signs every other node.
+        sig: Dict[int, frozenset] = {}
+        dirty = same.keys()
+        while dirty:
+            touched = set()
+            for v in dirty:
+                bid = local_block[v]
+                if len(members[bid]) > 1:  # a singleton block never splits
+                    sig[v] = frozenset(map(local_block.__getitem__, same[v]))
+                    touched.add(bid)
+            moved: List[int] = []
+            for bid in touched:
+                by_sig: Dict[frozenset, List[int]] = {}
+                for v in members[bid]:
+                    s = sig.get(v, no_sig)
+                    bucket = by_sig.get(s)
                     if bucket is None:
-                        sub[sig] = [v]
+                        by_sig[s] = [v]
                     else:
                         bucket.append(v)
-            block_sizes: Dict[int, int] = {}
-            for v in stratum:
-                b = local_block[v]
-                block_sizes[b] = block_sizes.get(b, 0) + 1
-            changed = False
-            for old_bid, sub in by_old.items():
-                movable_here = sum(len(g) for g in sub.values())
-                has_immovable = block_sizes[old_bid] > movable_here
-                subgroups = sorted(sub.items(), key=lambda kv: len(kv[1]))
-                if has_immovable:
-                    # Immovable members have empty same-rank signatures; any
-                    # movable subgroup with a nonempty signature must leave.
-                    for sig, group in subgroups:
-                        if sig:
-                            for v in group:
-                                local_block[v] = next_id
-                            next_id += 1
-                            changed = True
+                if len(by_sig) == 1:
                     continue
-                if len(subgroups) <= 1:
-                    continue
-                changed = True
-                # Keep the largest subgroup under the old id.
-                for sig, group in subgroups[:-1]:
-                    for v in group:
-                        local_block[v] = next_id
-                    next_id += 1
-            if not changed:
-                break
+                parts = sorted(by_sig.values(), key=len)
+                members[bid] = parts.pop()  # the largest part stays put
+                for part in parts:
+                    new_id = len(members)
+                    members.append(part)
+                    for v in part:
+                        local_block[v] = new_id
+                    moved += part
+            # Same-rank predecessors: exactly the ones with a row in `same`.
+            dirty = same.keys() & set().union(
+                *[rindices[rindptr[v] : rindptr[v + 1]] for v in moved]
+            )
 
         # Finalize the stratum: one global block per surviving local id.
         by_local: Dict[int, int] = {}

@@ -52,7 +52,7 @@ def test_isolated_nodes_compress_together():
     assert rc.query(0, 0) is True
     assert rc.query(0, 1) is False
     pc = compress_pattern(g)
-    assert pc.compressed.order() == 1
+    assert pc.compressed.n == 1
 
 
 def test_two_node_cycle_pipeline():
@@ -61,7 +61,7 @@ def test_two_node_cycle_pipeline():
     assert rc.compressed.order() == 1
     assert rc.query("a", "b") and rc.query("b", "a")
     pc = compress_pattern(g)
-    assert pc.compressed.order() == 1
+    assert pc.compressed.n == 1
     assert pc.compressed.has_edge(
         pc.node_class("a"), pc.node_class("a")
     )  # quotient keeps the self-loop for pattern semantics
@@ -84,7 +84,7 @@ def test_incremental_from_empty_graph():
     inc_r.apply([("+", "seed", "x"), ("+", "x", "y"), ("+", "y", "seed")])
     inc_p.apply([("+", "seed", "x"), ("+", "x", "y"), ("+", "y", "seed")])
     assert inc_r.compression().query("x", "seed") is True
-    assert inc_p.compression().compressed.order() == 1  # one 3-cycle class
+    assert inc_p.compression().compressed.n == 1  # one 3-cycle class
 
 
 def test_empty_batch_is_noop():

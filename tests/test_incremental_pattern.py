@@ -11,11 +11,12 @@ from repro.datasets.patterns import random_pattern
 
 
 def canon(pc):
-    mem = {h: frozenset(pc.members(h)) for h in pc.compressed.nodes()}
+    gb = pc.compressed.to_digraph()
+    mem = {h: frozenset(pc.members(h)) for h in gb.nodes()}
     return (
         frozenset(mem.values()),
-        frozenset((mem[a], mem[b]) for a, b in pc.compressed.edges()),
-        frozenset((mem[h], pc.compressed.label(h)) for h in pc.compressed.nodes()),
+        frozenset((mem[a], mem[b]) for a, b in gb.edges()),
+        frozenset((mem[h], gb.label(h)) for h in gb.nodes()),
     )
 
 

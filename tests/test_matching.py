@@ -357,7 +357,7 @@ def digest(answer):
     return hashlib.sha256(json.dumps(canon).encode()).hexdigest()
 
 out = {}
-for name, graph in (("G", g), ("Gb", compress_pattern(g).compressed)):
+for name, graph in (("G", g), ("Gb", compress_pattern(g).compressed.to_digraph())):
     csr = CSRGraph.from_digraph(graph)
     targets = {
         "csr": (graph, MatchContext(graph, backend="csr")),

@@ -13,7 +13,7 @@ from repro.datasets.patterns import random_pattern
 def test_quotient_structure(recommendation_network):
     g = recommendation_network
     pc = compress_pattern(g)
-    gr = pc.compressed
+    gr = pc.compressed.to_digraph()
     assert gr.graph_size() <= g.graph_size()
     # Hypernode labels equal member labels.
     for h in gr.nodes():
@@ -75,11 +75,12 @@ def test_preservation_randomized_including_cycles_and_star():
         expected = match_naive(q, g)
         assert pc.query(q, match) == expected
         # The fused match + P of the router entry point, with and without a
-        # shared context over Gb (csr ids and dict ids name the same blocks).
+        # shared context over Gb; a dict thaw of Gb names the same blocks.
         assert pc.answer(q) == expected
-        for backend in ("csr", "dict"):
-            ctx = MatchContext(pc.compressed, backend=backend)
-            assert pc.answer(q, context=ctx) == expected
+        assert pc.answer(q, context=MatchContext(pc.compressed)) == expected
+        thawed = pc.compressed.to_digraph()
+        ctx = MatchContext(thawed, backend="dict")
+        assert pc.post_process(match(q, thawed, ctx)) == expected
 
 
 def test_naive_and_stratified_compressions_agree():
@@ -88,8 +89,8 @@ def test_naive_and_stratified_compressions_agree():
         g = gnm_random_graph(18, rng.randrange(10, 80), num_labels=3, seed=trial + 3)
         a = compress_pattern(g, algorithm="stratified")
         b = compress_pattern(g, algorithm="naive")
-        ca = frozenset(frozenset(a.members(h)) for h in a.compressed.nodes())
-        cb = frozenset(frozenset(b.members(h)) for h in b.compressed.nodes())
+        ca = frozenset(frozenset(a.members(h)) for h in range(a.compressed.n))
+        cb = frozenset(frozenset(b.members(h)) for h in range(b.compressed.n))
         assert ca == cb
 
 
@@ -106,7 +107,7 @@ def test_quotient_by_arbitrary_partition():
     # Quotient by the label partition (coarser than bisimulation).
     part = Partition.by_key(g.node_list(), key=g.label)
     qc = quotient_by_partition(g, part)
-    assert qc.compressed.order() == part.block_count()
+    assert qc.compressed.n == part.block_count()
 
 
 def test_post_process_expands_hypernodes(recommendation_network, pattern_qp):

@@ -32,7 +32,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import attach_equivalent_leaves, gnm_random_graph
 from repro.datasets.patterns import random_pattern
 from repro.obs.metrics import MetricsRegistry, current_registry, installed
-from repro.queries.matching import MatchContext, match_naive
+from repro.queries.matching import MatchContext, match, match_naive
 from repro.queries.pattern import STAR, GraphPattern
 from repro.queries.reachability import ReachabilityQuery
 from repro.service import ApplyError, EngineService, QueryExecutor, freeze_answer, run_stress
@@ -233,6 +233,44 @@ def test_serving_writer_stays_frozen(tmp_path, monkeypatch, source):
     service.close()
     assert service.version == 4 and "n1" in graphs[4]
     assert check_answers(graphs, records) == (0, [])
+
+
+def _no_digraph(*args, **kwargs):
+    raise AssertionError("the pattern serving path built or froze a DiGraph")
+
+
+@pytest.mark.parametrize("source", ["csr", "catalog"])
+def test_pattern_serving_builds_no_digraph(tmp_path, monkeypatch, source):
+    """compressB emits arrays: a served pattern runs on a ``CSRGraph`` Gb
+    built (or rehydrated) without one ``DiGraph`` edge and without a
+    freeze, before and after a publication, and answers like ``match``."""
+    g = _mixed_graph(31, n=50, m=150)
+    batch = mixed_batch(g, 10, insert_ratio=0.5, seed=4)
+    after = g.copy()
+    for op, u, v in batch:
+        (after.add_edge if op == "+" else after.remove_edge)(u, v)
+    rng = random.Random(5)
+    patterns = [random_pattern(g, 3, 3, max_bound=2, star_prob=0.25,
+                               seed=rng.randrange(1 << 30)) for _ in range(4)]
+    expected = [[match(p, graph) for p in patterns] for graph in (g, after)]
+    csr = CSRGraph.from_digraph(g)
+    catalog = None
+    if source == "catalog":
+        cold = SnapshotCatalog(tmp_path)
+        cold.bisimulation(cold.put(csr))  # persists the variant
+        catalog = SnapshotCatalog(tmp_path)
+        csr = catalog.base(csr.digest())
+    monkeypatch.setattr(CSRGraph, "from_digraph", _no_digraph)
+    monkeypatch.setattr(DiGraph, "add_edge", _no_digraph)
+    service = EngineService(csr, catalog)
+    answers = [[service.query(p) for p in patterns]]
+    service.apply(batch)
+    answers.append([service.query(p) for p in patterns])
+    counters = dict(service.counters)
+    service.close()
+    assert answers == expected
+    assert counters.get("degraded_builds", 0) == 0
+    assert counters["catalog_warm_hits"] == (1 if catalog is not None else 0)
 
 
 def test_versioned_queries_follow_publications():

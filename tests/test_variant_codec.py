@@ -22,12 +22,21 @@ import pytest
 
 import repro.store.format as format_module
 from repro.core.base import decode_quotient_arrays
-from repro.core.pattern import PatternCompression, compress_pattern_csr
+from repro.core.incremental_pattern import IncrementalPatternCompressor
+from repro.core.pattern import PatternCompression, compress_pattern, compress_pattern_csr
 from repro.core.reachability import ReachabilityCompression, compress_reachability_csr
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DEFAULT_LABEL, DiGraph
-from repro.graph.generators import gnm_random_graph, random_dag
+from repro.datasets.patterns import random_pattern
+from repro.graph.generators import (
+    assign_labels,
+    attach_equivalent_leaves,
+    gnm_random_graph,
+    preferential_attachment_graph,
+    random_dag,
+)
 from repro.index.tol import TOLIndex
+from repro.queries.matching import match
 from repro.store import SnapshotCatalog
 from repro.store.format import (
     _HEADER,
@@ -461,7 +470,7 @@ def test_round_trip_identity_through_arrays_and_container(graph):
     pc = compress_pattern_csr(csr)
     warm_pc = PatternCompression.from_arrays(order, labels, through_file(pc.to_arrays(order)))
     assert warm_pc.canonical_form() == pc.canonical_form()
-    assert warm_pc.compressed.labels() == pc.compressed.labels()
+    assert warm_pc.compressed.buffers() == pc.compressed.buffers()
 
     gr = rc.compressed
     gr_order = sorted(gr.nodes())
@@ -472,6 +481,40 @@ def test_round_trip_identity_through_arrays_and_container(graph):
         )
         assert warm_tol.canonical_form() == tol.canonical_form()
         assert warm_tol.stats() == tol.stats()
+
+
+def _answer_graphs():
+    social = preferential_attachment_graph(60, out_degree=3, reciprocity=0.5, seed=3)
+    attach_equivalent_leaves(social, [5, 4, 4, 3], parents_per_group=2, seed=4)
+    yield "social-fans", assign_labels(social, 3, seed=5)
+    yield "cyclic", gnm_random_graph(70, 220, num_labels=3, seed=6)
+
+
+@pytest.mark.parametrize("name,graph", list(_answer_graphs()))
+def test_bisimulation_variant_answers_not_bytes(tmp_path, name, graph):
+    """A rehydrated ``Gb``, a cold one and ``match`` on ``G`` give the same
+    answers, and the variant arrays equal those of quotients built on the
+    dict graph — references that share nothing with the CSR path."""
+    csr = CSRGraph.from_digraph(graph)
+    order = csr.node_order()
+    cold = compress_pattern_csr(csr)
+    digest = SnapshotCatalog(tmp_path).put(csr)
+    SnapshotCatalog(tmp_path).bisimulation(digest)
+    fresh = SnapshotCatalog(tmp_path)
+    assert fresh.has_variant(digest, "bisimulation")
+    warm = fresh.bisimulation(digest)
+    rng = random.Random(name)
+    for _ in range(10):
+        p = random_pattern(graph, rng.randrange(2, 5), rng.randrange(2, 6), max_bound=3,
+                           star_prob=0.25, seed=rng.randrange(1 << 30))
+        assert warm.answer(p) == cold.answer(p) == match(p, graph), name
+    form = cold.canonical_form()
+    assert form == warm.canonical_form() == compress_pattern(graph).canonical_form()
+    assert form == IncrementalPatternCompressor(graph).compression().canonical_form()
+    arrays = cold.to_arrays(order)
+    assert arrays == warm.to_arrays(order)
+    assert arrays == compress_pattern(csr.to_digraph()).to_arrays(order)
+    assert arrays == compress_pattern(graph, algorithm="naive").to_arrays(order)
 
 
 def _incremental(nodes, labels, rows) -> DiGraph:
