@@ -35,27 +35,26 @@ def quotient_rows(graph: DiGraph) -> Tuple[List[int], List[int]]:
     return flatten_rows(map(sorted, map(graph.successors, range(graph.order()))))
 
 
-def decode_quotient_arrays(
-    node_order: List[Node],
+def check_quotient_arrays(
+    nnodes: int,
     id_array: List[int],
     nhyper: int,
     indptr: List[int],
     targets: List[int],
-) -> Tuple[Dict[Node, int], Dict[int, List[Node]], Iterator[List[int]]]:
-    """Validate and decode a persisted quotient (shared ``from_arrays`` core).
+) -> Iterator[List[int]]:
+    """Validate a persisted quotient over *nnodes* nodes; returns its rows.
 
-    Returns ``(class_of, class_members, rows)`` with members grouped in
-    node order and ``rows[c]`` the successors of hypernode ``c``.  Raises
-    ``ValueError`` on any shape or range inconsistency — arrays of the
-    wrong length, hypernode ids not covering exactly ``0..nhyper-1``,
+    ``rows[c]`` are the successors of hypernode ``c``.  Raises
+    ``ValueError`` on any shape or range inconsistency — an id array of
+    the wrong length, hypernode ids not covering exactly ``0..nhyper-1``,
     offsets that do not run monotonically from 0 to ``len(targets)``, a
     target out of range, a row that is not strictly increasing — so the
     :mod:`repro.store` catalog can treat a malformed variant file as
     corrupt and recompute instead of rehydrating a broken artifact.
     """
-    if len(id_array) != len(node_order):
+    if len(id_array) != nnodes:
         raise ValueError("persisted arrays do not match the base graph's node count")
-    if nhyper > len(node_order):
+    if nhyper > nnodes:
         # A quotient cannot have more classes than nodes; reject before
         # set(range(nhyper)) materialises a crafted multi-GB allocation.
         raise ValueError("persisted hypernode count exceeds the node count")
@@ -63,7 +62,24 @@ def decode_quotient_arrays(
         # a memberless hypernode or out-of-range id means the arrays
         # belong to another graph (empty graphs must claim nhyper == 0)
         raise ValueError(f"persisted id map does not cover 0..{nhyper - 1}")
-    rows = split_rows(indptr, targets, nhyper, nhyper, "quotient edge")
+    return split_rows(indptr, targets, nhyper, nhyper, "quotient edge")
+
+
+def decode_quotient_arrays(
+    node_order: List[Node],
+    id_array: List[int],
+    nhyper: int,
+    indptr: List[int],
+    targets: List[int],
+) -> Tuple[Dict[Node, int], Dict[int, List[Node]], Iterator[List[int]]]:
+    """Validate and decode a persisted quotient (``ReachabilityCompression``'s
+    ``from_arrays`` core).
+
+    Returns ``(class_of, class_members, rows)`` with members grouped in
+    node order and ``rows[c]`` the successors of hypernode ``c``; raises
+    ``ValueError`` as :func:`check_quotient_arrays` does.
+    """
+    rows = check_quotient_arrays(len(node_order), id_array, nhyper, indptr, targets)
     members: List[List[Node]] = [[] for _ in range(nhyper)]
     for v, cid in zip(node_order, id_array):
         members[cid].append(v)

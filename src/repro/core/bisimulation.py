@@ -15,23 +15,25 @@ Two algorithms are provided:
 
 * :func:`bisimulation_partition` — rank-stratified refinement following
   Dovier–Piazza–Policriti [8] (the algorithm the paper cites for its
-  ``O(|E| log |V|)`` bound).  Nodes are stratified by the bisimulation rank
-  ``rb`` of Section 5.2; by Lemma 9 bisimilar nodes share a rank, and every
-  successor of a rank-``r`` node has rank ``< r`` (well-founded successors)
-  or ``= r``/``-∞`` (non-well-founded), so strata can be processed in
-  ascending order with only an intra-stratum fixpoint.  On well-founded
-  graphs each stratum stabilises in a single grouping pass.
+  ``O(|E| log |V|)`` bound), run by the CSR kernel
+  :func:`~repro.graph.kernels.csr_bisimulation_blocks`.  Nodes are
+  stratified by the bisimulation rank ``rb`` of Section 5.2
+  (:func:`~repro.graph.kernels.csr_bisimulation_ranks`); by Lemma 9
+  bisimilar nodes share a rank, and every successor of a rank-``r`` node
+  has rank ``< r`` (well-founded successors) or ``= r``/``-∞``
+  (non-well-founded), so strata can be processed in ascending order with
+  only an intra-stratum fixpoint.  On well-founded graphs each stratum
+  stabilises in a single grouping pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Dict, Hashable, Iterable, Set, Tuple
 
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.kernels import csr_bisimulation_blocks
 from repro.graph.partition import Partition
-from repro.graph.rank import bisimulation_ranks
 
 Node = Hashable
 
@@ -47,22 +49,16 @@ def bisimulation_partition_naive(graph: DiGraph) -> Partition:
             return partition
 
 
-def bisimulation_partition(graph: DiGraph, backend: str = "csr") -> Partition:
+def bisimulation_partition(graph: DiGraph) -> Partition:
     """Maximum bisimulation via rank-stratified partition refinement [8].
 
-    ``backend="csr"`` (default) freezes the graph into a
-    :class:`~repro.graph.csr.CSRGraph` and runs the integer-array kernel
-    :func:`~repro.graph.kernels.csr_bisimulation_blocks`;
-    ``backend="dict"`` runs the original dict-of-sets implementation.  The
-    maximum bisimulation is unique, and both backends number the blocks
-    canonically (ordered by first member in node insertion order), so they
-    return identical partitions.
+    Freezes *graph* into a :class:`~repro.graph.csr.CSRGraph` and runs the
+    integer-array kernel :func:`~repro.graph.kernels.csr_bisimulation_blocks`.
+    The maximum bisimulation is unique and the blocks are numbered
+    canonically (ordered by first member in node insertion order), so the
+    result equals :func:`bisimulation_partition_naive`'s block for block.
     """
-    if backend == "csr":
-        return bisimulation_partition_csr(CSRGraph.from_digraph(graph))
-    if backend == "dict":
-        return _canonical_partition(graph, _bisimulation_partition_dict(graph))
-    raise ValueError(f"unknown backend: {backend!r} (expected 'csr' or 'dict')")
+    return bisimulation_partition_csr(CSRGraph.from_digraph(graph))
 
 
 def bisimulation_partition_csr(csr: CSRGraph) -> Partition:
@@ -77,108 +73,6 @@ def bisimulation_partition_csr(csr: CSRGraph) -> Partition:
     node_of = csr.indexer.node
     blocks = csr_bisimulation_blocks(csr)
     return Partition.from_blocks([[node_of(i) for i in block] for block in blocks])
-
-
-def _canonical_partition(graph: DiGraph, partition: Partition) -> Partition:
-    """Renumber a partition canonically.
-
-    Blocks are ordered by their first member in the graph's node insertion
-    order (member lists likewise), making block ids reproducible across
-    runs, hash seeds, and backends.
-    """
-    pos = {v: i for i, v in enumerate(graph.nodes())}
-    blocks = [sorted(block, key=pos.__getitem__) for block in partition.blocks()]
-    blocks.sort(key=lambda block: pos[block[0]])
-    return Partition.from_blocks(blocks)
-
-
-def _bisimulation_partition_dict(graph: DiGraph) -> Partition:
-    """The dict-backend stratified refinement (cross-validation reference)."""
-    ranks = bisimulation_ranks(graph)
-    strata: Dict[object, List[Node]] = {}
-    for v in graph.nodes():
-        strata.setdefault(ranks[v], []).append(v)
-
-    final_block: Dict[Node, int] = {}
-    partition = Partition()
-
-    for rank in sorted(strata):  # -inf sorts first
-        stratum = strata[rank]
-        # Initial grouping: label + finalized blocks of lower-rank children.
-        groups: Dict[Tuple, List[Node]] = {}
-        for v in stratum:
-            low_sig = frozenset(
-                final_block[c] for c in graph.successors(v) if ranks[c] < rank
-            )
-            groups.setdefault((graph.label(v), low_sig), []).append(v)
-
-        # Intra-stratum fixpoint on same-rank successors.  Block ids local to
-        # the stratum; nodes whose every successor is finalized never move
-        # again after the initial grouping.
-        local_block: Dict[Node, int] = {}
-        for bid, (_, members) in enumerate(groups.items()):
-            for v in members:
-                local_block[v] = bid
-        # Nodes with at least one same-rank successor are the only ones whose
-        # signature can still change.
-        movable = [
-            v
-            for v in stratum
-            if any(ranks[c] == rank for c in graph.successors(v))
-        ]
-        next_id = len(groups)
-        while True:
-            # Group the movable nodes by (current block, same-rank successor
-            # blocks); blocks whose members disagree get split.  Nodes whose
-            # successors are all finalized keep their initial block forever,
-            # but still count: a movable node may only stay with them if its
-            # same-rank signature is empty, which the (block, sig) key with
-            # sig = ∅ handles because immovable members implicitly have ∅.
-            by_old: Dict[int, Dict[frozenset, List[Node]]] = {}
-            for v in movable:
-                sig = frozenset(
-                    local_block[c]
-                    for c in graph.successors(v)
-                    if ranks[c] == rank
-                )
-                by_old.setdefault(local_block[v], {}).setdefault(sig, []).append(v)
-            changed = False
-            for old_bid, sub in by_old.items():
-                block_size = sum(1 for v in stratum if local_block[v] == old_bid)
-                movable_here = sum(len(g) for g in sub.values())
-                has_immovable = block_size > movable_here
-                subgroups = sorted(sub.items(), key=lambda kv: len(kv[1]))
-                if has_immovable:
-                    # Immovable members have empty same-rank signatures; any
-                    # movable subgroup with a nonempty signature must leave.
-                    for sig, group in subgroups:
-                        if sig:
-                            for v in group:
-                                local_block[v] = next_id
-                            next_id += 1
-                            changed = True
-                    continue
-                if len(subgroups) <= 1:
-                    continue
-                changed = True
-                # Keep the largest subgroup under the old id.
-                for sig, group in subgroups[:-1]:
-                    for v in group:
-                        local_block[v] = next_id
-                    next_id += 1
-            if not changed:
-                break
-
-        # Finalize the stratum: one global block per local block id.
-        by_local: Dict[int, List[Node]] = {}
-        for v in stratum:
-            by_local.setdefault(local_block[v], []).append(v)
-        for members in by_local.values():
-            bid = partition.add_block(members)
-            for v in members:
-                final_block[v] = bid
-
-    return partition
 
 
 def are_bisimilar(graph: DiGraph, u: Node, v: Node) -> bool:

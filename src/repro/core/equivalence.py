@@ -21,8 +21,8 @@ Structure of ``Re`` (used by ``compressR`` and proved in the module tests):
 So ``Re``'s classes are: one class per cyclic SCC, plus groups of trivial
 SCCs with equal (ancestor-set, descendant-set) signatures over the
 condensation.  :func:`reachability_partition` computes exactly that with
-bitsets in topological order; :func:`reachability_partition_naive` is the
-literal per-node-BFS definition used to cross-validate it.
+the CSR bitset kernel; :func:`reachability_partition_naive` is the literal
+per-node-BFS definition it is checked against.
 """
 
 from __future__ import annotations
@@ -30,111 +30,32 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Tuple
 
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph, NodeIndexer
+from repro.graph.digraph import DiGraph
 from repro.graph.kernels import reachability_classes
 from repro.graph.partition import Partition
-from repro.graph.scc import Condensation, condensation
-from repro.graph.transitive import ancestor_bitsets, descendant_bitsets
 from repro.graph.traversal import bfs_reachable
 
 Node = Hashable
 
-#: Signature key marking a class that is a single cyclic SCC.  Cyclic SCCs
-#: never merge with anything (see module docstring), so their key just needs
-#: to be unique per SCC.
-_CYCLIC = "cyclic-scc"
 
-
-def scc_signatures(cond: Condensation) -> Dict[int, Tuple]:
-    """Equivalence signature of every SCC of a condensation.
-
-    Trivial SCCs get ``(anc_bitset, desc_bitset)`` over the condensation DAG;
-    cyclic SCCs get a unique key so they form singleton classes.
-    """
-    dag = cond.dag
-    indexer = NodeIndexer(dag.node_list())
-    anc = ancestor_bitsets(dag, indexer)
-    desc = descendant_bitsets(dag, indexer)
-    signatures: Dict[int, Tuple] = {}
-    for s in dag.nodes():
-        if s in cond.cyclic:
-            signatures[s] = (_CYCLIC, s)
-        else:
-            signatures[s] = (anc[s], desc[s])
-    return signatures
-
-
-def reachability_partition(graph: DiGraph, backend: str = "csr") -> Partition:
+def reachability_partition(graph: DiGraph) -> Partition:
     """Partition of the nodes of *graph* into ``Re`` equivalence classes.
 
-    Runs in ``O(|V| + |E| + S^2/w)`` where ``S`` is the SCC count and ``w``
-    the machine word width (bitset unions dominate) — comfortably within the
-    paper's ``O(|V||E|)`` bound for ``compressR``.
-
-    ``backend="csr"`` (default) runs the integer kernels over a frozen
-    :class:`~repro.graph.csr.CSRGraph`; ``backend="dict"`` runs the original
-    dict-of-sets pipeline.  Both yield the same partition with the same
-    canonical block numbering (blocks ordered by their first member in node
-    insertion order).
+    Freezes *graph* and runs the integer kernel
+    :func:`~repro.graph.kernels.reachability_classes` in
+    ``O(|V| + |E| + S^2/w)`` where ``S`` is the SCC count and ``w`` the
+    machine word width (bitset unions dominate) — comfortably within the
+    paper's ``O(|V||E|)`` bound for ``compressR``.  Blocks are numbered
+    canonically (ordered by their first member in node insertion order),
+    the same numbering :func:`reachability_partition_naive` produces.
     """
-    if backend == "csr":
-        csr = CSRGraph.from_digraph(graph)
-        nclasses, _, class_of_node, _ = reachability_classes(csr)
-        node_of = csr.indexer.node
-        blocks: List[List[Node]] = [[] for _ in range(nclasses)]
-        for i in range(csr.n):
-            blocks[class_of_node[i]].append(node_of(i))
-        return Partition.from_blocks(blocks)
-    if backend == "dict":
-        cond = condensation(graph)
-        return partition_from_signatures(cond, node_order=graph.node_list())
-    raise ValueError(f"unknown backend: {backend!r} (expected 'csr' or 'dict')")
-
-
-def canonical_classes(
-    cond: Condensation, node_order: List[Node]
-) -> Tuple[Dict[int, int], Dict[int, List[Node]]]:
-    """Group SCCs by ``Re`` signature; returns (scc -> class, class -> nodes).
-
-    Class ids are *canonical*: assigned in order of each class's first
-    member in *node_order* (the graph's insertion order), and member lists
-    follow that order too.  This makes class ids deterministic across runs
-    and hash seeds, and identical to the ids the CSR backend assigns —
-    every dict-backend entry point (``compressR``, the ``Re`` partition)
-    shares this single grouping loop so the contract cannot drift.
-    """
-    signatures = scc_signatures(cond)
-    sig_to_class: Dict[Tuple, int] = {}
-    class_of_scc: Dict[int, int] = {}
-    class_members: Dict[int, List[Node]] = {}
-    scc_of = cond.scc_of
-    for v in node_order:
-        s = scc_of[v]
-        cid = class_of_scc.get(s)
-        if cid is None:
-            sig = signatures[s]
-            cid = sig_to_class.get(sig)
-            if cid is None:
-                cid = len(class_members)
-                sig_to_class[sig] = cid
-                class_members[cid] = []
-            class_of_scc[s] = cid
-        class_members[cid].append(v)
-    return class_of_scc, class_members
-
-
-def partition_from_signatures(
-    cond: Condensation, node_order: List[Node]
-) -> Partition:
-    """Group SCC members into ``Re`` classes given a condensation.
-
-    *node_order* (the graph's node insertion order) fixes the canonical
-    block numbering (see :func:`canonical_classes`).  It is required on
-    purpose: any order derived from the condensation itself would inherit
-    Tarjan's set-iteration traversal order and vary with hash seeds.
-    """
-    _, class_members = canonical_classes(cond, node_order)
-    return Partition.from_blocks(class_members.values())
+    csr = CSRGraph.from_digraph(graph)
+    nclasses, _, class_of_node, _ = reachability_classes(csr)
+    node_of = csr.indexer.node
+    blocks: List[List[Node]] = [[] for _ in range(nclasses)]
+    for i in range(csr.n):
+        blocks[class_of_node[i]].append(node_of(i))
+    return Partition.from_blocks(blocks)
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +80,8 @@ def strict_descendants(graph: DiGraph, v: Node) -> frozenset:
 def reachability_partition_naive(graph: DiGraph) -> Partition:
     """Literal definition: group nodes by (ancestor set, descendant set).
 
-    Quadratic; exists to validate :func:`reachability_partition`.
+    Quadratic; exists to validate :func:`reachability_partition`.  Groups
+    are opened in node insertion order, so block ids are canonical too.
     """
     groups: Dict[Tuple[frozenset, frozenset], List[Node]] = {}
     for v in graph.nodes():

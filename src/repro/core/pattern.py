@@ -35,7 +35,7 @@ from bisect import bisect_left
 from itertools import chain
 from typing import Any, Callable, ClassVar, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.core.base import CompressionStats, QueryPreservingCompression, decode_quotient_arrays
+from repro.core.base import CompressionStats, QueryPreservingCompression, check_quotient_arrays
 from repro.core.bisimulation import bisimulation_partition, bisimulation_partition_naive
 from repro.graph.bitset import select
 from repro.graph.csr import CSRGraph, flatten_rows, reverse_from_forward
@@ -149,30 +149,28 @@ class PatternCompression(QueryPreservingCompression):
         }
 
     @classmethod
-    def from_arrays(
-        cls,
-        node_order: List[Node],
-        node_labels: List[str],
-        arrays: Dict[str, List[int]],
-    ) -> "PatternCompression":
+    def from_arrays(cls, base: CSRGraph, arrays: Dict[str, List[int]]) -> "PatternCompression":
         """Rehydrate an artifact persisted with :meth:`to_arrays`.
 
-        *node_labels* is the base graph's label per node, aligned with
-        *node_order*; each hypernode takes the label of its first member.
-        The arrays are adopted as ``Gb``'s rows once
-        :func:`~repro.core.base.decode_quotient_arrays` has validated them.
-        Raises ``ValueError`` when the arrays do not fit *node_order* (a
-        variant persisted for a different base graph) or are internally
+        *base* is ``G``'s frozen snapshot the arrays are aligned to: the
+        artifact adopts its :class:`~repro.graph.digraph.NodeIndexer`, and
+        each hypernode takes the label of its first member, read off the
+        base's label codes.  The arrays are adopted as ``Gb``'s rows once
+        :func:`~repro.core.base.check_quotient_arrays` has validated them.
+        Raises ``ValueError`` when the arrays do not fit *base* (a variant
+        persisted for a different base graph) or are internally
         inconsistent; the catalog treats that as a corrupt variant and
         recomputes.
         """
         nblocks = arrays["nblocks"][0]
         block_of, indptr, targets = arrays["block_of"], arrays["gb_indptr"], arrays["gb_targets"]
-        _, members, _ = decode_quotient_arrays(node_order, block_of, nblocks, indptr, targets)
-        rows = list(members.values())
-        label_of_node = dict(zip(node_order, node_labels, strict=True))
-        gb = _quotient_graph([label_of_node[row[0]] for row in rows], indptr, targets)
-        return cls(gb, block_of, NodeIndexer(node_order), rows, arrays["stats"][1])
+        check_quotient_arrays(base.n, block_of, nblocks, indptr, targets)
+        rows: List[List[Node]] = [[] for _ in range(nblocks)]
+        for v, h in zip(base.node_order(), block_of):
+            rows[h].append(v)
+        index, names, codes = base.indexer.index, base.label_names, base.label_codes()
+        gb = _quotient_graph([names[codes[index(row[0])]] for row in rows], indptr, targets)
+        return cls(gb, block_of, base.indexer, rows, arrays["stats"][1])
 
     # -- P: post-processing ----------------------------------------------
     def post_process(
@@ -309,7 +307,7 @@ def compress_pattern(graph: DiGraph, algorithm: str = "stratified") -> PatternCo
 
 
 def compress_pattern_csr(csr: CSRGraph) -> PatternCompression:
-    """``compressB`` on an already-frozen graph (no dict backend involved).
+    """``compressB`` on an already-frozen graph, over the integer kernel.
 
     The entry point for snapshot consumers: runs the rank-stratified
     bisimulation kernel directly over the CSR arrays and reads ``Gb`` off

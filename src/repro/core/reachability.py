@@ -48,7 +48,6 @@ from repro.core.base import (
     decode_quotient_arrays,
     quotient_rows,
 )
-from repro.core.equivalence import canonical_classes
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DEFAULT_LABEL, DiGraph
 from repro.graph.kernels import reachability_quotient
@@ -209,8 +208,9 @@ class ReachabilityCompression(QueryPreservingCompression):
         Two compressions of the same graph are byte-identical — same stats,
         same hypernode ids, same quotient edges, same member lists — iff
         their canonical forms compare equal.  This is the contract between
-        the ``csr`` and ``dict`` backends (and across hash seeds);
-        ``tests/test_csr_kernels.py`` checks it on every pool graph.
+        the CSR kernel and the paper-literal :func:`compress_reachability_bfs`
+        (and across hash seeds); ``tests/test_csr_kernels.py`` checks it on
+        every pool graph.
         """
         gr = self._gr
         stats = self.stats()
@@ -409,42 +409,29 @@ class ReachabilityCompression(QueryPreservingCompression):
         return f"ReachabilityCompression({self.stats()})"
 
 
-def compress_reachability(
-    graph: DiGraph, backend: str = "csr"
-) -> ReachabilityCompression:
+def compress_reachability(graph: DiGraph) -> ReachabilityCompression:
     """``compressR``: build the reachability preserving compression of *graph*.
 
     See the module docstring for the pipeline; the output ``Gr`` is the
     transitive reduction of the quotient of the condensation by ``Re``,
     with every hypernode labeled with the paper's fixed dummy label σ.
 
-    ``backend`` selects the implementation: ``"csr"`` (default) freezes the
-    graph into :class:`~repro.graph.csr.CSRGraph` once and runs the integer
-    kernels of :mod:`repro.graph.kernels`; ``"dict"`` runs the original
-    dict-of-sets pipeline and serves as the cross-validation reference.
-    Both produce *identical* output — hypernode ids are assigned
-    canonically, in order of each class's first member in the graph's node
-    insertion order, so the compressed structure, the node mapping and the
-    stats are byte-for-byte the same (and independent of hash seeds).
+    Freezes *graph* into a :class:`~repro.graph.csr.CSRGraph` once and runs
+    :func:`compress_reachability_csr`.  Hypernode ids are canonical —
+    assigned in order of each class's first member in the graph's node
+    insertion order — so the compressed structure, the node mapping and
+    the stats are independent of hash seeds, and equal to the paper-literal
+    :func:`compress_reachability_bfs`'s.
     """
-    if backend == "csr":
-        return _compress_reachability_csr(graph)
-    if backend == "dict":
-        return _compress_reachability_dict(graph)
-    raise ValueError(f"unknown backend: {backend!r} (expected 'csr' or 'dict')")
-
-
-def _compress_reachability_csr(graph: DiGraph) -> ReachabilityCompression:
-    """``compressR`` over the frozen CSR backend (integer kernels)."""
     return compress_reachability_csr(CSRGraph.from_digraph(graph))
 
 
 def compress_reachability_csr(csr: CSRGraph) -> ReachabilityCompression:
-    """``compressR`` on an already-frozen graph (no dict backend involved).
+    """``compressR`` on an already-frozen graph, over the integer kernels.
 
     The entry point for snapshot consumers — the :mod:`repro.store` catalog
     loads a ``CSRGraph`` straight from disk and compresses it here; output
-    is byte-identical to ``compress_reachability(thawed, backend="csr")``.
+    is byte-identical to ``compress_reachability(thawed)``.
     """
     quotient = reachability_quotient(csr)
 
@@ -477,37 +464,6 @@ def compress_reachability_csr(csr: CSRGraph) -> ReachabilityCompression:
         cyclic_scc=cyclic,
         original_nodes=csr.n,
         original_edges=csr.m,
-        scc_graph_size=cond.graph_size(),
-    )
-
-
-def _compress_reachability_dict(graph: DiGraph) -> ReachabilityCompression:
-    """``compressR`` over the mutable dict backend (reference path)."""
-    cond = condensation(graph)
-    class_of_scc, class_members = canonical_classes(cond, graph.node_list())
-
-    quotient = DiGraph()
-    for cid in class_members:
-        quotient.add_node(cid, DEFAULT_LABEL)
-    for i, j in cond.dag.edges():
-        ci, cj = class_of_scc[i], class_of_scc[j]
-        if ci != cj:
-            quotient.add_edge(ci, cj)
-
-    gr = dag_transitive_reduction(quotient)
-
-    class_of: Dict[Node, int] = {}
-    for v in graph.nodes():
-        class_of[v] = class_of_scc[cond.scc_of[v]]
-
-    return ReachabilityCompression(
-        compressed=gr,
-        class_of=class_of,
-        class_members=class_members,
-        scc_of=dict(cond.scc_of),
-        cyclic_scc=frozenset(cond.cyclic),
-        original_nodes=graph.order(),
-        original_edges=graph.size(),
         scc_graph_size=cond.graph_size(),
     )
 

@@ -4,16 +4,18 @@ This subpackage provides everything the paper's algorithms assume as given:
 a labeled directed graph store (:mod:`repro.graph.digraph`), traversal
 primitives (:mod:`repro.graph.traversal`), strongly connected components and
 condensation (:mod:`repro.graph.scc`), transitive closure/reduction including
-the Aho–Garey–Ullman baseline (:mod:`repro.graph.transitive`), the two rank
-functions of Section 5 (:mod:`repro.graph.rank`), a partition-refinement data
+the Aho–Garey–Ullman baseline (:mod:`repro.graph.transitive`), the rank type
+of Section 5.2 (:mod:`repro.graph.rank`), a partition-refinement data
 structure (:mod:`repro.graph.partition`), random graph generators
 (:mod:`repro.graph.generators`) and simple I/O (:mod:`repro.graph.io`).
 
-Two adjacency backends coexist: the mutable dict-of-sets
-:class:`~repro.graph.digraph.DiGraph` (incremental algorithms, reference
-implementations) and the frozen :class:`~repro.graph.csr.CSRGraph`
-(:mod:`repro.graph.csr`) whose integer-array kernels
-(:mod:`repro.graph.kernels`) power the batch compression hot loops.
+Two graph forms coexist.  The frozen :class:`~repro.graph.csr.CSRGraph`
+(:mod:`repro.graph.csr`) and its integer-array kernels
+(:mod:`repro.graph.kernels`) are the one implementation of the batch
+compressions.  The mutable dict-of-sets :class:`~repro.graph.digraph.DiGraph`
+is what the Section 5 maintainers update in place and what the
+paper-literal reference algorithms run on; a ``DiGraph`` handed to a batch
+entry point is frozen first.
 """
 
 from repro.graph.csr import CSRGraph
@@ -41,10 +43,8 @@ from repro.graph.traversal import (
 from repro.graph.transitive import (
     aho_transitive_reduction,
     dag_transitive_reduction,
-    descendant_bitsets,
     transitive_closure_pairs,
 )
-from repro.graph.rank import bisimulation_ranks, topological_ranks, well_founded_nodes
 from repro.graph.partition import Partition
 from repro.graph.generators import (
     attach_equivalent_leaves,
@@ -78,11 +78,7 @@ __all__ = [
     "topological_order",
     "aho_transitive_reduction",
     "dag_transitive_reduction",
-    "descendant_bitsets",
     "transitive_closure_pairs",
-    "bisimulation_ranks",
-    "topological_ranks",
-    "well_founded_nodes",
     "Partition",
     "attach_equivalent_leaves",
     "gnm_random_graph",

@@ -15,12 +15,12 @@ adjacency directions are stored as contiguous ``array``-based
 ``indptr``/``indices`` pairs.  Labels are interned to dense integer codes.
 The integer kernels in :mod:`repro.graph.kernels` run over these arrays.
 
-The two backends split responsibilities:
+The two forms split responsibilities:
 
-* **dict backend** (:class:`DiGraph`) — mutable, incremental maintenance,
-  reference implementations;
-* **CSR backend** (this module) — frozen snapshots for the batch
-  compression hot loops; convert once with :meth:`CSRGraph.from_digraph`,
+* :class:`DiGraph` — mutable: the Section 5 maintainers update it in place,
+  and the paper-literal reference algorithms run on it;
+* :class:`CSRGraph` (this module) — frozen snapshots, and the only input of
+  the batch compressions: convert once with :meth:`CSRGraph.from_digraph`,
   run the kernels, map integer results back through :attr:`node_of`.
 """
 

@@ -27,12 +27,14 @@ frozen CSR arrays instead of dict-of-sets adjacency:
 Class/block ids produced here are **canonical**: assigned in order of first
 member appearance over the node order ``0..n-1`` (= DiGraph insertion
 order), so results are reproducible across runs and hash seeds and agree
-id-for-id with the canonicalised dict-backend implementations in
-:mod:`repro.core`.
+id-for-id with the paper-literal oracles in :mod:`repro.core`
+(``compress_reachability_bfs``, ``reachability_partition_naive``,
+``bisimulation_partition_naive``), which ``tests/test_csr_kernels.py``
+checks them against.
 
 All kernels are pure Python over ``array``/``list``/``bytearray``/big-int
-bitsets — no third-party dependencies — yet several times faster than the
-dict implementations because no per-edge hashing happens anywhere.
+bitsets — no third-party dependencies — and no per-edge hashing happens
+anywhere.
 """
 
 from __future__ import annotations
@@ -541,7 +543,7 @@ def csr_bisimulation_ranks(
     """Well-founded flags and bisimulation ranks per component.
 
     ``-∞`` is represented by :data:`NEG_INF_RANK` (= -1); all finite ranks
-    are ``>= 0`` so comparisons behave exactly like the float version in
+    are ``>= 0`` so comparisons behave exactly like the float ``-∞`` of
     :mod:`repro.graph.rank`.  Components are processed in ascending id
     order, which is reverse topological order — children are final first.
     """
@@ -580,8 +582,8 @@ def csr_bisimulation_blocks(
 ) -> List[List[int]]:
     """Maximum bisimulation via rank-stratified refinement [8], over arrays.
 
-    Same algorithm as :func:`repro.core.bisimulation.bisimulation_partition`
-    (see its docstring for the invariants) with nodes as dense ints: strata
+    The algorithm of :mod:`repro.core.bisimulation` (see its module
+    docstring for the invariants) with nodes as dense ints: strata
     in ascending rank order, initial grouping by ``(label, finalized
     lower-rank successor blocks)``, then an intra-stratum fixpoint on the
     same-rank successor signatures.  Each stratum's same-rank successor

@@ -1,117 +1,26 @@
-"""Rank functions used by the incremental algorithms (Section 5).
+"""The rank type of the bisimulation stratification (Section 5.2).
 
-Two stratifications appear in the paper:
+The *bisimulation rank* ``rb`` (after Dovier–Piazza–Policriti) is built on
+the well-founded / non-well-founded split: ``rb(v) = 0`` for leaves;
+``rb(v) = -∞`` when ``v``'s SCC has no child in the SCC graph but ``v`` has
+children (a "bottom" cycle); otherwise the max over condensation children
+of ``rb + 1`` for well-founded children and ``rb`` for non-well-founded
+ones.  Lemma 9: bisimilar nodes have equal ``rb``, and a node can only be
+affected by updates of strictly lower rank — ``incPCM`` processes strata in
+ascending rank order.
 
-* the *topological rank* ``r`` (Section 5.1): ``r(s) = 0`` if ``s``'s SCC has
-  no child in the SCC graph, nodes of one SCC share a rank, and otherwise
-  ``r(s) = max(r(s')) + 1`` over children.  Lemma 7: reachability-equivalent
-  nodes have equal topological rank, so ``incRCM`` only needs to compare
-  nodes within a rank stratum;
-
-* the *bisimulation rank* ``rb`` (Section 5.2, after Dovier–Piazza–Policriti):
-  built on the well-founded / non-well-founded split.  ``rb(v) = 0`` for
-  leaves; ``rb(v) = -∞`` when ``v``'s SCC has no child in the SCC graph but
-  ``v`` has children (a "bottom" cycle); otherwise the max over condensation
-  children of ``rb + 1`` for well-founded children and ``rb`` for
-  non-well-founded ones.  Lemma 9: bisimilar nodes have equal ``rb``, and a
-  node can only be affected by updates of strictly lower rank — ``incPCM``
-  processes strata in ascending rank order.
-
-``-∞`` is represented by ``float("-inf")``, which compares correctly against
-Python ints.
+Two places compute it: the batch kernel
+:func:`~repro.graph.kernels.csr_bisimulation_ranks` (integer ranks, ``-∞``
+as ``-1``) and ``incPCM``'s incremental re-ranking over the mutable graph
+(:mod:`repro.core.incremental_pattern`), which uses the types below.
+``-∞`` is represented by ``float("-inf")``, which compares correctly
+against Python ints.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Union
+from typing import Union
 
-from repro.graph.digraph import DiGraph
-from repro.graph.scc import Condensation, condensation
-from repro.graph.traversal import topological_order
-
-Node = Hashable
 Rank = Union[int, float]
 
 NEG_INF: float = float("-inf")
-
-
-def topological_ranks(graph: DiGraph) -> Dict[Node, int]:
-    """The paper's ``r`` (Section 5.1) for every node of *graph*."""
-    cond = condensation(graph)
-    scc_rank = scc_topological_ranks(cond)
-    return {v: scc_rank[cond.scc_of[v]] for v in graph.nodes()}
-
-
-def scc_topological_ranks(cond: Condensation) -> Dict[int, int]:
-    """Topological rank per SCC id of a prebuilt condensation."""
-    rank: Dict[int, int] = {}
-    for s in reversed(topological_order(cond.dag)):
-        children = cond.dag.successors(s)
-        rank[s] = 0 if not children else max(rank[c] for c in children) + 1
-    return rank
-
-
-def well_founded_nodes(graph: DiGraph) -> Dict[Node, bool]:
-    """``WF`` membership: True iff the node cannot reach any cycle.
-
-    A node is well-founded iff its SCC is trivial (single node, no
-    self-loop) and every SCC it can reach is trivial too.
-    """
-    cond = condensation(graph)
-    wf_scc = _well_founded_sccs(cond)
-    return {v: wf_scc[cond.scc_of[v]] for v in graph.nodes()}
-
-
-def _well_founded_sccs(cond: Condensation) -> Dict[int, bool]:
-    wf: Dict[int, bool] = {}
-    for s in reversed(topological_order(cond.dag)):
-        wf[s] = s not in cond.cyclic and all(
-            wf[c] for c in cond.dag.successors(s)
-        )
-    return wf
-
-
-def bisimulation_ranks(graph: DiGraph) -> Dict[Node, Rank]:
-    """The paper's ``rb`` (Section 5.2) for every node of *graph*."""
-    cond = condensation(graph)
-    scc_rank = scc_bisimulation_ranks(cond)
-    return {v: scc_rank[cond.scc_of[v]] for v in graph.nodes()}
-
-
-def scc_bisimulation_ranks(cond: Condensation) -> Dict[int, Rank]:
-    """Bisimulation rank per SCC id of a prebuilt condensation.
-
-    Follows the paper's case analysis literally, lifted to SCC level (all
-    members of an SCC share a rank):
-
-    * trivial SCC with no condensation children  -> 0 (leaf);
-    * cyclic SCC with no condensation children   -> -∞ (bottom cycle);
-    * otherwise ``max`` over condensation children ``C`` of
-      ``rank(C) + 1`` if ``C`` is well-founded else ``rank(C)``.
-    """
-    wf = _well_founded_sccs(cond)
-    rank: Dict[int, Rank] = {}
-    for s in reversed(topological_order(cond.dag)):
-        children = cond.dag.successors(s)
-        if not children:
-            rank[s] = NEG_INF if s in cond.cyclic else 0
-            continue
-        best: Rank = NEG_INF
-        for c in children:
-            candidate = rank[c] + 1 if wf[c] else rank[c]
-            if candidate > best:
-                best = candidate
-        rank[s] = best
-    return rank
-
-
-def rank_strata(ranks: Dict[Node, Rank]) -> Dict[Rank, list]:
-    """Group nodes by rank, ready for ascending-order processing.
-
-    ``-∞`` sorts first, as required by the ``incPCM`` loop ("for each AFFi of
-    ascending rank order", with ``i ∈ {-∞} ∪ [0, max]``).
-    """
-    strata: Dict[Rank, list] = {}
-    for v, r in ranks.items():
-        strata.setdefault(r, []).append(v)
-    return strata

@@ -219,7 +219,3 @@ def condensation(graph: DiGraph) -> Condensation:
         cyclic=cyclic,
     )
 
-
-def scc_graph(graph: DiGraph) -> DiGraph:
-    """Convenience: just the SCC DAG of *graph* (the paper's ``Gscc``)."""
-    return condensation(graph).dag

@@ -1,16 +1,18 @@
-"""Transitive closure and transitive reduction.
+"""Transitive closure and transitive reduction over the mutable graph.
 
-Three clients in the paper:
+Clients:
 
-* ``compressR`` needs ancestor/descendant sets of every condensation node
-  (Section 3.1's reachability equivalence relation) — computed here as
-  bitsets in topological order;
 * ``compressR`` lines 6–8 avoid redundant quotient edges — for a DAG that is
-  exactly the (unique) transitive reduction, :func:`dag_transitive_reduction`;
+  exactly the (unique) transitive reduction, :func:`dag_transitive_reduction`
+  (run by the paper-literal ``compress_reachability_bfs`` and by ``incRCM``;
+  the CSR kernel has its own,
+  :func:`~repro.graph.kernels.csr_dag_transitive_reduction`);
 * the evaluation's ``AHO`` baseline [1] (Aho, Garey, Ullman: *The transitive
   reduction of a directed graph*) — :func:`aho_transitive_reduction`, which
   collapses every SCC to a simple cycle and transitively reduces the
-  condensation.
+  condensation;
+* tests — :func:`transitive_closure_pairs` and its per-node-BFS reference
+  :func:`naive_transitive_closure_pairs`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from repro.graph.traversal import topological_order
 Node = Hashable
 
 
-def descendant_bitsets(
-    dag: DiGraph, indexer: NodeIndexer, reflexive: bool = False
+def _descendant_bitsets(
+    dag: DiGraph, indexer: NodeIndexer, reflexive: bool
 ) -> Dict[Node, int]:
     """Descendant set of every node of a DAG, as bitsets over *indexer*.
 
@@ -44,21 +46,6 @@ def descendant_bitsets(
     return desc
 
 
-def ancestor_bitsets(
-    dag: DiGraph, indexer: NodeIndexer, reflexive: bool = False
-) -> Dict[Node, int]:
-    """Ancestor set of every node of a DAG, as bitsets over *indexer*."""
-    anc: Dict[Node, int] = {}
-    for v in topological_order(dag):
-        mask = 0
-        for u in dag.predecessors(v):
-            mask |= anc[u] | (1 << indexer.index(u))
-        if reflexive:
-            mask |= 1 << indexer.index(v)
-        anc[v] = mask
-    return anc
-
-
 def transitive_closure_pairs(graph: DiGraph) -> Set[Tuple[Node, Node]]:
     """All ordered pairs ``(u, v)`` with a *nonempty* path from u to v.
 
@@ -69,7 +56,7 @@ def transitive_closure_pairs(graph: DiGraph) -> Set[Tuple[Node, Node]]:
     cond = condensation(graph)
     dag = cond.dag
     indexer = NodeIndexer(dag.node_list())
-    desc = descendant_bitsets(dag, indexer, reflexive=False)
+    desc = _descendant_bitsets(dag, indexer, reflexive=False)
     pairs: Set[Tuple[Node, Node]] = set()
     for i in dag.nodes():
         member_i = cond.members[i]
@@ -99,7 +86,7 @@ def dag_transitive_reduction(dag: DiGraph) -> DiGraph:
     ``v``.
     """
     indexer = NodeIndexer(dag.node_list())
-    desc = descendant_bitsets(dag, indexer, reflexive=True)
+    desc = _descendant_bitsets(dag, indexer, reflexive=True)
     reduced = DiGraph()
     for v in dag.nodes():
         reduced.add_node(v, dag.label(v))
@@ -117,22 +104,6 @@ def dag_transitive_reduction(dag: DiGraph) -> DiGraph:
             if not redundant:
                 reduced.add_edge(u, v)
     return reduced
-
-
-def transitive_closure_dag(dag: DiGraph) -> DiGraph:
-    """Edge-closure of a DAG: edge ``(u, v)`` iff nonempty path u -> v."""
-    indexer = NodeIndexer(dag.node_list())
-    desc = descendant_bitsets(dag, indexer, reflexive=False)
-    closure = DiGraph()
-    for v in dag.nodes():
-        closure.add_node(v, dag.label(v))
-    for u in dag.nodes():
-        mask = desc[u]
-        while mask:
-            low = mask & -mask
-            closure.add_edge(u, indexer.node(low.bit_length() - 1))
-            mask ^= low
-    return closure
 
 
 def aho_transitive_reduction(graph: DiGraph) -> DiGraph:

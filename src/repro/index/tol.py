@@ -34,7 +34,8 @@ Incremental maintenance (the dynamic half of TOL) is *bounded repair*:
   degraded-representation ladder).
 
 Answers are byte-identical to BFS on the indexed graph — the randomized
-suite in ``tests/test_tol.py`` checks that on both backends.
+suite in ``tests/test_tol.py`` checks that for ``DiGraph`` and ``CSRGraph``
+inputs alike.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Callable, Collection, Dict, FrozenSet, Hashable, Iterable, Li
 
 from repro.graph.csr import CSRGraph, flatten_rows, split_rows
 from repro.graph.digraph import DiGraph
-from repro.graph.scc import condensation
+from repro.graph.kernels import csr_condensation
 from repro.obs.metrics import inc as obs_inc
 
 Node = Hashable
@@ -82,6 +83,12 @@ class TOLIndex:
     Built over the condensation, so cyclic graphs work; the incremental
     :meth:`apply_delta` path only repairs DAG-shaped indexes (the serving
     use case: ``Gr`` is always a DAG) and asks for a rebuild otherwise.
+
+    A :class:`DiGraph` is frozen into a :class:`CSRGraph` first; the
+    condensation comes from :func:`~repro.graph.kernels.csr_condensation`
+    either way.  *backend* accepts only ``"csr"``: it is kept because the
+    end-to-end benchmark still passes ``backend="csr"``, and goes once a
+    benchmark change stops passing it.
     """
 
     def __init__(
@@ -90,37 +97,24 @@ class TOLIndex:
         backend: str = "csr",
         rebuild_ratio: float = 1.0,
     ) -> None:
-        if backend not in ("csr", "dict"):
-            raise ValueError(f"unknown backend: {backend!r} (expected 'csr' or 'dict')")
+        if backend != "csr":
+            raise ValueError(f"unknown backend: {backend!r} (only 'csr' is accepted)")
         if rebuild_ratio <= 0:
             raise ValueError("rebuild_ratio must be positive")
         #: Repair-bloat budget: cumulative label entries added by repairs
         #: beyond ``rebuild_ratio * (built entries + |comp|)`` trigger a
-        #: rebuild request (the staleness counter of the ISSUE).
+        #: rebuild request.
         self.rebuild_ratio = rebuild_ratio
-        # Each backend hands the kernel its condensation DAG as successor
-        # lists, plus a deferred source for the node-level edges.
-        if isinstance(graph, CSRGraph) and backend != "csr":
-            raise ValueError("a frozen snapshot requires backend='csr'")
-        if backend == "csr":
-            from repro.graph.kernels import csr_condensation
-
-            csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_digraph(graph)
-            cond = csr_condensation(csr)
-            indptr, indices = cond.indptr, cond.indices
-            self._build(
-                dict(zip(csr.node_order(), cond.comp)),
-                [indices[indptr[c]: indptr[c + 1]] for c in range(cond.ncomp)],
-                partial(_csr_edges, csr),  # frozen: safe to read later
-            )
-        else:
-            cond = condensation(graph)
-            edges = list(graph.edges())  # mutable: snapshot now, for later diffs
-            self._build(
-                dict(cond.scc_of),
-                [list(cond.dag.successors(c)) for c in range(cond.dag.order())],
-                lambda: edges,
-            )
+        # The kernel gets the condensation DAG as successor lists, plus a
+        # deferred source for the node-level edges.
+        csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_digraph(graph)
+        cond = csr_condensation(csr)
+        indptr, indices = cond.indptr, cond.indices
+        self._build(
+            dict(zip(csr.node_order(), cond.comp)),
+            [indices[indptr[c]: indptr[c + 1]] for c in range(cond.ncomp)],
+            partial(_csr_edges, csr),  # frozen: safe to read later
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -131,7 +125,7 @@ class TOLIndex:
         succ: List[List[int]],
         edge_source: Callable[[], Collection[Edge]],
     ) -> None:
-        """The one label-construction kernel both backends feed.
+        """The label-construction kernel.
 
         *succ* is the condensation DAG as per-component successor lists.
         For each hub in butterfly order — descending

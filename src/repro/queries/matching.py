@@ -55,8 +55,7 @@ schedule therefore ends in a match relation that contains ``SM`` — which
 by maximality (Lemma 1) *is* ``SM``.  Worklist order, the scan
 memo and the old edge-by-edge global loop all reach the same sets;
 :func:`match_naive`, a direct depth-bounded-BFS implementation of the
-definition, and ``backend="dict"`` are kept as the cross-validation
-references.
+definition, is kept as the cross-validation reference.
 """
 
 from __future__ import annotations
@@ -123,9 +122,12 @@ class MatchContext:
     ``backend="csr"`` (default) freezes the graph once (lazily, or adopts a
     pre-frozen/snapshot-loaded *csr*) and builds candidate and adjacency
     bitsets from the frozen label/adjacency arrays — no per-node hashing.
-    ``backend="dict"`` is the original dict-of-sets path, kept as the
-    cross-validation reference; both produce identical bitsets because the
-    frozen integer ids coincide with the indexer's insertion-order ids.
+    ``backend="dict"`` builds them from the mutable dict-of-sets graph
+    itself: the path :class:`~repro.queries.incremental_match
+    .IncrementalMatcher` runs, since a csr context would re-freeze the
+    whole graph after every update.  Both produce identical bitsets
+    because the frozen integer ids coincide with the indexer's
+    insertion-order ids.
 
     A bare :class:`CSRGraph` may be passed as *graph* (no dict backend
     involved at all): the context then runs entirely over the frozen

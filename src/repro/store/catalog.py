@@ -851,11 +851,8 @@ class SnapshotCatalog:
         with trace_span("catalog.variant", kind="bisimulation") as span:
             arrays, writable = self._read_variant(path, digest)
             if arrays is not None:
-                labels = list(map(csr.label_names.__getitem__, csr.label_codes()))
                 try:
-                    comp = PatternCompression.from_arrays(
-                        csr.node_order(), labels, arrays
-                    )
+                    comp = PatternCompression.from_arrays(csr, arrays)
                 except (KeyError, ValueError, IndexError):
                     pass  # malformed arrays from a buggy writer: recompute
                 else:
@@ -911,7 +908,7 @@ class SnapshotCatalog:
             span.set(result="cold")
             obs_inc("catalog_variant_requests_total", ("tol", "cold"))
             t0 = time.perf_counter()
-            index = TOLIndex(gr, backend="csr")
+            index = TOLIndex(gr)
             obs_observe("catalog_variant_build_seconds",
                         time.perf_counter() - t0, ("tol",))
             if writable:

@@ -1,12 +1,17 @@
 """Randomized cross-validation of the CSR integer kernels.
 
-Every kernel in :mod:`repro.graph.kernels` is checked against the dict
-implementation it replaces, on a pool of ~50 seeded generator graphs
-covering all the topology families the benchmarks use (G(n,m), DAGs,
-layered DAGs, reciprocal preferential attachment, equivalent-leaf motifs,
-self-loops).  The CSR fast path must be a pure speedup: same SCC
-partition, same bitsets, same transitive reduction, same bisimulation,
-and byte-identical ``compress_reachability`` output.
+Every kernel in :mod:`repro.graph.kernels` is checked against an
+independent implementation over the mutable graph, on a pool of ~50
+seeded generator graphs covering all the topology families the benchmarks
+use (G(n,m), DAGs, layered DAGs, reciprocal preferential attachment,
+equivalent-leaf motifs, self-loops): Tarjan, the condensation and BFS over
+:class:`DiGraph` for the structural kernels, and the paper-literal oracles
+for the compressions — ``reachability_partition_naive`` (per-node
+ancestor/descendant sets), ``bisimulation_partition_naive`` (the global
+signature fixpoint) and ``compress_reachability_bfs`` (Fig. 5).  The
+kernels must agree with them exactly: same SCC partition, same bitsets,
+same transitive reduction, same bisimulation, and byte-identical
+``compress_reachability`` output, canonical ids included.
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ import random
 
 import pytest
 
-from repro.core.bisimulation import bisimulation_partition
-from repro.core.equivalence import reachability_partition
-from repro.core.reachability import compress_reachability
+from repro.core.bisimulation import bisimulation_partition, bisimulation_partition_naive
+from repro.core.equivalence import reachability_partition, reachability_partition_naive
+from repro.core.reachability import compress_reachability, compress_reachability_bfs
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph, NodeIndexer
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     attach_equivalent_leaves,
     gnm_random_graph,
@@ -39,12 +44,9 @@ from repro.graph.kernels import (
     edges_to_csr,
 )
 from repro.graph.scc import condensation, strongly_connected_components
-from repro.graph.transitive import (
-    ancestor_bitsets,
-    dag_transitive_reduction,
-    descendant_bitsets,
-)
+from repro.graph.transitive import dag_transitive_reduction
 from repro.graph.traversal import bfs_reachable, path_exists
+from repro.index.tol import TOLIndex
 
 
 def _graph_pool():
@@ -147,30 +149,24 @@ def test_condensation_matches_dict(g):
 
 @pytest.mark.parametrize("g", GRAPHS, ids=POOL_IDS)
 def test_condensation_bitsets_match_dict(g):
+    """Strict ancestor/descendant sets per component == BFS over the dict
+    condensation DAG."""
     csr = CSRGraph.from_digraph(g)
     cond = csr_condensation(csr)
     anc, desc = condensation_bitsets(cond)
     dict_cond = condensation(g)
-    indexer = NodeIndexer(dict_cond.dag.node_list())
-    danc = ancestor_bitsets(dict_cond.dag, indexer)
-    ddesc = descendant_bitsets(dict_cond.dag, indexer)
+    dag = dict_cond.dag
     node_of = csr.indexer.node
     to_dict_id = {cond.comp[i]: dict_cond.scc_of[node_of(i)] for i in range(csr.n)}
+    of_dict_id = {s: c for c, s in to_dict_id.items()}
 
-    def translate(mask):
-        out = 0
-        c = 0
-        while mask:
-            if mask & 1:
-                out |= 1 << indexer.index(to_dict_id[c])
-            mask >>= 1
-            c += 1
-        return out
+    def members(mask):
+        return {to_dict_id[c] for c in range(cond.ncomp) if mask >> c & 1}
 
-    for c in range(cond.ncomp):
-        s = to_dict_id[c]
-        assert translate(anc[c]) == danc[s]
-        assert translate(desc[c]) == ddesc[s]
+    for s in dag.nodes():
+        c = of_dict_id[s]
+        assert members(desc[c]) == bfs_reachable(dag, s) - {s}
+        assert members(anc[c]) == bfs_reachable(dag, s, reverse=True) - {s}
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=POOL_IDS)
@@ -221,8 +217,17 @@ def test_topological_order_kernel():
 
 @pytest.mark.parametrize("g", GRAPHS, ids=POOL_IDS)
 def test_bisimulation_blocks_match_dict(g):
-    fast = bisimulation_partition(g, backend="csr")
-    ref = bisimulation_partition(g, backend="dict")
+    """The stratified kernel == the naive fixpoint over the dict graph."""
+    fast = bisimulation_partition(g)
+    ref = bisimulation_partition_naive(g)
+    assert fast.as_frozen() == ref.as_frozen()
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=POOL_IDS)
+def test_reachability_partition_matches_dict(g):
+    """The bitset kernel == per-node BFS ancestor/descendant grouping."""
+    fast = reachability_partition(g)
+    ref = reachability_partition_naive(g)
     assert fast.as_frozen() == ref.as_frozen()
     # Canonical numbering: identical ids, not just identical blocks.
     assert {v: fast.block_of(v) for v in g.nodes()} == {
@@ -231,25 +236,16 @@ def test_bisimulation_blocks_match_dict(g):
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=POOL_IDS)
-def test_reachability_partition_matches_dict(g):
-    fast = reachability_partition(g, backend="csr")
-    ref = reachability_partition(g, backend="dict")
-    assert fast.as_frozen() == ref.as_frozen()
-    assert {v: fast.block_of(v) for v in g.nodes()} == {
-        v: ref.block_of(v) for v in g.nodes()
-    }
-
-
-@pytest.mark.parametrize("g", GRAPHS, ids=POOL_IDS)
 def test_compress_reachability_byte_identical_between_backends(g):
-    fast = compress_reachability(g, backend="csr")
-    ref = compress_reachability(g, backend="dict")
+    """The CSR kernel == the paper's per-node-BFS ``compressR`` (Fig. 5)."""
+    fast = compress_reachability(g)
+    ref = compress_reachability_bfs(g)
     assert fast.canonical_form() == ref.canonical_form()
 
 
 @pytest.mark.parametrize("g", GRAPHS[:12], ids=POOL_IDS[:12])
 def test_csr_compression_preserves_queries(g):
-    rc = compress_reachability(g, backend="csr")
+    rc = compress_reachability(g)
     nodes = g.node_list()
     rng = random.Random(5)
     for _ in range(80):
@@ -258,13 +254,16 @@ def test_csr_compression_preserves_queries(g):
 
 
 def test_unknown_backend_rejected():
+    """``backend=`` is gone from the compressions; ``TOLIndex`` keeps the
+    keyword but accepts only ``"csr"``."""
     g = gnm_random_graph(5, 6, seed=0)
-    with pytest.raises(ValueError):
-        compress_reachability(g, backend="numpy")
-    with pytest.raises(ValueError):
-        bisimulation_partition(g, backend="numpy")
-    with pytest.raises(ValueError):
-        reachability_partition(g, backend="numpy")
+    for entry in (compress_reachability, bisimulation_partition, reachability_partition):
+        with pytest.raises(TypeError):
+            entry(g, backend="csr")
+    assert TOLIndex(g, backend="csr").reachable(0, 0)
+    for backend in ("dict", "numpy"):
+        with pytest.raises(ValueError):
+            TOLIndex(g, backend=backend)
 
 
 def test_csr_graph_structure():
@@ -290,15 +289,15 @@ def test_empty_and_singleton():
     assert csr.n == 0 and csr.m == 0
     assert csr_scc(csr) == (0, [])
     assert csr_bisimulation_blocks(csr) == []
-    rc = compress_reachability(empty, backend="csr")
+    rc = compress_reachability(empty)
     assert rc.stats().compressed_nodes == 0
 
     single = DiGraph()
     single.add_node("x")
-    rc = compress_reachability(single, backend="csr")
+    rc = compress_reachability(single)
     assert rc.compressed.order() == 1
     assert rc.query("x", "x") is True
 
     loop = DiGraph.from_edges([("x", "x")])
-    rc = compress_reachability(loop, backend="csr")
+    rc = compress_reachability(loop)
     assert rc.query("x", "x") is True

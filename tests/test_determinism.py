@@ -4,9 +4,9 @@
 Tarjan traversal order, SCC numbering, and historically the hypernode ids
 of ``compress_reachability`` — used to vary with ``PYTHONHASHSEED`` on
 string-node graphs.  Class/block ids are now assigned canonically (first
-member in node insertion order) on every backend, so building the same
-graph twice, with any backend, in any interpreter, yields byte-identical
-compression artifacts, partitions and benchmark outputs.
+member in node insertion order), so building the same graph twice, in any
+interpreter, yields byte-identical compression artifacts, partitions and
+benchmark outputs — and the kernels' ids equal the paper-literal oracles'.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import os
 import subprocess
 import sys
 
-from repro.core.bisimulation import bisimulation_partition
-from repro.core.equivalence import reachability_partition
-from repro.core.reachability import compress_reachability
+from repro.core.bisimulation import bisimulation_partition, bisimulation_partition_naive
+from repro.core.equivalence import reachability_partition, reachability_partition_naive
+from repro.core.reachability import compress_reachability, compress_reachability_bfs
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -40,14 +40,26 @@ def _build_graph():
     return g
 
 
+def _first_member_ids(g, partition):
+    """*partition*'s blocks numbered by first member in node insertion
+    order (the naive bisimulation fixpoint numbers blocks as it splits)."""
+    ids = {}
+    for v in g.nodes():
+        ids.setdefault(partition.block_of(v), len(ids))
+    return sorted((str(v), ids[partition.block_of(v)]) for v in g.nodes())
+
+
 def _fingerprint():
     """Canonical rendering of every deterministic output, as JSON."""
     g = _build_graph()
     out = {}
-    for backend in ("csr", "dict"):
-        rc = compress_reachability(g, backend=backend)
+    for side, compress, reach_partition in (
+        ("kernel", compress_reachability, reachability_partition),
+        ("oracle", compress_reachability_bfs, reachability_partition_naive),
+    ):
+        rc = compress(g)
         gr = rc.compressed
-        out[f"compress-{backend}"] = {
+        out[f"compress-{side}"] = {
             "stats": [
                 rc.stats().original_nodes, rc.stats().original_edges,
                 rc.stats().compressed_nodes, rc.stats().compressed_edges,
@@ -59,14 +71,13 @@ def _fingerprint():
                 str(h): [str(v) for v in rc.members(h)] for h in gr.nodes()
             },
         }
-        reach = reachability_partition(g, backend=backend)
-        out[f"reach-partition-{backend}"] = sorted(
+        reach = reach_partition(g)
+        out[f"reach-partition-{side}"] = sorted(
             (str(v), reach.block_of(v)) for v in g.nodes()
         )
-        bisim = bisimulation_partition(g, backend=backend)
-        out[f"bisim-partition-{backend}"] = sorted(
-            (str(v), bisim.block_of(v)) for v in g.nodes()
-        )
+    bisim = bisimulation_partition(g)
+    out["bisim-partition-kernel"] = sorted((str(v), bisim.block_of(v)) for v in g.nodes())
+    out["bisim-partition-oracle"] = _first_member_ids(g, bisimulation_partition_naive(g))
     return out
 
 
@@ -76,10 +87,11 @@ def test_same_graph_twice_same_output():
 
 
 def test_backends_agree_on_ids():
+    """The kernels' ids equal the oracles' (raw ids: first-member order)."""
     fp = _fingerprint()
-    assert fp["compress-csr"] == fp["compress-dict"]
-    assert fp["reach-partition-csr"] == fp["reach-partition-dict"]
-    assert fp["bisim-partition-csr"] == fp["bisim-partition-dict"]
+    assert fp["compress-kernel"] == fp["compress-oracle"]
+    assert fp["reach-partition-kernel"] == fp["reach-partition-oracle"]
+    assert fp["bisim-partition-kernel"] == fp["bisim-partition-oracle"]
 
 
 def _run_with_hash_seed(seed: str, module: str = "test_determinism"):

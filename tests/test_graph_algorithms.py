@@ -1,18 +1,23 @@
-"""Unit tests for traversal, SCC, transitive closure/reduction, and ranks."""
+"""Unit tests for traversal, SCC, transitive closure/reduction, and ranks.
+
+The Section 5.2 rank cases are hand-computed from the paper and checked
+against the CSR kernel that computes them
+(:func:`~repro.graph.kernels.csr_bisimulation_ranks`).
+"""
 
 import random
 
 import pytest
 
 from repro.graph.bitset import bitset_of, contains, iter_bits, popcount, without
-from repro.graph.digraph import DiGraph, NodeIndexer
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnm_random_graph
-from repro.graph.rank import (
-    NEG_INF,
-    bisimulation_ranks,
-    rank_strata,
-    topological_ranks,
-    well_founded_nodes,
+from repro.graph.csr import CSRGraph
+from repro.graph.kernels import (
+    NEG_INF_RANK,
+    condensation_bitsets,
+    csr_bisimulation_ranks,
+    csr_condensation,
 )
 from repro.graph.scc import (
     condensation,
@@ -21,9 +26,7 @@ from repro.graph.scc import (
 )
 from repro.graph.transitive import (
     aho_transitive_reduction,
-    ancestor_bitsets,
     dag_transitive_reduction,
-    descendant_bitsets,
     naive_transitive_closure_pairs,
     transitive_closure_pairs,
 )
@@ -180,46 +183,58 @@ def test_aho_reduction_preserves_closure_with_cycles():
 
 
 def test_descendant_and_ancestor_bitsets():
-    dag = DiGraph.from_edges([(1, 2), (2, 3)])
-    ix = NodeIndexer(dag.node_list())
-    desc = descendant_bitsets(dag, ix)
-    anc = ancestor_bitsets(dag, ix)
-    assert desc[1] == (1 << ix.index(2)) | (1 << ix.index(3))
-    assert anc[3] == (1 << ix.index(1)) | (1 << ix.index(2))
-    refl = descendant_bitsets(dag, ix, reflexive=True)
-    assert refl[3] == 1 << ix.index(3)
+    # A chain 1 -> 2 -> 3: Tarjan numbers components in reverse topological
+    # order, so 3, 2, 1 are components 0, 1, 2.
+    csr = CSRGraph.from_digraph(DiGraph.from_edges([(1, 2), (2, 3)]))
+    cond = csr_condensation(csr)
+    comp = {v: cond.comp[csr.id_of(v)] for v in (1, 2, 3)}
+    anc, desc = condensation_bitsets(cond)
+    assert desc[comp[1]] == (1 << comp[2]) | (1 << comp[3])
+    assert anc[comp[3]] == (1 << comp[1]) | (1 << comp[2])
+    assert desc[comp[3]] == 0 == anc[comp[1]]  # strict: never the node itself
 
 
 # ----------------------------------------------------------------------
-# ranks (Section 5)
+# ranks (Section 5.2), as the bisimulation kernel computes them
 # ----------------------------------------------------------------------
-def test_topological_ranks_chain_and_scc():
-    g = DiGraph.from_edges([(1, 2), (2, 3), (3, 2)])  # 1 -> {2,3} cycle
-    r = topological_ranks(g)
-    assert r[2] == r[3] == 0  # bottom SCC, no condensation children
-    assert r[1] == 1
+def _node_ranks(g):
+    """``(wf, rb)`` per node of *g*, read off the per-component kernel."""
+    csr = CSRGraph.from_digraph(g)
+    cond = csr_condensation(csr)
+    wf, rank = csr_bisimulation_ranks(cond)
+    comp = {v: cond.comp[csr.id_of(v)] for v in g.nodes()}
+    return (
+        {v: bool(wf[c]) for v, c in comp.items()},
+        {v: rank[c] for v, c in comp.items()},
+    )
 
 
 def test_well_founded_nodes():
     g = DiGraph.from_edges([(1, 2), (2, 3), (3, 2), (4, 1)])
-    wf = well_founded_nodes(g)
+    wf, _ = _node_ranks(g)
     assert not wf[2] and not wf[3]  # on a cycle
     assert not wf[1] and not wf[4]  # reach a cycle
     g2 = DiGraph.from_edges([(1, 2)])
-    assert all(well_founded_nodes(g2).values())
+    assert all(_node_ranks(g2)[0].values())
+    loop = DiGraph.from_edges([(1, 1)])  # a self-loop is a cycle too
+    assert not _node_ranks(loop)[0][1]
 
 
 def test_bisimulation_ranks_paper_cases():
     # Leaf -> rank 0; bottom cycle -> -inf; mixed parent takes the max.
     g = DiGraph.from_edges([(1, 2), (1, 3), (3, 4), (4, 3), (2, 5)])
-    rb = bisimulation_ranks(g)
+    _, rb = _node_ranks(g)
     assert rb[5] == 0
     assert rb[2] == 1
-    assert rb[3] == NEG_INF and rb[4] == NEG_INF
+    assert rb[3] == NEG_INF_RANK and rb[4] == NEG_INF_RANK
     # rb(1) = max(rb(2)+1 [2 is WF], rb(3) [3 is NWF]) = 2.
     assert rb[1] == 2
 
 
 def test_rank_strata_sorts_neg_inf_first():
-    strata = rank_strata({1: 0, 2: NEG_INF, 3: 1})
-    assert sorted(strata) == [NEG_INF, 0, 1]
+    # The kernel's -inf sentinel sorts below every finite rank, so the
+    # ascending stratum loop visits bottom cycles first.
+    g = DiGraph.from_edges([(1, 2), (3, 4), (4, 3), (5, 5)])
+    _, rb = _node_ranks(g)
+    assert sorted(set(rb.values())) == [NEG_INF_RANK, 0, 1]
+    assert {v for v, r in rb.items() if r == min(rb.values())} == {3, 4, 5}

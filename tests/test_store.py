@@ -3,8 +3,8 @@
 Covers the binary snapshot format (randomized round-trip properties,
 corruption/truncation/version error paths, cross-hash-seed byte
 stability), the delta-merge path (equivalence with rebuild-from-scratch),
-and the catalog (warm hits byte-identical to cold in-memory runs on both
-backends).
+and the catalog (warm hits byte-identical to cold in-memory runs and to
+the paper-literal oracles).
 """
 
 from __future__ import annotations
@@ -17,14 +17,22 @@ import time
 
 import pytest
 
-from repro.core.bisimulation import bisimulation_partition, bisimulation_partition_csr
+from repro.core.bisimulation import (
+    bisimulation_partition,
+    bisimulation_partition_csr,
+    bisimulation_partition_naive,
+)
 from repro.core.pattern import (
     PatternCompression,
     compress_pattern,
     compress_pattern_csr,
     quotient_by_partition,
 )
-from repro.core.reachability import compress_reachability, compress_reachability_csr
+from repro.core.reachability import (
+    compress_reachability,
+    compress_reachability_bfs,
+    compress_reachability_csr,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
@@ -111,21 +119,21 @@ def test_snapshot_roundtrip_randomized_property():
 
 
 def test_compression_identical_from_snapshot():
-    """Compression of a loaded snapshot == cold in-memory, both backends."""
+    """Compression of a loaded snapshot == cold in-memory == the oracles."""
     for g in _random_graphs():
         back = load_bytes(dump_bytes(CSRGraph.from_digraph(g)))
         rc_snap = compress_reachability_csr(back)
         assert (
             rc_snap.canonical_form()
-            == compress_reachability(g, backend="csr").canonical_form()
-            == compress_reachability(g, backend="dict").canonical_form()
+            == compress_reachability(g).canonical_form()
+            == compress_reachability_bfs(g).canonical_form()
         )
         pc_snap = compress_pattern_csr(back)
         assert (
             pc_snap.canonical_form()
             == compress_pattern(g).canonical_form()
             == quotient_by_partition(
-                g, bisimulation_partition(g, backend="dict")
+                g, bisimulation_partition_naive(g)
             ).canonical_form()
         )
         assert (
@@ -464,14 +472,14 @@ def test_catalog_cold_then_warm_byte_identical(tmp_path):
     assert pc_warm.canonical_form() == pc_cold.canonical_form()
     assert (
         rc_warm.canonical_form()
-        == compress_reachability(g, backend="csr").canonical_form()
-        == compress_reachability(g, backend="dict").canonical_form()
+        == compress_reachability(g).canonical_form()
+        == compress_reachability_bfs(g).canonical_form()
     )
     assert (
         pc_warm.canonical_form()
         == compress_pattern(g).canonical_form()
         == quotient_by_partition(
-            g, bisimulation_partition(g, backend="dict")
+            g, bisimulation_partition_naive(g)
         ).canonical_form()
     )
     assert isinstance(pc_warm, PatternCompression)
@@ -523,7 +531,7 @@ def test_catalog_wrong_graph_variant_self_heals(tmp_path, other_size):
     catalog = SnapshotCatalog(tmp_path)
     d_other = catalog.warm(other)
     d_target = catalog.put(target_graph)
-    expected = compress_reachability(target_graph, backend="csr").canonical_form()
+    expected = compress_reachability(target_graph).canonical_form()
     for kind in ("reachability", "bisimulation"):
         wrong = tmp_path / d_other / "variants" / f"{kind}.rpv"
         target = tmp_path / d_target / "variants" / f"{kind}.rpv"
@@ -578,7 +586,7 @@ def test_catalog_readonly_degrades_to_compute_only(tmp_path, monkeypatch):
     rc = SnapshotCatalog(tmp_path).reachability(digest)  # cold miss
     assert (
         rc.canonical_form()
-        == compress_reachability(g, backend="csr").canonical_form()
+        == compress_reachability(g).canonical_form()
     )
     variants = tmp_path / digest / "variants"
     assert not any(variants.iterdir())  # nothing was persisted
@@ -610,7 +618,7 @@ def test_catalog_never_deletes_newer_format_data(tmp_path):
     rc = SnapshotCatalog(tmp_path).reachability(digest)
     assert (
         rc.canonical_form()
-        == compress_reachability(g, backend="csr").canonical_form()
+        == compress_reachability(g).canonical_form()
     )
     assert variant.read_bytes() == bytes(vdata)  # not clobbered
 
@@ -648,9 +656,8 @@ def test_from_arrays_rejects_inconsistent_block_counts():
     pc = compress_pattern_csr(csr)
     pc_arrays = pc.to_arrays(order)
     pc_arrays["nblocks"][0] += 1
-    labels = [csr.label(i) for i in range(csr.n)]
     with pytest.raises(ValueError):
-        PatternCompression.from_arrays(order, labels, pc_arrays)
+        PatternCompression.from_arrays(csr, pc_arrays)
 
 
 def test_catalog_base_roundtrip(tmp_path):

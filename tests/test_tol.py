@@ -3,8 +3,8 @@
 Four angles, mirroring the engine suite's structure:
 
 * **Randomized equivalence** — labels vs plain BFS on dozens of random
-  directed graphs (cyclic included), both construction backends: every
-  lookup must agree with ground truth exactly.
+  directed graphs (cyclic included), built from a ``DiGraph`` and from a
+  ``CSRGraph``: every lookup must agree with ground truth exactly.
 * **Incremental repair** — insert-only DAG deltas patched in place via
   :func:`repro.index.tol.refresh_index` stay exact; deltas outside the
   repairable class request a rebuild instead of answering wrong.
@@ -30,6 +30,7 @@ import pytest
 from repro.engine import GraphEngine
 from repro.engine.router import QueryRouter
 from repro.faults.plan import FaultPlan, FaultRule
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
 from repro.index import TOLIndex, refresh_index
@@ -50,13 +51,19 @@ def _random_digraph(rng: random.Random, n: int, m: int) -> DiGraph:
 # ----------------------------------------------------------------------
 # Randomized equivalence: TOL vs BFS
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["csr", "dict"])
-def test_tol_matches_bfs_on_random_graphs(backend):
+def _source(g: DiGraph, form: str):
+    """*g* as the index's input: frozen (``csr``) or as is (``dict``,
+    which ``TOLIndex`` freezes itself)."""
+    return CSRGraph.from_digraph(g) if form == "csr" else g
+
+
+@pytest.mark.parametrize("form", ["csr", "dict"])
+def test_tol_matches_bfs_on_random_graphs(form):
     rng = random.Random(11)
-    for trial in range(25):  # 25 graphs x 2 backends = 50 random graphs
+    for trial in range(25):  # 25 graphs x 2 input forms = 50 random graphs
         n = rng.randrange(8, 60)
         g = _random_digraph(rng, n, rng.randrange(n, 4 * n))
-        tol = TOLIndex(g, backend=backend)
+        tol = TOLIndex(_source(g, form))
         nodes = g.node_list()
         for _ in range(40):
             u, v = rng.choice(nodes), rng.choice(nodes)
@@ -433,8 +440,9 @@ def test_engine_maintained_labels_never_cross_the_catalog(tmp_path):
 # The build kernel: golden labels, closure, lazy repair state
 # ----------------------------------------------------------------------
 # tests/golden/tol_labels.json pins what the label build *persists*: the
-# sha256 of ``repr(canonical_form())`` per backend and of the ``tol.rpv``
-# bytes the catalog writes, for one DAG and one cyclic graph.  Catalogs
+# sha256 of ``repr(canonical_form())`` (``csr``; a DiGraph input and its
+# frozen CSRGraph must render the same) and of the ``tol.rpv`` bytes the
+# catalog writes, for one DAG and one cyclic graph.  Catalogs
 # in the field hold exactly these labels: an edit that moves a hash here
 # changes what a warm hit rehydrates.
 GOLDEN_LABELS = Path(__file__).resolve().parent / "golden" / "tol_labels.json"
@@ -442,6 +450,7 @@ GOLDEN_LABELS = Path(__file__).resolve().parent / "golden" / "tol_labels.json"
 _GOLDEN_SCRIPT = """
 import hashlib, json, tempfile
 from pathlib import Path
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import gnm_random_graph, random_dag
 from repro.index import TOLIndex
 from repro.store.catalog import SnapshotCatalog
@@ -450,9 +459,8 @@ out = {}
 for name, g in (("random_dag", random_dag(300, 900, seed=12)),
                 ("cyclic_gnm", gnm_random_graph(300, 400, seed=12))):
     row = out[name] = {}
-    for backend in ("csr", "dict"):
-        form = repr(TOLIndex(g, backend=backend).canonical_form())
-        row[backend] = hashlib.sha256(form.encode()).hexdigest()
+    (form,) = {repr(TOLIndex(s).canonical_form()) for s in (g, CSRGraph.from_digraph(g))}
+    row["csr"] = hashlib.sha256(form.encode()).hexdigest()
     with tempfile.TemporaryDirectory() as root:
         catalog = SnapshotCatalog(root)
         catalog.tol(catalog.put(g))
@@ -472,14 +480,14 @@ def test_golden_label_hashes_on_both_backends(hash_seed):
     assert json.loads(proc.stdout) == json.loads(GOLDEN_LABELS.read_text())
 
 
-@pytest.mark.parametrize("backend", ["csr", "dict"])
-def test_all_pairs_match_bfs_closure_including_hub_endpoints(backend):
+@pytest.mark.parametrize("form", ["csr", "dict"])
+def test_all_pairs_match_bfs_closure_including_hub_endpoints(form):
     rng = random.Random(41)
     hub_pairs = 0
     for trial in range(12):
         n = rng.randrange(6, 28)
         g = random_dag(n, rng.randrange(n // 2, 2 * n), seed=trial)
-        idx = TOLIndex(g, backend=backend)
+        idx = TOLIndex(_source(g, form))
         for u in range(n):
             su = idx._scc_of[u]
             for v in range(n):

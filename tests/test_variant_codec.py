@@ -24,7 +24,11 @@ import repro.store.format as format_module
 from repro.core.base import decode_quotient_arrays
 from repro.core.incremental_pattern import IncrementalPatternCompressor
 from repro.core.pattern import PatternCompression, compress_pattern, compress_pattern_csr
-from repro.core.reachability import ReachabilityCompression, compress_reachability_csr
+from repro.core.reachability import (
+    ReachabilityCompression,
+    compress_reachability_bfs,
+    compress_reachability_csr,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DEFAULT_LABEL, DiGraph
 from repro.datasets.patterns import random_pattern
@@ -35,6 +39,7 @@ from repro.graph.generators import (
     preferential_attachment_graph,
     random_dag,
 )
+from repro.graph.traversal import bfs_reachable
 from repro.index.tol import TOLIndex
 from repro.queries.matching import match
 from repro.store import SnapshotCatalog
@@ -356,7 +361,6 @@ def test_body_flips_under_a_valid_crc_never_escape_the_error_contract(seeded_ent
     g, _digest, _expected, files = seeded_entry
     csr = CSRGraph.from_digraph(g)
     order = csr.node_order()
-    labels = [csr.label(i) for i in range(csr.n)]
     gr = compress_reachability_csr(csr).compressed
     data = files[name]
     body = data[_HEADER.size:]
@@ -380,7 +384,7 @@ def test_body_flips_under_a_valid_crc_never_escape_the_error_contract(seeded_ent
             if "reachability" in name:
                 ReachabilityCompression.from_arrays(order, arrays)
             elif "bisimulation" in name:
-                PatternCompression.from_arrays(order, labels, arrays)
+                PatternCompression.from_arrays(csr, arrays)
             else:
                 TOLIndex.from_arrays(sorted(gr.nodes()), arrays, gr.edge_list)
         except (KeyError, ValueError, IndexError):
@@ -457,7 +461,6 @@ SEAM_GRAPHS = list(_seam_graphs())
 def test_round_trip_identity_through_arrays_and_container(graph):
     csr = CSRGraph.from_digraph(graph)
     order = csr.node_order()
-    labels = [csr.label(i) for i in range(csr.n)]
 
     def through_file(arrays):
         return decode_int_sections(encode_int_sections(arrays))
@@ -468,14 +471,14 @@ def test_round_trip_identity_through_arrays_and_container(graph):
     assert warm_rc.to_arrays(order) == rc.to_arrays(order)
 
     pc = compress_pattern_csr(csr)
-    warm_pc = PatternCompression.from_arrays(order, labels, through_file(pc.to_arrays(order)))
+    warm_pc = PatternCompression.from_arrays(csr, through_file(pc.to_arrays(order)))
     assert warm_pc.canonical_form() == pc.canonical_form()
     assert warm_pc.compressed.buffers() == pc.compressed.buffers()
 
     gr = rc.compressed
     gr_order = sorted(gr.nodes())
-    for backend in ("csr", "dict"):
-        tol = TOLIndex(gr, backend=backend)
+    for source in (gr, CSRGraph.from_digraph(gr)):  # a DiGraph is frozen first
+        tol = TOLIndex(source)
         warm_tol = TOLIndex.from_arrays(
             gr_order, through_file(tol.to_arrays(gr_order)), warm_rc.compressed.edge_list
         )
@@ -515,6 +518,30 @@ def test_bisimulation_variant_answers_not_bytes(tmp_path, name, graph):
     assert arrays == warm.to_arrays(order)
     assert arrays == compress_pattern(csr.to_digraph()).to_arrays(order)
     assert arrays == compress_pattern(graph, algorithm="naive").to_arrays(order)
+
+
+@pytest.mark.parametrize("name,graph", list(_answer_graphs()))
+def test_reachability_and_tol_variants_answers_not_bytes(tmp_path, name, graph):
+    """A rehydrated ``Gr`` and its rehydrated TOL labels answer every node
+    pair of ``G`` as BFS on ``G`` does, and both artifacts equal those built
+    from the paper-literal per-node-BFS ``compressR``, which shares nothing
+    with the CSR kernels."""
+    csr = CSRGraph.from_digraph(graph)
+    digest = SnapshotCatalog(tmp_path).put(csr)
+    SnapshotCatalog(tmp_path).warm(digest)
+    fresh = SnapshotCatalog(tmp_path)
+    assert fresh.has_variant(digest, "reachability") and fresh.has_variant(digest, "tol")
+    warm_rc = fresh.reachability(digest)
+    warm_tol = fresh.tol(digest, gr=warm_rc.compressed)
+    reach = warm_rc.reach_fn(warm_tol)
+    for u in graph.nodes():
+        below = bfs_reachable(graph, u)
+        for v in graph.nodes():
+            want = v in below
+            assert reach(u, v) == warm_rc.query(u, v) == want, (name, u, v)
+    oracle = compress_reachability_bfs(graph)
+    assert warm_rc.canonical_form() == oracle.canonical_form()
+    assert warm_tol.canonical_form() == TOLIndex(oracle.compressed).canonical_form()
 
 
 def _incremental(nodes, labels, rows) -> DiGraph:
