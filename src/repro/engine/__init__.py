@@ -4,8 +4,9 @@
   the load → freeze → compress → route → maintain → re-freeze lifecycle;
 * :mod:`repro.engine.epoch` — :class:`Epoch`, the immutable published
   version of a graph and its representations (the unit the concurrent
-  service front swaps RCU-style, and the view every ``GraphEngine`` read
-  goes through), plus the frozen-graph compression builder;
+  service front publishes with one reference swap, and the view every
+  ``GraphEngine`` read goes through), plus the frozen-graph compression
+  builder;
 * :mod:`repro.engine.router` — :class:`QueryRouter`, dispatching each
   query class (singly or micro-batched) to the representation that
   preserves it, steered by workload stats;
@@ -19,7 +20,7 @@ See ``src/repro/engine/README.md`` for the lifecycle diagram.
 """
 
 from repro.engine.counters import RouterStats
-from repro.engine.epoch import CATALOG_VARIANTS, Epoch, EpochRetired, compress_frozen
+from repro.engine.epoch import CATALOG_VARIANTS, Epoch, compress_frozen
 from repro.engine.router import ORIGINAL, QueryRouter
 from repro.engine.session import GraphEngine, UpdateReport
 from repro.engine.updates import (
@@ -37,7 +38,6 @@ __all__ = [
     "UpdateReport",
     "ORIGINAL",
     "Epoch",
-    "EpochRetired",
     "CATALOG_VARIANTS",
     "compress_frozen",
     "CompressionMaintainer",

@@ -2,8 +2,8 @@
 
 A :class:`GraphEngine` interleaves queries and updates in one thread.
 The concurrent front (:mod:`repro.service`) needs the opposite shape:
-many reader threads, one writer.  The classic RCU answer is to make
-the readable state *immutable* and swap whole versions atomically — and
+many reader threads, one writer.  The answer is to make the readable
+state *immutable* and swap whole versions with one reference store — and
 that is exactly what an :class:`Epoch` is:
 
 * the frozen snapshot of ``G`` at one publication point (a
@@ -12,10 +12,14 @@ that is exactly what an :class:`Epoch` is:
   once, from the epoch's own snapshot — deterministic and canonical, so
   every thread sees byte-identical artifacts),
 * sealed :class:`~repro.queries.matching.MatchContext` caches shared by
-  every reader pinned to the epoch,
-* the pin/retire lifecycle: readers pin an epoch for the duration of one
-  query (or batch), the writer retires a superseded epoch, and a retired
-  epoch frees its artifact/context memory when its last reader drains.
+  every reader holding the epoch.
+
+An epoch has no lifecycle of its own.  A reader takes a reference to the
+current epoch and answers on it; the writer publishes a successor by
+swapping the service's reference.  A superseded epoch — its artifacts,
+contexts, labels and compiled closure — is freed by reference counting
+the moment its last reader drops it, and never before: nothing a
+published epoch holds refers back to it, so no collector pass is needed.
 
 Every read goes through an epoch: :class:`~repro.engine.router.QueryRouter`
 dispatches over its ``artifact`` / ``context_for`` / ``evaluate_original``.
@@ -28,10 +32,7 @@ deadline-bounded, degradable read state serves both.
 
 The lazy artifact builds use double-checked locking: reads are a plain
 dict probe (no lock), the build itself runs under a per-epoch lock so
-concurrent first readers do the work once.  After :meth:`_free` the epoch
-refuses to build anything new — serving from an unpinned retired epoch is
-a lifecycle bug and raises :class:`EpochRetired` instead of silently
-resurrecting freed state.
+concurrent first readers do the work once.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ from repro.queries.reachability import ReachabilityQuery, evaluate_reachability
 CATALOG_VARIANTS = {"reachability": "reachability", "pattern": "bisimulation"}
 
 _T = TypeVar("_T")
-
-
-class EpochRetired(RuntimeError):
-    """A freed (retired and fully drained) epoch was asked to serve."""
 
 
 def compress_frozen(
@@ -100,9 +97,8 @@ def compress_frozen(
 class Epoch:
     """One immutable published version of a graph and its representations.
 
-    Readers never mutate an epoch (lazy builds are internal and idempotent);
-    the writer that published it is the only party that may :meth:`retire`
-    it.  ``version`` is the publication ordinal assigned by the publisher.
+    Readers never mutate an epoch (lazy builds are internal and idempotent).
+    ``version`` is the publication ordinal assigned by the publisher.
 
     *artifacts* maps a representation key to a zero-argument callable (a
     maintainer's bound ``artifact``) that the epoch's build calls in place
@@ -158,88 +154,6 @@ class Epoch:
         self._tol: Optional[TOLIndex] = None
         #: The compiled reach path over the two above (:meth:`reach_fn`).
         self._reach: Optional[Callable[[Any, Any], bool]] = None
-        # Pin/retire lifecycle (RCU-style grace period accounting).
-        self._pin_lock = threading.Lock()
-        self._pins = 0
-        self._retired = False
-        self._freed = False
-        self._forget = False
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def pins(self) -> int:
-        """Current reader count (diagnostic; racy by nature)."""
-        return self._pins
-
-    @property
-    def retired(self) -> bool:
-        return self._retired
-
-    @property
-    def freed(self) -> bool:
-        """True once retired *and* drained — caches have been released."""
-        return self._freed
-
-    def acquire(self) -> "Epoch":
-        """Pin the epoch for reading.  Publishers call this under their
-        publication lock so a pin can never land on an epoch after its
-        retire decision observed zero readers."""
-        with self._pin_lock:
-            if self._freed:
-                raise EpochRetired(
-                    f"epoch {self.version} was retired and freed; pin the "
-                    "current epoch through the service, not a stale handle"
-                )
-            self._pins += 1
-        return self
-
-    def release(self) -> None:
-        """Unpin; the last reader out of a retired epoch frees it."""
-        free = False
-        with self._pin_lock:
-            if self._pins <= 0:
-                raise RuntimeError("epoch release without a matching acquire")
-            self._pins -= 1
-            if self._retired and self._pins == 0 and not self._freed:
-                self._freed = True
-                free = True
-        if free:
-            self._free()
-
-    def retire(self, forget: bool = False) -> bool:
-        """Mark superseded (writer-side).  Frees immediately when no reader
-        is pinned; otherwise the last :meth:`release` frees.  Returns True
-        when the memory was released synchronously.  With *forget* the
-        catalog's memo of this epoch's digest goes when the epoch is freed
-        (the publisher passes it unless the successor has the same digest)."""
-        free = False
-        with self._pin_lock:
-            self._retired = True
-            self._forget = forget
-            if self._pins == 0 and not self._freed:
-                self._freed = True
-                free = True
-        if free:
-            self._free()
-        return free
-
-    def _free(self) -> None:
-        """Drop the derived state (snapshot stays — it may be catalog-shared)."""
-        with self._build_lock:
-            self._artifacts.clear()
-            self._contexts.clear()
-            self._tol = None
-            self._reach = None
-        if self._forget and self._catalog is not None and self._digest is not None:
-            self._catalog.forget(self._digest)
-
-    def __enter__(self) -> "Epoch":
-        return self.acquire()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.release()
 
     # ------------------------------------------------------------------
     # What the router reads
@@ -266,10 +180,9 @@ class Epoch:
                 reason = self._degraded.get(key)
                 if reason is not None:
                     raise RepresentationUnavailable(key, reason)
-                self._check_serving()
                 try:
                     artifact, _ = self._run_build(key, lambda: self._compress(key))
-                except (EpochRetired, RepresentationUnavailable):
+                except RepresentationUnavailable:
                     raise
                 except Exception as exc:  # noqa: BLE001 - degrade, don't die
                     raise RepresentationUnavailable(key, self._degrade(key, exc)) from exc
@@ -337,7 +250,6 @@ class Epoch:
         with self._build_lock:
             ctx = self._contexts.get(key)
             if ctx is None:
-                self._check_serving()
                 if key == "pattern":
                     ctx = MatchContext(self.artifact("pattern").compressed)
                 else:
@@ -371,7 +283,6 @@ class Epoch:
                 return index
             if "tol" in self._degraded:
                 return None
-            self._check_serving()
 
             def labels() -> Tuple[TOLIndex, bool]:
                 """The labels, and whether they were built (not carried)."""
@@ -393,8 +304,6 @@ class Epoch:
                 artifact = self.artifact("reachability")
                 gr = artifact.compressed
                 (index, built), seconds = self._run_build("tol", labels)
-            except EpochRetired:
-                raise
             except Exception as exc:  # noqa: BLE001 - degrade, don't die
                 # Reachability stays label-free this epoch, never refused.
                 self._degrade("tol", exc)
@@ -411,8 +320,8 @@ class Epoch:
 
     def reach_fn(self) -> Optional[Callable[[Any, Any], bool]]:
         """The compiled reach path ``(source, target) -> bool`` over this
-        epoch's ``Gr`` and labels, compiled right after the labels and
-        dropped by :meth:`_free`.  Reading it builds nothing: ``None`` until
+        epoch's ``Gr`` and labels, compiled right after the labels; it lives
+        as long as the epoch.  Reading it builds nothing: ``None`` until
         a routed reach query built the labels (so builds stay inside its
         spans), and for good when ``Gr`` or the labels are degraded."""
         return self._reach
@@ -423,8 +332,8 @@ class Epoch:
         A direct pattern query does not *create* the shared ORIGINAL
         context: its ``G``-sized row tables (``n`` rows of ``n`` bits per
         bound — 18 MB at 12 k nodes) would be built inside whichever
-        requests first used each bound (70 ms instead of 5) and then stay
-        pinned with the epoch.  Without one the query runs on a context of
+        requests first used each bound (70 ms instead of 5) and then live
+        as long as the epoch.  Without one the query runs on a context of
         its own that dies with the call, so every direct query costs the
         same.  The shared context is used once somebody asked for it
         (``context_for("original")`` — a caller timing warm direct
@@ -445,13 +354,6 @@ class Epoch:
         )
 
     # ------------------------------------------------------------------
-    def _check_serving(self) -> None:
-        if self._freed:
-            raise EpochRetired(
-                f"epoch {self.version} was retired and freed; it can no "
-                "longer build representations"
-            )
-
     def describe(self) -> Dict[str, Any]:
         return {
             "version": self.version,
@@ -461,14 +363,10 @@ class Epoch:
             "materialized": sorted(self._artifacts),
             "tol": self._tol is not None,
             "degraded": dict(sorted(self._degraded.items())),
-            "pins": self._pins,
-            "retired": self._retired,
-            "freed": self._freed,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Epoch(v{self.version}, |V|={self.csr.n}, |E|={self.csr.m}, "
-            f"pins={self._pins}, retired={self._retired})"
+            f"Epoch(v{self.version}, |V|={self.csr.n}, |E|={self.csr.m})"
         )
 

@@ -215,6 +215,7 @@ class CSRGraph:
         "_arrays",
         "_digest",
         "encoded",
+        "__weakref__",
     )
 
     def __init__(

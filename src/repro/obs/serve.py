@@ -18,8 +18,8 @@ Endpoint catalogue (all ``GET``; see ``src/repro/obs/README.md``):
                           catalog writer-lock status
 ``/ready``                readiness probe (200 once a service is mounted
                           and not closed)
-``/epochs``               RCU lifecycle: current epoch, draining epochs,
-                          published/pinned/retired/freed accounting
+``/epochs``               publications: the current epoch's describe,
+                          published count, lifecycle counters
 ``/slow``                 the tracer's slow-query log
                           (``?threshold_ms=&limit=``)
 ``/traces``               recent finished spans as JSONL (``?limit=``)
@@ -195,7 +195,6 @@ class ObsHTTPServer:
         return 200, {
             "status": status,
             "version": described.get("version"),
-            "draining": described.get("draining"),
             "degraded": degraded,
             "breaker": breaker,
             "breaker_open": breaker_open,
@@ -213,24 +212,21 @@ class ObsHTTPServer:
         return 200, {"ready": True, "version": described.get("version")}
 
     def epochs_payload(self) -> Tuple[int, Dict[str, Any]]:
-        """RCU lifecycle accounting: who is published, pinned, draining."""
+        """Publication accounting: the current epoch and how many came before."""
         service = self.service
         if service is None:
             return 503, {"detail": "no EngineService mounted"}
         described = service.describe()
-        current = described.get("epoch", {})
-        draining = [e.describe() for e in service.draining()]
+        if described.get("closed"):
+            return 503, {"detail": "service closed", "version": described.get("version")}
         counters = {
             k: v for k, v in described.items()
-            if isinstance(v, int) and k not in ("version", "draining")
+            if isinstance(v, int) and k != "version"
         }
         return 200, {
             "version": described.get("version"),
             "published": int(described.get("version", 0)) + 1,
-            "current": current,
-            "current_pins": current.get("pins"),
-            "draining": draining,
-            "retired_draining": len(draining),
+            "current": described.get("epoch"),
             "counters": counters,
         }
 

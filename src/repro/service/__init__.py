@@ -2,7 +2,8 @@
 
 * :mod:`repro.service.front` — :class:`EngineService`, the thread-safe
   single-writer/many-reader session: immutable epoch snapshots published
-  RCU-style, lock-free read paths, writer-lock-guarded ``apply``;
+  with one reference swap, lock-free read paths, writer-lock-guarded
+  ``apply``;
 * :mod:`repro.service.executor` — :class:`QueryExecutor`, the thread
   worker pool with adaptive micro-batching and future-based submission;
 * :mod:`repro.service.epoch_stress` — the randomized reader/writer

@@ -6,7 +6,7 @@ of worker *threads* drains the queue.
 
 Every worker that wakes up drains whatever compatible single-query tasks
 are already queued (up to ``max_batch``) into one micro-batch: the batch
-pins one epoch, dispatches through
+reads one epoch, dispatches through
 :meth:`~repro.engine.router.QueryRouter.dispatch_batch`, and therefore
 shares one :class:`~repro.queries.matching.MatchContext` and one
 traversal per same-class group.  The batch size *adapts to load* — an
@@ -31,7 +31,6 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.epoch import EpochRetired
 from repro.engine.router import ORIGINAL
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.deadline import DeadlineExceeded, run_with_deadline
@@ -47,11 +46,10 @@ from repro.service.errors import QueryTimeout, RetriesExhausted, ServiceFault
 from repro.service.front import EngineService
 
 #: Failure classes worth another attempt: transient I/O (a flaky disk, an
-#: injected ``InjectedIOError``), injected faults, timeouts (the next
-#: attempt may hit a warm cache), and a pin that landed on an epoch freed
-#: under us.  Query-intrinsic errors (``TypeError``/``ValueError``) are
-#: deterministic and never retried.
-_RETRYABLE = (OSError, FaultError, TimeoutError, EpochRetired)
+#: injected ``InjectedIOError``), injected faults and timeouts (the next
+#: attempt may hit a warm cache).  Query-intrinsic errors
+#: (``TypeError``/``ValueError``) are deterministic and never retried.
+_RETRYABLE = (OSError, FaultError, TimeoutError)
 
 
 def _resolve(future: "Future[Any]", value: Any = None,
@@ -99,8 +97,8 @@ class QueryExecutor:
     Parameters
     ----------
     service:
-        The concurrent front to serve.  The executor only *reads* through
-        pinned epochs; updates keep going through ``service.apply`` from
+        The concurrent front to serve.  The executor only *reads* the
+        service's epochs; updates keep going through ``service.apply`` from
         any thread.
     workers:
         Pool size (default: the machine's CPU count).
@@ -117,7 +115,7 @@ class QueryExecutor:
         ``None`` (default) = no timeout.
     retries:
         Extra attempts after a retryable failure (transient I/O, injected
-        faults, timeouts, a freed-epoch race).  The task fails with
+        faults, timeouts).  The task fails with
         :class:`~repro.service.errors.RetriesExhausted` once the budget is
         spent.  Query-intrinsic ``TypeError``/``ValueError`` never retry.
     backoff_s:
@@ -400,7 +398,8 @@ class QueryExecutor:
 
     def _attempt(self, queries: List[Any], on: str, algorithm: Optional[str],
                  trace_parent: Optional[Any] = None) -> Tuple[int, List[Any]]:
-        """One pinned dispatch attempt, under the executor's timeout."""
+        """One dispatch attempt on the current epoch, under the executor's
+        timeout."""
 
         def call() -> Tuple[int, List[Any]]:
             fault_point("executor.dispatch")

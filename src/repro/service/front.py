@@ -5,20 +5,19 @@ target is heavy concurrent traffic.  This module is the bridge: one
 single-writer :class:`~repro.engine.session.GraphEngine` owns the mutable
 lifecycle, and every published version of the graph is an immutable
 :class:`~repro.engine.epoch.Epoch` that any number of reader threads query
-without taking the writer's locks.
+without taking a lock.
 
-Concurrency contract (RCU-style):
+Concurrency contract:
 
-* **readers** pin the current epoch for the duration of one query or
-  batch (:meth:`EngineService.pin` — a reference-count bump under a
-  micro-lock; the evaluation itself is lock-free over immutable state);
+* **readers** read the current epoch once, into a local, and answer the
+  whole query or batch on that immutable version — no lock, no counter;
 * **the writer** (:meth:`EngineService.apply`) is serialised by a writer
   lock: it drives the update batch through the engine, freezes, and
-  *publishes* a new epoch by swapping one reference; in-flight readers
-  keep answering on their pinned epoch — answers are always exact for
+  *publishes* a new epoch with one attribute store; in-flight readers
+  keep answering on the epoch they hold — answers are always exact for
   the epoch's graph;
-* **retired epochs** free their artifact/context memory as soon as their
-  reader count drains (immediately, when nobody was pinned).
+* **superseded epochs** are freed by reference counting when the last
+  reader holding one returns (at once, when nobody held it).
 
 Every epoch's answers equal from-scratch evaluation on that epoch's graph
 — the stress harness (:mod:`repro.service.epoch_stress`) verifies exactly
@@ -103,12 +102,9 @@ class EngineService:
         #: threads and executor workers.
         self.stats = RouterStats()
         self._writer_lock = threading.RLock()
-        self._publish_lock = threading.Lock()
-        self._closed = False
         self._version = 0
-        self._current: Epoch = self._make_epoch(0)
-        #: Retired epochs whose readers have not drained yet (diagnostics).
-        self._draining: List[Epoch] = []
+        #: The published epoch; ``None`` once the service is closed.
+        self._current: Optional[Epoch] = self._make_epoch(0)
         #: Mounted introspection server (started here, stopped in close).
         self._obs_http = obs_http
         if obs_http is not None:
@@ -144,24 +140,20 @@ class EngineService:
 
     @property
     def current(self) -> Epoch:
-        """The current epoch, *unpinned* — peek only.  Query through
-        :meth:`pin`/:meth:`query` so publication cannot free state under
-        you."""
-        return self._current
-
-    def draining(self) -> List[Epoch]:
-        """Retired epochs still pinned by in-flight readers (diagnostic)."""
-        with self._publish_lock:
-            self._draining = [e for e in self._draining if not e.freed]
-            return list(self._draining)
+        """The current epoch.  It stays exact and serving for as long as
+        the caller holds it, whatever the writer publishes meanwhile;
+        ``RuntimeError`` once the service is closed."""
+        epoch = self._current
+        if epoch is None:
+            raise RuntimeError("service is closed")
+        return epoch
 
     def describe(self) -> Dict[str, Any]:
         epoch = self._current
         return {
             "version": self._version,
-            "draining": len(self.draining()),
-            "closed": self._closed,
-            "epoch": epoch.describe(),
+            "closed": epoch is None,
+            "epoch": epoch.describe() if epoch is not None else None,
             "stats": self.stats.snapshot(),
             **self._engine.counters,
         }
@@ -171,23 +163,14 @@ class EngineService:
     # ------------------------------------------------------------------
     @contextmanager
     def pin(self) -> Iterator[Epoch]:
-        """Pin the current epoch for a read section.
+        """The current epoch, for a read section.
 
         The yielded epoch is what the router reads; everything evaluated
         inside the ``with`` block answers on this one immutable version,
-        even if the writer publishes concurrently.
+        even if the writer publishes concurrently.  Holding the reference
+        is all it takes: there is nothing to release.
         """
-        epoch = self._acquire_current()
-        try:
-            yield epoch
-        finally:
-            epoch.release()
-
-    def _acquire_current(self) -> Epoch:
-        with self._publish_lock:
-            if self._closed:
-                raise RuntimeError("service is closed")
-            return self._current.acquire()
+        yield self.current
 
     def query(self, q: Any, *, on: str = "auto",
               algorithm: Optional[str] = None) -> Any:
@@ -201,34 +184,33 @@ class EngineService:
         the stress harness correlates answers with the exact graph they
         were computed on.
 
-        A plain ``ReachabilityQuery`` on the default route runs the pinned
+        A plain ``ReachabilityQuery`` on the default route runs the current
         epoch's compiled reach path (:meth:`Epoch.reach_fn`) with no router
         frame.  Everything else, and a reach query the closure cannot
         serve, goes through :meth:`QueryRouter.dispatch`, which picks the
         slower rung and records why: routes can change, answers cannot.
         """
-        epoch = self._acquire_current()
-        try:
-            if type(q) is ReachabilityQuery and on == "auto" and algorithm is None:
-                reach = self._router.compiled_reach(epoch)
-                if reach is not None:
-                    observed = metrics_on() or tracing_on()
-                    try:
-                        answer = (self._observed_reach(reach, q, epoch) if observed
-                                  else reach(q.source, q.target))
-                    except (TOLError, KeyError):
-                        pass  # the router re-answers it and records the breaker failure
-                    else:
-                        if not observed:
-                            self.stats.tally_reachability()
-                        return epoch.version, answer
-            with trace_span("service.query", version=epoch.version, queries=1):
-                answer = self._router.dispatch(
-                    q, epoch, on=on, algorithm=algorithm, stats=self.stats
-                )
-            return epoch.version, answer
-        finally:
-            epoch.release()
+        epoch = self._current
+        if epoch is None:
+            raise RuntimeError("service is closed")
+        if type(q) is ReachabilityQuery and on == "auto" and algorithm is None:
+            reach = self._router.compiled_reach(epoch)
+            if reach is not None:
+                observed = metrics_on() or tracing_on()
+                try:
+                    answer = (self._observed_reach(reach, q, epoch) if observed
+                              else reach(q.source, q.target))
+                except (TOLError, KeyError):
+                    pass  # the router re-answers it and records the breaker failure
+                else:
+                    if not observed:
+                        self.stats.tally_reachability()
+                    return epoch.version, answer
+        with trace_span("service.query", version=epoch.version, queries=1):
+            answer = self._router.dispatch(
+                q, epoch, on=on, algorithm=algorithm, stats=self.stats
+            )
+        return epoch.version, answer
 
     def _observed_reach(self, reach: Callable[[Any, Any], bool],
                         q: ReachabilityQuery, epoch: Epoch) -> bool:
@@ -245,7 +227,7 @@ class EngineService:
 
     def query_batch(self, qs: Iterable[Any], *, on: str = "auto",
                     algorithm: Optional[str] = None) -> List[Any]:
-        """Answer a batch on one pinned epoch (micro-batched dispatch)."""
+        """Answer a batch on one epoch (micro-batched dispatch)."""
         queries = list(qs)
         with self.pin() as epoch:
             with trace_span("service.query", version=epoch.version,
@@ -266,9 +248,9 @@ class EngineService:
         """Apply a ΔG batch and publish a new epoch — transactionally.
 
         Serialised by the writer lock (concurrent writers queue up, they
-        do not error).  Readers pinned to the previous epoch finish their
-        queries on it; the superseded epoch is retired and frees its
-        derived state when the last such reader drains.
+        do not error).  Readers holding the previous epoch finish their
+        queries on it; the superseded epoch and its derived state are
+        freed when the last such reader returns.
 
         A failure anywhere between accepting the batch and publishing the
         new epoch rolls the writer back to the prior epoch's exact graph
@@ -278,10 +260,8 @@ class EngineService:
         """
         deltas = list(deltas)
         with self._writer_lock:
-            if self._closed:
-                raise RuntimeError("service is closed")
+            prior = self.current
             t_publish = time.perf_counter()
-            prior = self._current
             new_version = self._version + 1
             try:
                 fault_point("service.apply")
@@ -302,10 +282,8 @@ class EngineService:
     def refreeze(self) -> Epoch:
         """Force a publication without updates (e.g. after catalog warm)."""
         with self._writer_lock:
-            if self._closed:
-                raise RuntimeError("service is closed")
+            prior = self.current
             t_publish = time.perf_counter()
-            prior = self._current
             try:
                 new_epoch = self._make_epoch(self._version + 1)
             except Exception as exc:  # noqa: BLE001 - transactional boundary
@@ -323,13 +301,9 @@ class EngineService:
         state — a logged delta, or a snapshot nobody will serve — so it is
         reset in place to the prior epoch's frozen snapshot and digest:
         cheap (nothing is thawed or recompressed) and exact (the snapshot
-        *is* the published graph).
+        *is* the published graph).  A graph the batch stored before it
+        failed leaves the catalog's memo with the writer's last reference.
         """
-        # The batch may have been stored before it failed: that graph will
-        # never be served, so the catalog handle need not remember it.
-        failed = self._engine._digest
-        if failed is not None and failed != prior._digest:
-            self._catalog.forget(failed)
         self._engine.reset(prior.csr, prior._digest)
         bump(self._engine.counters, "apply_rollbacks")
         obs_inc("service_rollbacks_total")
@@ -341,18 +315,11 @@ class EngineService:
         ) from exc
 
     def _publish(self, new_epoch: Epoch) -> Epoch:
-        """Swap in *new_epoch* and retire its predecessor.
-
-        Callers hold the writer lock; the swap itself happens under the
-        publish lock so no pin can land between the decision and the
-        retire.
-        """
-        with self._publish_lock:
-            old, self._current = self._current, new_epoch
-            self._version = new_epoch.version
-            self._draining = [e for e in self._draining if not e.freed]
-            self._draining.append(old)
-        old.retire(forget=old._digest != new_epoch._digest)
+        """Swap in *new_epoch* (callers hold the writer lock): one store,
+        which readers see whole.  The predecessor lives on in the readers
+        still holding it, and no longer."""
+        self._current = new_epoch
+        self._version = new_epoch.version
         obs_inc("service_publications_total")
         return new_epoch
 
@@ -360,16 +327,13 @@ class EngineService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Retire the current epoch and refuse further queries/updates.
-        A mounted introspection server is stopped with the service."""
+        """Drop the current epoch and refuse further queries/updates; the
+        epoch is freed when the readers still holding it return.  A
+        mounted introspection server is stopped with the service."""
         with self._writer_lock:
-            with self._publish_lock:
-                if self._closed:
-                    return
-                self._closed = True
-                current = self._current
-                self._draining = [e for e in self._draining if not e.freed]
-            current.retire(forget=True)
+            if self._current is None:
+                return
+            self._current = None
             if self._obs_http is not None:
                 self._obs_http.stop()
 
@@ -381,5 +345,5 @@ class EngineService:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"EngineService(v{self._version}, closed={self._closed})"
+            f"EngineService(v{self._version}, closed={self._current is None})"
         )

@@ -355,11 +355,12 @@ class _DirectoryLock:
 class SnapshotCatalog:
     """Content-addressed store of frozen graphs and their compressions.
 
-    A handle memoises the graphs (and mmap views) it has stored or loaded;
-    a publisher calls :meth:`forget` when a superseded epoch is freed, so a
-    long-lived writer holds the graphs still in use, not one per
-    publication.  Entries on disk stay until :meth:`prune` — retention is
-    its policy, not the memo's.
+    A handle memoises the graphs it has stored or loaded for as long as
+    something else holds them (a weak memo), so a long-lived writer keeps
+    the graphs of live epochs, not one per publication, and a same-digest
+    republication shares one instance.  Mmap views are memoised until
+    :meth:`forget`.  Entries on disk stay until :meth:`prune` — retention
+    is its policy, not the memo's.
     """
 
     def __init__(
@@ -374,9 +375,11 @@ class SnapshotCatalog:
         # Per-process caches; the on-disk layout is the source of truth.
         # Guarded by a lock: executor worker threads share one catalog and
         # warm hits must never observe a half-written dict.
-        self._graphs: Dict[str, CSRGraph] = {}
+        self._graphs: "weakref.WeakValueDictionary[str, CSRGraph]" = (
+            weakref.WeakValueDictionary()
+        )
         #: Row-lazy mmap views, memoised separately from the eager graphs:
-        #: one open file handle per entry, shared by every epoch pinning it.
+        #: one open file handle per entry, shared by every holder.
         self._mmaps: Dict[str, MmapGraph] = {}
         self._graphs_lock = threading.Lock()
         #: Files moved to quarantine by this handle (process-local log;
@@ -559,8 +562,8 @@ class SnapshotCatalog:
     def forget(self, digest: str) -> None:
         """Drop this handle's memo of *digest*; the entry on disk stays.
 
-        A memoised mmap view is dropped, not closed: an epoch still pinning
-        it keeps serving, and the handle closes when the last pin is
+        A memoised mmap view is dropped, not closed: a reader still holding
+        it keeps serving, and the handle closes when the last reference is
         garbage-collected.
         """
         with self._graphs_lock:
@@ -917,7 +920,13 @@ class SnapshotCatalog:
 
     def warm(self, source: GraphSource) -> str:
         """Precompute and persist every variant of *source*; returns digest."""
-        digest = self._resolve(source)
+        # Held across the three builds: the memo keeps a graph only while
+        # something else does.
+        if isinstance(source, str):
+            graph = self.base(source)
+        else:
+            graph = source if isinstance(source, CSRGraph) else CSRGraph.from_digraph(source)
+        digest = self._resolve(graph)
         gr = self.reachability(digest).compressed
         self.bisimulation(digest)
         self.tol(digest, gr=gr)

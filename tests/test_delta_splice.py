@@ -19,15 +19,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.epoch import Epoch
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DEFAULT_LABEL, DiGraph
 from repro.graph.traversal import path_exists
+from repro.datasets.patterns import random_pattern
 from repro.obs.trace import Tracer, tracing
+from repro.queries.matching import MatchContext
 from repro.queries.reachability import ReachabilityQuery
 from repro.service import ApplyError, EngineService
-from repro.service.epoch_stress import publish
+from repro.service.epoch_stress import check_answers, freeze_answer, publish
 from repro.store import SnapshotCatalog, load_snapshot, merge_deltas
 from repro.store import format as store_format
 from repro.store.format import (
@@ -97,7 +98,9 @@ def _check_step(merged, reference):
 
 
 def _chain(c):
-    """Chain *c*: a start graph and ``BATCHES`` deltas, checked step by step."""
+    """Chain *c*: a start graph and ``BATCHES`` deltas, checked step by step.
+
+    Returns the digests, the last spliced graph and its reference graph."""
     rng = random.Random(c)
     pool = _POOLS[_KINDS[c % len(_KINDS)]]
     label_pool = ["a", "b", DEFAULT_LABEL]
@@ -142,16 +145,43 @@ def _chain(c):
         _apply_reference(g, edges, added, removed, labels)
         digests.append(_check_step(merged, g))
         csr = merged
-    return digests
+    return digests, csr, g
 
 
 def _fingerprint():
     """Every chain, checked; the digests double as the cross-seed fingerprint."""
-    return [_chain(c) for c in range(CHAINS)]
+    return [_chain(c)[0] for c in range(CHAINS)]
 
 
 def test_spliced_chains_equal_full_freeze_and_encode():
     assert len(_fingerprint()) >= 300
+
+
+def test_spliced_bases_answer_reach_and_pattern_queries_exactly(tmp_path):
+    """Answers, not bytes: a spliced base reopened through a fresh catalog
+    handle yields ``reachability`` / ``bisimulation`` / ``tol`` variants
+    whose answers equal direct evaluation on the reference graph."""
+    checked = 0
+    for c in (2, 3, 5, 6, 42, 43, 45, 46):  # every id kind, twice
+        _, spliced, g = _chain(c)
+        root = tmp_path / f"chain{c}"
+        digest = SnapshotCatalog(root).put(spliced)
+        SnapshotCatalog(root).warm(digest)  # built from the stored bytes
+        fresh = SnapshotCatalog(root)
+        rc = fresh.reachability(digest)
+        pc = fresh.bisimulation(digest)
+        reach = rc.reach_fn(fresh.tol(digest, gr=rc.compressed))
+        ctx = MatchContext(pc.compressed)
+        rng = random.Random(c)
+        nodes = g.node_list()
+        queries = [ReachabilityQuery(rng.choice(nodes), rng.choice(nodes)) for _ in range(30)]
+        patterns = [random_pattern(g, rng.randrange(1, 4), rng.randrange(4), max_bound=2,
+                                   star_prob=0.3, seed=c * 10 + i) for i in range(4)]
+        records = [(0, q, freeze_answer(reach(q.source, q.target))) for q in queries]
+        records += [(0, p, freeze_answer(pc.answer(p, context=ctx))) for p in patterns]
+        assert check_answers({0: g}, records) == (0, []), c
+        checked += len(records)
+    assert checked == 8 * 34
 
 
 def test_chains_identical_across_hash_seeds():
@@ -346,32 +376,37 @@ def test_cold_handle_encodes_once_then_splices(tmp_path, monkeypatch):
 
 
 def test_catalog_memo_is_bounded_by_live_epochs(tmp_path):
-    """Fast path hygiene: a freed epoch's graph leaves the handle's memo."""
+    """Fast path hygiene: the handle's memo follows live references.  A
+    superseded epoch's graph stays while a reader holds the epoch and goes
+    when it drops it; a same-digest refreeze shares the memoised instance."""
     catalog = SnapshotCatalog(tmp_path)
     g = _service_graph()
     batches = _batches(20)
     graphs = {0: g.copy()}
-    with EngineService(g, catalog=catalog) as service:
-        for batch in batches[:8]:
-            publish(service, graphs, batch)
-        assert len(catalog._graphs) <= 2
-        pinned = service._acquire_current()  # a slow reader on version 8
-        try:
-            pinned_graph = graphs[8]
-            for batch in batches[8:]:
-                service.apply(batch)
-            assert service.version == 20
-            nodes = pinned_graph.node_list()
-            for u, v in zip(nodes, reversed(nodes)):
-                assert service._router.dispatch(
-                    ReachabilityQuery(u, v), pinned
-                ) == path_exists(pinned_graph, u, v)
-            assert len(catalog._graphs) <= 2  # the pinned epoch's, the current one's
-        finally:
-            pinned.release()
-        assert pinned.freed and len(catalog._graphs) == 1
-        # Retention on disk is prune()'s policy, not the memo's.
-        assert len(catalog.digests()) == 21
+    service = EngineService(g, catalog=catalog)
+    for batch in batches[:8]:
+        publish(service, graphs, batch)
+    assert set(catalog._graphs) == {_published_digest(service)}
+    held, held_graph = service.current, graphs[8]  # a slow reader on version 8
+    for batch in batches[8:]:
+        service.apply(batch)
+    assert service.version == 20
+    nodes = held_graph.node_list()
+    for u, v in zip(nodes, reversed(nodes)):
+        assert service._router.dispatch(
+            ReachabilityQuery(u, v), held
+        ) == path_exists(held_graph, u, v)
+    current = _published_digest(service)
+    assert set(catalog._graphs) == {held._digest, current}
+    service.refreeze()
+    assert _published_digest(service) == current
+    assert catalog.base(current) is service.current.csr
+    del held
+    assert set(catalog._graphs) == {current}
+    # Retention on disk is prune()'s policy, not the memo's.
+    assert len(catalog.digests()) == 21
+    service.close()
+    del service
     assert not catalog._graphs and not catalog._mmaps
 
 
@@ -381,16 +416,6 @@ def test_same_digest_publication_keeps_the_memo(tmp_path):
         digest = _published_digest(service)
         service.refreeze()
         assert _published_digest(service) == digest and digest in catalog._graphs
-
-
-def test_epoch_retire_forgets_only_when_asked(tmp_path):
-    catalog = SnapshotCatalog(tmp_path)
-    csr = CSRGraph.from_digraph(_service_graph())
-    digest = catalog.put(csr)
-    Epoch(csr, catalog=catalog, digest=digest).retire()
-    assert digest in catalog._graphs
-    Epoch(csr, catalog=catalog, digest=digest).retire(forget=True)
-    assert digest not in catalog._graphs and digest in catalog
 
 
 def test_publication_spans(tmp_path):

@@ -56,6 +56,18 @@ PUBLIC_NAMES = [
 ]
 
 
+def test_engine_exports_no_epoch_lifecycle_error():
+    """``EpochRetired`` was removed from ``repro.engine`` (and from the
+    executor's retryable errors): an epoch has no retired or freed state to
+    refuse from.  Reference counting frees it when its last reader drops it,
+    so a reader can never hold a freed one."""
+    import repro.engine
+
+    assert "EpochRetired" not in repro.engine.__all__
+    assert not hasattr(repro.engine, "EpochRetired")
+    assert not hasattr(repro.engine.Epoch, "retire")
+
+
 def test_public_names_are_pinned_documented_and_resolve():
     assert sorted(repro.__all__) == PUBLIC_NAMES
     for name in repro.__all__:

@@ -4,8 +4,9 @@ The contract under test is exactness under concurrency: every answer a
 reader (or executor worker) receives must equal from-scratch evaluation on
 the graph of the epoch that answered it — including queries in flight
 while the writer publishes — from a ``DiGraph`` or a ``CSRGraph`` source,
-under any thread count and any ``PYTHONHASHSEED``.  The RCU memory side is tested too: retired
-epochs must free their derived state once readers drain, and never before.
+under any thread count and any ``PYTHONHASHSEED``.  The memory side is tested too: a
+superseded epoch is freed by reference counting once its last reader drops it — with the
+collector off — and never before: an epoch a reader holds keeps serving its own version.
 
 ``REPRO_STRESS_WORKERS`` (CI's thread-sanity matrix: 1, 4, 16) sizes the
 stress reader/worker pools; the default exercises 4.
@@ -24,7 +25,7 @@ import weakref
 
 import pytest
 
-from repro.engine import EpochRetired, GraphEngine, QueryRouter
+from repro.engine import GraphEngine, QueryRouter
 from repro.faults import CircuitBreaker, FaultPlan, FaultRule
 from repro.datasets.updates import mixed_batch
 from repro.graph.csr import CSRGraph
@@ -66,24 +67,53 @@ def _workload(graph: DiGraph, seed: int, pairs: int = 20, patterns: int = 4):
 
 
 # ----------------------------------------------------------------------
-# Epoch lifecycle
+# Epoch lifecycle: an epoch lives exactly as long as its last reference
 # ----------------------------------------------------------------------
-def test_epoch_pin_retire_free_cycle():
+@pytest.fixture
+def no_collector():
+    """Reference counting alone: a cycle would keep an epoch alive here."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_held_epoch_answers_its_own_version_across_two_publications():
     g = _mixed_graph(1)
+    service = EngineService(g.copy())
+    workload = _workload(g, seed=7)
+    q = next(q for q in workload
+             if isinstance(q, ReachabilityQuery) and not service.query(q))
+    held = service.current  # a reader holding version 0
+    before = [freeze_answer(service._router.dispatch(x, held)) for x in workload]
+    service.apply([("+", q.source, q.target)])
+    service.apply([("+", "zz1", "zz2")])
+    assert service.version == 2 and service.current is not held
+    # Superseded twice, the held epoch still builds on first use and
+    # serves exactly as of version 0.
+    held.context_for("original")
+    again = [freeze_answer(service._router.dispatch(x, held)) for x in workload]
+    assert again == before
+    assert held.reach_fn() is not None and held.reach_fn()(q.source, q.target) is False
+    assert service.query(q) is True  # the current epoch sees the insert
+    service.close()
+
+
+def test_superseded_epoch_and_its_context_are_freed_without_the_collector(no_collector):
+    g = _mixed_graph(3)
     service = EngineService(g)
-    epoch = service.current
-    with service.pin() as pinned:
-        assert pinned is epoch
-        assert epoch.pins == 1
-        service.apply([("+", "zz1", "zz2")])  # publish while pinned
-        assert epoch.retired and not epoch.freed  # reader still in
-        assert pinned.artifact("reachability") is not None  # still serves
-    assert epoch.freed  # last reader drained -> memory released
-    assert service.draining() == []
-    with pytest.raises(EpochRetired):
-        epoch.acquire()
-    with pytest.raises(EpochRetired):
-        epoch.artifact("pattern")
+    for q in _workload(g, seed=12, pairs=4, patterns=3):
+        service.query(q)  # reach labels, the closure and the pattern context
+    first = weakref.ref(service.current)
+    ctx = weakref.ref(service.current.context_for("pattern"))
+    with service.pin() as reader:
+        service.refreeze()  # superseded while a reader holds it
+        assert first() is reader and ctx() is not None
+        del reader
+    assert first() is None and ctx() is None  # the last reader dropped it
+    service.close()
 
 
 def test_epoch_answers_are_frozen_in_time():
@@ -97,15 +127,6 @@ def test_epoch_answers_are_frozen_in_time():
         after_on_old = service._router.dispatch(q, epoch)
         assert freeze_answer(before) == freeze_answer(after_on_old)
     assert service.query(q) is True  # new epoch sees the inserted edge
-
-
-def test_epoch_retire_without_readers_frees_immediately():
-    g = _mixed_graph(3)
-    service = EngineService(g)
-    first = service.current
-    first.artifact("pattern")
-    assert service.apply([("+", "a", "b")]).applied == 1
-    assert first.freed
 
 
 def test_direct_pattern_query_does_not_pin_an_original_context():
@@ -137,13 +158,21 @@ def test_service_close_and_errors():
     service.close()  # idempotent
 
 
-def test_unbalanced_release_raises():
+def test_closed_service_holds_no_epoch_once_readers_return(no_collector):
     g = _mixed_graph(5)
-    epoch = GraphEngine(g).epoch()
-    epoch.acquire()
-    epoch.release()
-    with pytest.raises(RuntimeError):
-        epoch.release()
+    service = EngineService(g)
+    service.query(_workload(g, seed=2)[0])
+    current = weakref.ref(service.current)
+    with service.pin() as reader:
+        service.close()
+        assert reader.artifact("reachability") is not None  # still serves
+        del reader
+    assert current() is None
+    with pytest.raises(RuntimeError, match="closed"):
+        service.current
+    with pytest.raises(RuntimeError, match="closed"):
+        with service.pin():
+            pass
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +403,26 @@ def test_stress_interleaved_readers_and_writer():
     assert report["mismatches"] == 0
     assert report["checked"] >= STRESS_WORKERS * 12
     assert report["epochs_published"] == 6
-    assert report["draining_after_join"] == 0
-    assert report["current_freed_after_close"] is True
+    assert report["superseded_alive_after_close"] == 0
+
+
+def test_stress_lock_free_reads_preempted_often_race_the_writer():
+    """More reader threads than cores, switched every microsecond, load the
+    current epoch while the writer stores a new one: every answer is exact
+    for the version that produced it, and no superseded epoch outlives it."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = run_stress(
+            _mixed_graph(15), readers=8, writer_batches=6, batch_size=6,
+            queries_per_reader=15, seed=303, writer_pause_s=0.001,
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert report["errors"] == []
+    assert report["mismatches"] == 0
+    assert report["checked"] >= 8 * 15
+    assert report["superseded_alive_after_close"] == 0
 
 
 def test_stress_through_executor():
@@ -689,24 +736,21 @@ def test_reach_fast_path_faults_change_the_route_not_the_answer():
     service.close()
 
 
-def test_reach_fast_path_unhashable_source_raises_and_unpins():
+def test_reach_fast_path_unhashable_source_raises_and_holds_nothing(no_collector):
     g = _cyclic_graph(5)
     service = EngineService(g)
     bad = ReachabilityQuery(["not", "hashable"], 0)
     service.query(ReachabilityQuery(0, 1))  # the compiled path is built
-    epoch = service.current
-    assert epoch.reach_fn() is not None
+    epoch = weakref.ref(service.current)
+    assert epoch().reach_fn() is not None
     with pytest.raises(TypeError, match="unhashable"):
         service.query(bad)
-    assert epoch.pins == 0
     # An absent source short-circuits before the target is hashed.
     assert service.query(ReachabilityQuery("ghost", ["x"])) is False
     service.close()
-    assert epoch.freed
+    assert epoch() is None  # the read that raised kept no reference
     with pytest.raises(RuntimeError, match="closed"):
         service.query(bad)
-    assert epoch.pins == 0
-    assert epoch.reach_fn() is None  # the freed epoch dropped its closure
 
 
 @pytest.mark.parametrize("observed", [False, True])
@@ -829,19 +873,17 @@ def test_pattern_nodes_matching_one_block_set_share_one_set():
     service.close()
 
 
-def test_pattern_expansion_cache_dies_with_the_epoch():
+def test_pattern_expansion_cache_dies_with_the_epoch(no_collector):
     g = _mixed_graph(10)
     service = EngineService(g)
     for p in _workload(g, seed=4, pairs=0, patterns=6):
         service.query(p)
-    epoch = service.current
-    ctx = epoch.context_for("pattern")
+    ctx = service.current.context_for("pattern")
     assert ctx._expansions
     ref = weakref.ref(ctx)
     del ctx
     service.close()
-    gc.collect()
-    assert epoch.freed and ref() is None
+    assert ref() is None
 
 
 def test_pattern_expansion_cache_holds_only_memoised_sets(monkeypatch):
