@@ -71,7 +71,7 @@ def main() -> None:
     # The maintained state equals batch recompression — canonical equality.
     fresh_reach = compress_reachability(work)
     fresh_pattern = compress_pattern(work)
-    assert engine.reachability().compressed.order() == fresh_reach.compressed.order()
+    assert engine.reachability().compressed.n == fresh_reach.compressed.n
     assert engine.bisimulation().compressed.n == fresh_pattern.compressed.n
     print(
         f"engine state matches batch recompression after all updates "

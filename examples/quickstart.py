@@ -34,8 +34,8 @@ def main() -> None:
 
     # ---- Reachability preserving compression (Section 3) ----------------
     rc = compress_reachability(g)
-    print(f"reachability-compressed: {rc.compressed.order()} hypernodes, "
-          f"{rc.compressed.size()} edges (ratio {rc.compression_ratio():.0%})")
+    print(f"reachability-compressed: {rc.compressed.n} hypernodes, "
+          f"{rc.compressed.m} edges (ratio {rc.compression_ratio():.0%})")
     # Queries run on the compressed graph, with identical answers:
     for s, t in [("alice", "shop2"), ("shop1", "bob"), ("shop2", "shop1")]:
         print(f"  can {s} reach {t}?  {rc.query(s, t)}")

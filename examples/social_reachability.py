@@ -47,7 +47,7 @@ def main() -> None:
           f"({t_routed / t_direct:.0%} of the original cost)")
 
     # Existing index techniques apply directly to the compressed graph —
-    # both label builds run over frozen CSR arrays (Gr is frozen first).
+    # both label builds run over frozen CSR arrays (Gr already is one).
     tol_g = TOLIndex(engine.freeze())
     tol_gr = TOLIndex(rc.compressed)
     print(f"TOL label entries on G:  {tol_g.entry_count()}")

@@ -22,23 +22,14 @@ from repro.datasets.catalog import CATALOG
 from repro.graph.csr import CSRGraph
 
 
-def _canon_reach(rc):
-    mem = {h: frozenset(rc.members(h)) for h in rc.compressed.nodes()}
+def _canon(comp):
+    """A compression with its hypernode ids erased: the member sets, and
+    the quotient edges between them."""
+    gr = comp.compressed
+    mem = {h: frozenset(comp.members(h)) for h in gr.node_order()}
     return (
         frozenset(mem.values()),
-        frozenset((mem[a], mem[b]) for a, b in rc.compressed.edges()),
-    )
-
-
-def _canon_pattern(pc):
-    gb = pc.compressed
-    mem = [frozenset(pc.members(h)) for h in range(gb.n)]
-    indptr, indices = gb.fwd()
-    return (
-        frozenset(mem),
-        frozenset(
-            (mem[h], mem[indices[e]]) for h in range(gb.n) for e in range(indptr[h], indptr[h + 1])
-        ),
+        frozenset((mem[a], mem[b]) for a, b in gr.edge_list()),
     )
 
 
@@ -52,7 +43,7 @@ def run(quick: bool = True) -> ExperimentResult:
         g = CATALOG[name].build(seed=1, scale=scale)
         fast = compress_reachability(g)
         slow = compress_reachability_bfs(g)
-        identical &= _canon_reach(fast) == _canon_reach(slow)
+        identical &= _canon(fast) == _canon(slow)
         t_fast = time_call(lambda: compress_reachability(g))
         t_slow = time_call(lambda: compress_reachability_bfs(g))
         speedups.append(t_slow / t_fast if t_fast else 1.0)
@@ -71,7 +62,7 @@ def run(quick: bool = True) -> ExperimentResult:
         csr = CSRGraph.from_digraph(g)  # the served kernel runs on the frozen graph
         strat = compress_pattern_csr(csr)
         naive = compress_pattern(g, algorithm="naive")
-        identical &= _canon_pattern(strat) == _canon_pattern(naive)
+        identical &= _canon(strat) == _canon(naive)
         t_strat = time_call(lambda: compress_pattern_csr(csr))
         t_naive = time_call(lambda: compress_pattern(g, algorithm="naive"))
         rows.append(

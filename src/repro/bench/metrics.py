@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator, List
+from typing import Callable, Iterator, List, Union
 
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 
 
@@ -44,15 +45,18 @@ def time_call(fn: Callable, repeat: int = 1) -> float:
     return best
 
 
-def graph_memory_bytes(graph: DiGraph) -> int:
+def graph_memory_bytes(graph: Union[DiGraph, CSRGraph]) -> int:
     """Deterministic memory model of an adjacency-list graph.
 
     8 bytes per adjacency entry in each direction, plus 24 bytes of
     per-node bookkeeping (id, label pointer, set headers amortised).  A
     *model* rather than ``sys.getsizeof`` recursion so numbers are stable
     across Python builds — Fig. 12(d) compares relative sizes, which this
-    preserves exactly.
+    preserves exactly.  A frozen graph (``Gr``) is costed under the same
+    model as a mutable one (``G``), from its node and edge counts.
     """
+    if isinstance(graph, CSRGraph):
+        return 16 * graph.m + 24 * graph.n
     return 16 * graph.size() + 24 * graph.order()
 
 

@@ -8,31 +8,51 @@ existing evaluation algorithm for ``Q`` runs unmodified on ``R(G)``.
 Concrete compressions (:class:`~repro.core.reachability.ReachabilityCompression`,
 :class:`~repro.core.pattern.PatternCompression`) subclass
 :class:`QueryPreservingCompression`, which fixes the shared vocabulary: the
-compressed graph ``Gr``, the node mapping ``R`` (``node_class``), the inverse
+compressed graph, the node mapping ``R`` (``node_class``), the inverse
 index (``members``), and the compression-ratio metrics reported throughout
 Section 6.
+
+Both compressions describe their result the same way: a partition of ``G``
+plus its quotient.  The quotient (``Gr`` / ``Gb``) is a
+:class:`~repro.graph.csr.CSRGraph` whose nodes are the hypernode ids;
+``R`` is one hypernode id per dense id of ``G``, read through ``G``'s
+:class:`~repro.graph.digraph.NodeIndexer`; the inverse index is one member
+row per hypernode (in the quotient's id order), listing members in ``G``'s
+node order.  :func:`quotient_graph` builds the quotient from sorted rows,
+:func:`member_rows` the inverse index, and :func:`check_quotient_arrays`
+validates a persisted partition before either adopts it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Hashable, Iterator, List, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.graph.csr import CSRGraph, flatten_rows, split_rows
-from repro.graph.digraph import DiGraph
+from repro.graph.csr import CSRGraph, reverse_from_forward, split_rows
+from repro.graph.digraph import NodeIndexer
 
 Node = Hashable
 
 
-def quotient_rows(graph: DiGraph) -> Tuple[List[int], List[int]]:
-    """Row form ``(indptr, targets)`` of a quotient graph over ids ``0..k-1``.
+def quotient_graph(labels: List[str], indptr: List[int], indices: List[int]) -> CSRGraph:
+    """The quotient over hypernodes ``0..k-1`` from its sorted forward rows,
+    with ``labels[h]`` the label of hypernode ``h`` (the lists are adopted)."""
+    k = len(labels)
+    names = list(dict.fromkeys(labels))
+    codes = list(map({name: i for i, name in enumerate(names)}.__getitem__, labels))
+    rindptr, rindices = reverse_from_forward(k, indptr, indices)
+    return CSRGraph(k, len(indices), indptr, indices, rindptr, rindices,
+                    codes, names, NodeIndexer(range(k)))
 
-    Row ``c`` lists the successors of hypernode ``c`` in increasing order —
-    the layout :func:`decode_quotient_arrays` hands back to
-    :meth:`DiGraph.from_rows` one ``set(row)`` at a time.
-    """
-    return flatten_rows(map(sorted, map(graph.successors, range(graph.order()))))
+
+def member_rows(node_order: Sequence[Node], ids: Sequence[int], k: int) -> List[List[Node]]:
+    """The inverse index of a partition: row ``h`` lists, in *node_order*,
+    the nodes whose id in *ids* (aligned to *node_order*) is ``h``."""
+    rows: List[List[Node]] = [[] for _ in range(k)]
+    for v, h in zip(node_order, ids):
+        rows[h].append(v)
+    return rows
 
 
 def check_quotient_arrays(
@@ -41,16 +61,16 @@ def check_quotient_arrays(
     nhyper: int,
     indptr: List[int],
     targets: List[int],
-) -> Iterator[List[int]]:
-    """Validate a persisted quotient over *nnodes* nodes; returns its rows.
+) -> None:
+    """Validate a persisted quotient over *nnodes* nodes.
 
-    ``rows[c]`` are the successors of hypernode ``c``.  Raises
-    ``ValueError`` on any shape or range inconsistency — an id array of
-    the wrong length, hypernode ids not covering exactly ``0..nhyper-1``,
-    offsets that do not run monotonically from 0 to ``len(targets)``, a
-    target out of range, a row that is not strictly increasing — so the
-    :mod:`repro.store` catalog can treat a malformed variant file as
-    corrupt and recompute instead of rehydrating a broken artifact.
+    Raises ``ValueError`` on any shape or range inconsistency — an id array
+    of the wrong length, hypernode ids not covering exactly
+    ``0..nhyper-1``, offsets that do not run monotonically from 0 to
+    ``len(targets)``, a target out of range, a row that is not strictly
+    increasing — so the :mod:`repro.store` catalog can treat a malformed
+    variant file as corrupt and recompute instead of rehydrating a broken
+    artifact.
     """
     if len(id_array) != nnodes:
         raise ValueError("persisted arrays do not match the base graph's node count")
@@ -62,28 +82,7 @@ def check_quotient_arrays(
         # a memberless hypernode or out-of-range id means the arrays
         # belong to another graph (empty graphs must claim nhyper == 0)
         raise ValueError(f"persisted id map does not cover 0..{nhyper - 1}")
-    return split_rows(indptr, targets, nhyper, nhyper, "quotient edge")
-
-
-def decode_quotient_arrays(
-    node_order: List[Node],
-    id_array: List[int],
-    nhyper: int,
-    indptr: List[int],
-    targets: List[int],
-) -> Tuple[Dict[Node, int], Dict[int, List[Node]], Iterator[List[int]]]:
-    """Validate and decode a persisted quotient (``ReachabilityCompression``'s
-    ``from_arrays`` core).
-
-    Returns ``(class_of, class_members, rows)`` with members grouped in
-    node order and ``rows[c]`` the successors of hypernode ``c``; raises
-    ``ValueError`` as :func:`check_quotient_arrays` does.
-    """
-    rows = check_quotient_arrays(len(node_order), id_array, nhyper, indptr, targets)
-    members: List[List[Node]] = [[] for _ in range(nhyper)]
-    for v, cid in zip(node_order, id_array):
-        members[cid].append(v)
-    return dict(zip(node_order, id_array)), dict(enumerate(members)), rows
+    split_rows(indptr, targets, nhyper, nhyper, "quotient edge")
 
 
 @dataclass(frozen=True)
@@ -130,9 +129,11 @@ class CompressionStats:
 class QueryPreservingCompression(ABC):
     """Base class for ``<R, F, P>`` compression artifacts.
 
-    Subclasses own a compressed graph and the node mapping computed by their
-    compression function ``R``; they add the query-class specific rewriting
-    ``F`` and post-processing ``P``.
+    Holds what every compression function ``R`` produces (module
+    docstring): the quotient *compressed*, ``block_of[i]`` the hypernode of
+    ``G``'s node ``i`` in *indexer*'s order, and ``member_rows``, the
+    members of each hypernode in the quotient's id order.  Subclasses add
+    the query-class specific rewriting ``F`` and post-processing ``P``.
 
     Answer-mapping protocol
     -----------------------
@@ -154,6 +155,20 @@ class QueryPreservingCompression(ABC):
     #: dispatches a query to the first representation whose artifact
     #: ``preserves`` it.
     QUERY_CLASSES: ClassVar[Tuple[type, ...]] = ()
+
+    def __init__(
+        self,
+        compressed: CSRGraph,
+        block_of: List[int],
+        indexer: NodeIndexer,
+        member_rows: List[List[Node]],
+        original_edges: int,
+    ) -> None:
+        self._quotient = compressed
+        self._block_of = block_of
+        self._indexer = indexer
+        self._rows = member_rows
+        self._original_edges = original_edges
 
     @classmethod
     def preserves(cls, query: Any) -> bool:
@@ -187,25 +202,34 @@ class QueryPreservingCompression(ABC):
         return [self.answer(q, context=context, algorithm=algorithm) for q in queries]
 
     @property
-    @abstractmethod
-    def compressed(self) -> Union[DiGraph, CSRGraph]:
-        """The compressed graph ``Gr = R(G)`` (``compressB``'s is a ``CSRGraph``)."""
+    def compressed(self) -> CSRGraph:
+        """The compressed graph ``R(G)``, over hypernode ids."""
+        return self._quotient
 
-    @abstractmethod
     def node_class(self, v: Node) -> int:
-        """``R(v)``: the hypernode of ``Gr`` that *v* was merged into."""
+        """``R(v)``: the hypernode *v* was merged into."""
+        return self._block_of[self._indexer.index(v)]
 
-    @abstractmethod
     def members(self, hypernode: int) -> List[Node]:
         """Inverse node mapping: the original nodes inside *hypernode*.
 
         This is the index the paper's post-processing function ``P`` uses
         ("an index on the inverse of node mappings of R").
         """
+        return list(self._rows[self._quotient.id_of(hypernode)])
 
-    @abstractmethod
+    def class_sizes(self) -> Dict[int, int]:
+        """Hypernode id -> number of original nodes it represents."""
+        return dict(zip(self._quotient.node_order(), map(len, self._rows)))
+
     def stats(self) -> CompressionStats:
         """Size accounting of this compression run."""
+        return CompressionStats(
+            original_nodes=len(self._block_of),
+            original_edges=self._original_edges,
+            compressed_nodes=self._quotient.n,
+            compressed_edges=self._quotient.m,
+        )
 
     # ------------------------------------------------------------------
     # Shared conveniences
@@ -213,10 +237,6 @@ class QueryPreservingCompression(ABC):
     def compression_ratio(self) -> float:
         """``|Gr| / |G|`` — Table 1's ``RCr`` / Table 2's ``PCr``."""
         return self.stats().ratio
-
-    def class_sizes(self) -> Dict[int, int]:
-        """Hypernode id -> number of original nodes it represents."""
-        return {h: len(self.members(h)) for h in self.compressed.nodes()}
 
     def same_class(self, u: Node, v: Node) -> bool:
         """True iff ``R`` merged *u* and *v* into the same hypernode."""

@@ -42,8 +42,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
+from repro.core.base import member_rows
 from repro.core.reachability import ReachabilityCompression
-from repro.graph.digraph import DEFAULT_LABEL, DiGraph
+from repro.graph.csr import CSRGraph
+from repro.graph.digraph import DEFAULT_LABEL, DiGraph, NodeIndexer
 from repro.graph.scc import (
     strongly_connected_components,
     strongly_connected_components_within,
@@ -700,32 +702,28 @@ class IncrementalReachabilityCompressor:
     # Artifact construction
     # ------------------------------------------------------------------
     def _build_artifact(self) -> ReachabilityCompression:
+        """Freeze the maintained quotient once: ``Gr``'s nodes are the
+        class ids as they stand (gapped, stable across batches), so the
+        labels carried from batch to batch see the same hypernodes."""
         quotient = DiGraph()
         for cid in self._class_sccs:
             quotient.add_node(cid, DEFAULT_LABEL)
         for (ca, cb), count in self._q_support.items():
             if count > 0:
                 quotient.add_edge(ca, cb)
-        gr = dag_transitive_reduction(quotient)
+        gr = CSRGraph.from_digraph(dag_transitive_reduction(quotient))
 
-        class_members: Dict[int, List[Node]] = {}
-        class_of: Dict[Node, int] = {}
-        for cid, sccs in self._class_sccs.items():
-            bucket: List[Node] = []
-            for sid in sccs:
-                bucket.extend(self._scc_members[sid])
-            class_members[cid] = bucket
-        for v, sid in self._scc_of.items():
-            class_of[v] = self._class_of_scc[sid]
-
+        nodes = self._g.node_list()
+        scc_of = list(map(self._scc_of.__getitem__, nodes))
+        class_of = list(map(self._class_of_scc.__getitem__, scc_of))
         scc_size = len(self._scc_members) + len(self._dag_support)
         return ReachabilityCompression(
-            compressed=gr,
-            class_of=class_of,
-            class_members=class_members,
-            scc_of=dict(self._scc_of),
-            cyclic_scc=frozenset(self._scc_cyclic),
-            original_nodes=self._g.order(),
-            original_edges=self._g.size(),
-            scc_graph_size=scc_size,
+            gr,
+            class_of,
+            NodeIndexer(nodes),
+            member_rows(nodes, gr.indexer.indices(class_of), gr.n),
+            self._g.size(),
+            scc_of,
+            frozenset(self._scc_cyclic),
+            scc_size,
         )

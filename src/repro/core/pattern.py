@@ -35,27 +35,16 @@ from bisect import bisect_left
 from itertools import chain
 from typing import Any, Callable, ClassVar, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.core.base import CompressionStats, QueryPreservingCompression, check_quotient_arrays
+from repro.core.base import QueryPreservingCompression, check_quotient_arrays, member_rows, quotient_graph
 from repro.core.bisimulation import bisimulation_partition, bisimulation_partition_naive
 from repro.graph.bitset import select
-from repro.graph.csr import CSRGraph, flatten_rows, reverse_from_forward
+from repro.graph.csr import CSRGraph, flatten_rows
 from repro.graph.digraph import DiGraph, NodeIndexer
 from repro.graph.kernels import csr_bisimulation_blocks
 from repro.graph.partition import Partition
 from repro.queries.pattern import GraphPattern
 
 Node = Hashable
-
-
-def _quotient_graph(labels: List[str], indptr: List[int], indices: List[int]) -> CSRGraph:
-    """``Gb`` over hypernodes ``0..k-1`` from its sorted forward rows, with
-    ``labels[h]`` the label of hypernode ``h`` (the lists are adopted)."""
-    k = len(labels)
-    names = list(dict.fromkeys(labels))
-    codes = list(map({name: i for i, name in enumerate(names)}.__getitem__, labels))
-    rindptr, rindices = reverse_from_forward(k, indptr, indices)
-    return CSRGraph(k, len(indices), indptr, indices, rindptr, rindices,
-                    codes, names, NodeIndexer(range(k)))
 
 
 class PatternCompression(QueryPreservingCompression):
@@ -69,42 +58,6 @@ class PatternCompression(QueryPreservingCompression):
 
     QUERY_CLASSES: ClassVar[Tuple[type, ...]] = (GraphPattern,)
 
-    def __init__(
-        self,
-        compressed: CSRGraph,
-        block_of: List[int],
-        indexer: NodeIndexer,
-        member_rows: List[List[Node]],
-        original_edges: int,
-    ) -> None:
-        self._gb = compressed
-        self._block_of = block_of
-        self._indexer = indexer
-        self._rows = member_rows
-        self._original_edges = original_edges
-
-    # -- QueryPreservingCompression interface ---------------------------
-    @property
-    def compressed(self) -> CSRGraph:
-        return self._gb
-
-    def node_class(self, v: Node) -> int:
-        return self._block_of[self._indexer.index(v)]
-
-    def members(self, hypernode: int) -> List[Node]:
-        return list(self._rows[hypernode])
-
-    def class_sizes(self) -> Dict[int, int]:
-        return dict(enumerate(map(len, self._rows)))
-
-    def stats(self) -> CompressionStats:
-        return CompressionStats(
-            original_nodes=len(self._block_of),
-            original_edges=self._original_edges,
-            compressed_nodes=self._gb.n,
-            compressed_edges=self._gb.m,
-        )
-
     def canonical_form(self) -> tuple:
         """Fully-ordered rendering of the artifact, for equality tests.
 
@@ -113,7 +66,7 @@ class PatternCompression(QueryPreservingCompression):
         lists are rendered sorted by ``repr``, so the form does not depend
         on the order a producer listed them in.
         """
-        gb = self._gb
+        gb = self._quotient
         stats = self.stats()
         indptr, indices = gb.fwd()
         hypernodes = range(gb.n)
@@ -139,10 +92,10 @@ class PatternCompression(QueryPreservingCompression):
         hypernode labels are not stored — they are recovered from the base
         graph's labels (bisimilar nodes share their label by definition).
         """
-        indptr, targets = self._gb.fwd()
+        indptr, targets = self._quotient.fwd()
         return {
             "stats": [len(self._block_of), self._original_edges],
-            "nblocks": [self._gb.n],
+            "nblocks": [self._quotient.n],
             "block_of": list(map(self._block_of.__getitem__, self._indexer.indices(node_order))),
             "gb_indptr": list(indptr),
             "gb_targets": list(targets),
@@ -165,11 +118,9 @@ class PatternCompression(QueryPreservingCompression):
         nblocks = arrays["nblocks"][0]
         block_of, indptr, targets = arrays["block_of"], arrays["gb_indptr"], arrays["gb_targets"]
         check_quotient_arrays(base.n, block_of, nblocks, indptr, targets)
-        rows: List[List[Node]] = [[] for _ in range(nblocks)]
-        for v, h in zip(base.node_order(), block_of):
-            rows[h].append(v)
+        rows = member_rows(base.node_order(), block_of, nblocks)
         index, names, codes = base.indexer.index, base.label_names, base.label_codes()
-        gb = _quotient_graph([names[codes[index(row[0])]] for row in rows], indptr, targets)
+        gb = quotient_graph([names[codes[index(row[0])]] for row in rows], indptr, targets)
         return cls(gb, block_of, base.indexer, rows, arrays["stats"][1])
 
     # -- P: post-processing ----------------------------------------------
@@ -196,11 +147,11 @@ class PatternCompression(QueryPreservingCompression):
         *matcher* has the signature ``(pattern, graph) -> dict``; the default
         library matcher is :func:`repro.queries.matching.match`.
         """
-        return self.post_process(matcher(pattern, self._gb))
+        return self.post_process(matcher(pattern, self._quotient))
 
     def boolean_query(self, pattern, matcher) -> bool:
         """Boolean pattern query — no post-processing required (Section 4.1)."""
-        return bool(matcher(pattern, self._gb))
+        return bool(matcher(pattern, self._quotient))
 
     # -- answer-mapping protocol (router entry point) --------------------
     def answer(self, query: GraphPattern, *, context: Any = None,
@@ -227,12 +178,12 @@ class PatternCompression(QueryPreservingCompression):
         from repro.queries.matching import MatchContext, match_bitsets
 
         if context is None:
-            context = MatchContext(self._gb)
+            context = MatchContext(self._quotient)
         rows = self._rows
         # Match and P fused: block bitsets expand straight to original
         # nodes, no intermediate set of hypernodes.
         answer = {}
-        for u, bits in match_bitsets(query, self._gb, context).items():
+        for u, bits in match_bitsets(query, self._quotient, context).items():
             nodes = shared.get(bits) if shared is not None else None
             if nodes is None:
                 nodes = frozenset(chain.from_iterable(select(bits, rows)))
@@ -327,7 +278,7 @@ def compress_pattern_csr(csr: CSRGraph) -> PatternCompression:
         sorted(set(map(block_of.__getitem__, indices[indptr[i] : indptr[i + 1]]))) for i in heads
     )
     names, codes = csr.label_names, csr.label_codes()
-    gb = _quotient_graph([names[codes[i]] for i in heads], *gb_rows)
+    gb = quotient_graph([names[codes[i]] for i in heads], *gb_rows)
     node_of = csr.node_order().__getitem__
     rows = [list(map(node_of, block)) for block in blocks]
     return PatternCompression(gb, block_of, csr.indexer, rows, csr.m)
@@ -350,11 +301,9 @@ def quotient_artifact(
     canon = {b: h for h, b in enumerate(dict.fromkeys(ids))}
     k = len(canon)
     block_of = list(map(canon.__getitem__, ids))
-    rows: List[List[Node]] = [[] for _ in range(k)]
-    for v, h in zip(indexer.node_order(), block_of):
-        rows[h].append(v)
+    rows = member_rows(indexer.node_order(), block_of, k)
     codes = sorted({canon[a] * k + canon[b] for a, b in edges})
-    gb = _quotient_graph(
+    gb = quotient_graph(
         [label(row[0]) for row in rows],
         [bisect_left(codes, h * k) for h in range(k + 1)],
         [code % k for code in codes],

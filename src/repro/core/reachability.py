@@ -35,21 +35,22 @@ different SCCs are provably mutually unreachable — ``u ⇝ v`` with equal
 ancestor sets would put ``u`` in its own strict ancestor set.)  This closes
 the gap the paper glosses over without giving up "any algorithm runs on
 ``Gr`` as is": all non-degenerate queries run unmodified on ``Gr``.
+
+The artifact is arrays, as ``compressB``'s is (:mod:`repro.core.base`):
+``Gr`` is a :class:`~repro.graph.csr.CSRGraph` over hypernodes ``0..k-1``
+read straight off the kernel's reduced edges, and ``R`` and the SCC index
+are int lists over ``G``'s dense ids.  A stock evaluator walks ``Gr``'s
+frozen rows, and TOL labels are built over it as it is.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import accumulate
 from typing import Any, Callable, ClassVar, Dict, Hashable, List, Optional, Tuple
 
-from repro.core.base import (
-    CompressionStats,
-    QueryPreservingCompression,
-    decode_quotient_arrays,
-    quotient_rows,
-)
+from repro.core.base import QueryPreservingCompression, check_quotient_arrays, member_rows, quotient_graph
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DEFAULT_LABEL, DiGraph
+from repro.graph.digraph import DEFAULT_LABEL, DiGraph, NodeIndexer
 from repro.graph.kernels import reachability_quotient
 from repro.graph.scc import condensation
 from repro.graph.transitive import dag_transitive_reduction
@@ -63,50 +64,34 @@ Node = Hashable
 class ReachabilityCompression(QueryPreservingCompression):
     """The artifact produced by :func:`compress_reachability`.
 
-    Holds the compressed graph ``Gr``, the node mapping ``R`` and the SCC
-    index that powers the constant-time query rewriting ``F``.
+    Holds the compressed graph ``Gr`` (a :class:`CSRGraph` over the
+    hypernodes), the node mapping ``R`` and the SCC index that powers the
+    constant-time query rewriting ``F``.  ``class_of[i]`` and ``scc_of[i]``
+    are the hypernode and the SCC id of ``G``'s node ``i`` in *indexer*'s
+    order; ``member_rows`` is the inverse index (module docstring of
+    :mod:`repro.core.base`).  ``compressR``'s hypernodes are ``0..k-1``;
+    ``incRCM``'s keep their gapped, batch-stable class ids as ``Gr``'s
+    nodes, reached through ``Gr``'s own indexer like any frozen graph's.
     """
 
     QUERY_CLASSES: ClassVar[Tuple[type, ...]] = (ReachabilityQuery,)
 
     def __init__(
         self,
-        compressed: DiGraph,
-        class_of: Dict[Node, int],
-        class_members: Dict[int, List[Node]],
-        scc_of: Dict[Node, int],
-        cyclic_scc: frozenset,
-        original_nodes: int,
+        compressed: CSRGraph,
+        class_of: List[int],
+        indexer: NodeIndexer,
+        member_rows: List[List[Node]],
         original_edges: int,
+        scc_of: List[int],
+        cyclic_scc: frozenset,
         scc_graph_size: Optional[int] = None,
     ) -> None:
-        self._gr = compressed
-        self._class_of = class_of
-        self._members = class_members
+        gr = compressed.materialise_rows()  # stock evaluators walk it node by node
+        super().__init__(gr, class_of, indexer, member_rows, original_edges)
         self._scc_of = scc_of
         self._cyclic = cyclic_scc
-        self._original_nodes = original_nodes
-        self._original_edges = original_edges
         self._scc_graph_size = scc_graph_size
-
-    # -- QueryPreservingCompression interface ---------------------------
-    @property
-    def compressed(self) -> DiGraph:
-        return self._gr
-
-    def node_class(self, v: Node) -> int:
-        return self._class_of[v]
-
-    def members(self, hypernode: int) -> List[Node]:
-        return list(self._members[hypernode])
-
-    def stats(self) -> CompressionStats:
-        return CompressionStats(
-            original_nodes=self._original_nodes,
-            original_edges=self._original_edges,
-            compressed_nodes=self._gr.order(),
-            compressed_edges=self._gr.size(),
-        )
 
     # -- F: query rewriting ---------------------------------------------
     def rewrite(self, source: Node, target: Node) -> Tuple[str, Optional[Tuple[int, int]]]:
@@ -119,17 +104,16 @@ class ReachabilityCompression(QueryPreservingCompression):
         """
         if source == target:
             return ("true", None)
-        cs, ct = self._class_of[source], self._class_of[target]
+        i, j = self._indexer.index(source), self._indexer.index(target)
+        cs, ct = self._block_of[i], self._block_of[j]
         if cs == ct:
-            same_cyclic_scc = (
-                self._scc_of[source] == self._scc_of[target]
-                and self._scc_of[source] in self._cyclic
-            )
+            scc = self._scc_of[i]
+            same_cyclic_scc = scc == self._scc_of[j] and scc in self._cyclic
             return ("true", None) if same_cyclic_scc else ("false", None)
         return ("evaluate", (cs, ct))
 
     def in_same_scc(self, u: Node, v: Node) -> bool:
-        return self._scc_of[u] == self._scc_of[v]
+        return self._scc_of[self._indexer.index(u)] == self._scc_of[self._indexer.index(v)]
 
     # -- persistence (repro.store catalog) -------------------------------
     def to_arrays(self, node_order: List[Node]) -> Dict[str, List[int]]:
@@ -140,66 +124,59 @@ class ReachabilityCompression(QueryPreservingCompression):
         stored aligned to it so no node ids need encoding — the catalog's
         base snapshot already owns them.
         """
-        indptr, targets = quotient_rows(self._gr)
+        indptr, targets = self._quotient.fwd()
+        ids = self._indexer.indices(node_order)
         arrays = {
-            "stats": [self._original_nodes, self._original_edges],
-            "nclasses": [self._gr.order()],
-            "class_of": list(map(self._class_of.__getitem__, node_order)),
-            "scc_of": list(map(self._scc_of.__getitem__, node_order)),
+            "stats": [len(self._block_of), self._original_edges],
+            "nclasses": [self._quotient.n],
+            "class_of": list(map(self._block_of.__getitem__, ids)),
+            "scc_of": list(map(self._scc_of.__getitem__, ids)),
             "cyclic_sccs": sorted(self._cyclic),
-            "gr_indptr": indptr,
-            "gr_targets": targets,
+            "gr_indptr": list(indptr),
+            "gr_targets": list(targets),
         }
         if self._scc_graph_size is not None:
             arrays["scc_graph_size"] = [self._scc_graph_size]
         return arrays
 
     @classmethod
-    def from_arrays(
-        cls, node_order: List[Node], arrays: Dict[str, List[int]]
-    ) -> "ReachabilityCompression":
+    def from_arrays(cls, base: CSRGraph, arrays: Dict[str, List[int]]) -> "ReachabilityCompression":
         """Rehydrate an artifact persisted with :meth:`to_arrays`.
 
-        Byte-identical to the cold run it was saved from: hypernode ids,
-        member order (node insertion order), quotient edges and stats all
-        survive the round trip — ``canonical_form()`` compares equal.
+        *base* is ``G``'s frozen snapshot the arrays are aligned to: the
+        artifact adopts its :class:`~repro.graph.digraph.NodeIndexer`, and
+        the arrays themselves once they are validated.  Byte-identical to
+        the cold run it was saved from: hypernode ids, member order (node
+        insertion order), quotient edges and stats all survive the round
+        trip — ``canonical_form()`` compares equal.
 
-        Raises ``ValueError`` when the arrays do not fit *node_order* (a
-        variant persisted for a different base graph) or are internally
+        Raises ``ValueError`` when the arrays do not fit *base* (a variant
+        persisted for a different base graph) or are internally
         inconsistent; the catalog treats that as a corrupt variant and
         recomputes.
         """
-        if len(arrays["scc_of"]) != len(node_order):
-            raise ValueError(
-                "persisted arrays do not match the base graph's node count"
-            )
         nclasses = arrays["nclasses"][0]
-        class_of, class_members, rows = decode_quotient_arrays(
-            node_order,
-            arrays["class_of"],
-            nclasses,
-            arrays["gr_indptr"],
-            arrays["gr_targets"],
-        )
-        sccs = arrays["scc_of"]
-        if sccs and (min(sccs) < 0 or max(sccs) >= len(node_order)):
+        class_of, sccs = arrays["class_of"], arrays["scc_of"]
+        indptr, targets = arrays["gr_indptr"], arrays["gr_targets"]
+        if len(sccs) != base.n:
+            raise ValueError("persisted arrays do not match the base graph's node count")
+        check_quotient_arrays(base.n, class_of, nclasses, indptr, targets)
+        if sccs and (min(sccs) < 0 or max(sccs) >= base.n):
             # there are at most |V| SCCs; anything else is another graph's map
             raise ValueError("persisted SCC ids out of range")
         if not set(arrays["cyclic_sccs"]) <= set(sccs):
             # a cyclic SCC has members, so its id must appear in scc_of
             raise ValueError("persisted cyclic SCC ids not among the SCC ids")
-        gr = DiGraph.from_rows(range(nclasses), repeat(DEFAULT_LABEL, nclasses), rows)
-        scc_of = dict(zip(node_order, sccs))
         size = arrays.get("scc_graph_size")
         return cls(
-            compressed=gr,
-            class_of=class_of,
-            class_members=class_members,
-            scc_of=scc_of,
-            cyclic_scc=frozenset(arrays["cyclic_sccs"]),
-            original_nodes=arrays["stats"][0],
-            original_edges=arrays["stats"][1],
-            scc_graph_size=size[0] if size else None,
+            quotient_graph([DEFAULT_LABEL] * nclasses, indptr, targets),
+            class_of,
+            base.indexer,
+            member_rows(base.node_order(), class_of, nclasses),
+            arrays["stats"][1],
+            sccs,
+            frozenset(arrays["cyclic_sccs"]),
+            size[0] if size else None,
         )
 
     def canonical_form(self) -> Tuple:
@@ -212,8 +189,9 @@ class ReachabilityCompression(QueryPreservingCompression):
         (and across hash seeds); ``tests/test_csr_kernels.py`` checks it on
         every pool graph.
         """
-        gr = self._gr
+        gr = self._quotient
         stats = self.stats()
+        hypernodes = sorted(gr.node_order())
         return (
             (
                 stats.original_nodes,
@@ -222,10 +200,10 @@ class ReachabilityCompression(QueryPreservingCompression):
                 stats.compressed_edges,
             ),
             self._scc_graph_size,
-            tuple(sorted(gr.nodes())),
-            tuple(sorted(gr.edges())),
-            dict(self._class_of),
-            tuple((h, tuple(self._members[h])) for h in sorted(gr.nodes())),
+            tuple(hypernodes),
+            tuple(sorted(gr.edge_list())),
+            dict(zip(self._indexer.node_order(), self._block_of)),
+            tuple((h, tuple(self.members(h))) for h in hypernodes),
         )
 
     # -- end-to-end evaluation ------------------------------------------
@@ -233,14 +211,16 @@ class ReachabilityCompression(QueryPreservingCompression):
         self,
         source: Node,
         target: Node,
-        evaluator: Optional[Callable[[DiGraph, int, int], bool]] = None,
+        evaluator: Optional[Callable[[CSRGraph, int, int], bool]] = None,
     ) -> bool:
         """Answer ``QR(source, target)`` using only ``Gr`` and the index.
 
         *evaluator* is any off-the-shelf reachability algorithm with the
         signature ``(graph, s, t) -> bool`` — the whole point of the paper is
-        that stock algorithms run on the compressed graph unchanged.
-        Defaults to BFS.
+        that stock algorithms run on the compressed graph unchanged.  It
+        runs over ``Gr``'s frozen rows, on the dense ids of the rewritten
+        hypernodes (as :func:`~repro.queries.reachability
+        .evaluate_reachability` does for any frozen graph).  Defaults to BFS.
         """
         verdict, rewritten = self.rewrite(source, target)
         if verdict == "true":
@@ -249,7 +229,8 @@ class ReachabilityCompression(QueryPreservingCompression):
             return False
         assert rewritten is not None
         run = evaluator if evaluator is not None else path_exists
-        return run(self._gr, rewritten[0], rewritten[1])
+        gr = self._quotient
+        return run(gr, gr.id_of(rewritten[0]), gr.id_of(rewritten[1]))
 
     def query_bibfs(self, source: Node, target: Node) -> bool:
         """Answer ``QR`` with bidirectional BFS on ``Gr`` (the paper's BIBFS)."""
@@ -267,21 +248,23 @@ class ReachabilityCompression(QueryPreservingCompression):
         (a stale index) raises ``KeyError``: the router's cue to re-answer
         with BFS on ``Gr``.
         """
-        class_of, scc_of, cyclic = self._class_of, self._scc_of, self._cyclic
+        index = self._indexer._index
+        class_of, scc_of, cyclic = self._block_of, self._scc_of, self._cyclic
         comp, reach_comp = tol._scc_of, tol._reach_comp
 
         def reach(source: Node, target: Node) -> bool:
-            cs = class_of.get(source)
-            if cs is None:
+            i = index.get(source)
+            if i is None:
                 return False
-            ct = class_of.get(target)
-            if ct is None:
+            j = index.get(target)
+            if j is None:
                 return False
             if source == target:
                 return True
+            cs, ct = class_of[i], class_of[j]
             if cs == ct:
-                scc = scc_of[source]
-                return scc == scc_of[target] and scc in cyclic
+                scc = scc_of[i]
+                return scc == scc_of[j] and scc in cyclic
             obs_inc("tol_lookups_total")
             a, b = comp[cs], comp[ct]
             return a == b or reach_comp(a, b)
@@ -321,7 +304,7 @@ class ReachabilityCompression(QueryPreservingCompression):
         routed answers equal direct ones even on degenerate workloads.
         """
         self._checked(query)
-        if query.source not in self._class_of or query.target not in self._class_of:
+        if query.source not in self._indexer or query.target not in self._indexer:
             return False
         tol = self._tol_context(context, algorithm)
         if tol is not None:
@@ -363,9 +346,12 @@ class ReachabilityCompression(QueryPreservingCompression):
         name = algorithm if algorithm is not None else "bfs"
         validated = name == "bfs"
         answers: List[Optional[bool]] = [None] * len(queries)
+        gr = self._quotient
+        id_of = gr.id_of
+        # Grouped by the dense id of R(v) in Gr, the ids the evaluators walk.
         by_source: Dict[int, List[Tuple[int, int]]] = {}
         for i, q in enumerate(map(self._checked, queries)):
-            if q.source not in self._class_of or q.target not in self._class_of:
+            if q.source not in self._indexer or q.target not in self._indexer:
                 # Mirrors answer(): the absent-node short circuit precedes
                 # algorithm validation, element for element.
                 answers[i] = False
@@ -382,13 +368,13 @@ class ReachabilityCompression(QueryPreservingCompression):
                 answers[i] = kind == "true"
                 continue
             assert rewritten is not None
-            by_source.setdefault(rewritten[0], []).append((i, rewritten[1]))
+            by_source.setdefault(id_of(rewritten[0]), []).append((i, id_of(rewritten[1])))
         for cs, entries in by_source.items():
             if len(entries) == 1:
                 i, ct = entries[0]
-                answers[i] = EVALUATORS[name](self._gr, cs, ct)
+                answers[i] = EVALUATORS[name](gr, cs, ct)
             else:
-                reachable = bfs_reachable(self._gr, cs)
+                reachable = bfs_reachable(gr, cs)
                 for i, ct in entries:
                     answers[i] = ct in reachable
         return answers  # type: ignore[return-value]  # every slot is filled
@@ -434,37 +420,27 @@ def compress_reachability_csr(csr: CSRGraph) -> ReachabilityCompression:
     is byte-identical to ``compress_reachability(thawed)``.
     """
     quotient = reachability_quotient(csr)
-
-    gr = DiGraph()
-    for cid in range(quotient.nclasses):
-        gr.add_node(cid, DEFAULT_LABEL)
-    for ci, cj in quotient.reduced_edges:
-        gr.add_edge(ci, cj)
-
-    node_of = csr.indexer.node
-    class_of_node = quotient.class_of_node
-    class_of: Dict[Node, int] = {}
-    class_members: Dict[int, List[Node]] = {cid: [] for cid in range(quotient.nclasses)}
-    for i in range(csr.n):
-        v = node_of(i)
-        cid = class_of_node[i]
-        class_of[v] = cid
-        class_members[cid].append(v)
-
+    k = quotient.nclasses
+    # reduced_edges is sorted by (source, target): its targets are Gr's rows.
+    degree = [0] * k
+    for ci, _ in quotient.reduced_edges:
+        degree[ci] += 1
+    gr = quotient_graph(
+        [DEFAULT_LABEL] * k,
+        [0, *accumulate(degree)],
+        [cj for _, cj in quotient.reduced_edges],
+    )
+    class_of = quotient.class_of_node
     cond = quotient.cond
-    comp = cond.comp
-    scc_of = {node_of(i): comp[i] for i in range(csr.n)}
-    cyclic = frozenset(c for c in range(cond.ncomp) if cond.cyclic[c])
-
     return ReachabilityCompression(
-        compressed=gr,
-        class_of=class_of,
-        class_members=class_members,
-        scc_of=scc_of,
-        cyclic_scc=cyclic,
-        original_nodes=csr.n,
-        original_edges=csr.m,
-        scc_graph_size=cond.graph_size(),
+        gr,
+        class_of,
+        csr.indexer,
+        member_rows(csr.node_order(), class_of, k),
+        csr.m,
+        cond.comp,
+        frozenset(c for c in range(cond.ncomp) if cond.cyclic[c]),
+        cond.graph_size(),
     )
 
 
@@ -492,30 +468,26 @@ def compress_reachability_bfs(graph: DiGraph) -> ReachabilityCompression:
         groups.setdefault((anc, desc), []).append(v)
 
     class_of: Dict[Node, int] = {}
-    class_members: Dict[int, List[Node]] = {}
     for cid, members in enumerate(groups.values()):
-        class_members[cid] = list(members)
         for v in members:
             class_of[v] = cid
 
     quotient = DiGraph()
-    for cid in class_members:
+    for cid in range(len(groups)):
         quotient.add_node(cid, DEFAULT_LABEL)
     for u, w in graph.edges():
         cu, cw = class_of[u], class_of[w]
         if cu != cw:
             quotient.add_edge(cu, cw)
-    gr = dag_transitive_reduction(quotient)
 
+    nodes = graph.node_list()
     return ReachabilityCompression(
-        compressed=gr,
-        class_of=class_of,
-        class_members=class_members,
-        scc_of=dict(cond.scc_of),
-        cyclic_scc=frozenset(cond.cyclic),
-        original_nodes=graph.order(),
-        original_edges=graph.size(),
-        scc_graph_size=cond.graph_size(),
+        CSRGraph.from_digraph(dag_transitive_reduction(quotient)),
+        list(map(class_of.__getitem__, nodes)),
+        NodeIndexer(nodes),
+        list(groups.values()),  # each class's members in node order
+        graph.size(),
+        list(map(cond.scc_of.__getitem__, nodes)),
+        frozenset(cond.cyclic),
+        cond.graph_size(),
     )
-
-

@@ -16,7 +16,7 @@ timeout — where one short-lived thread is noise.  Hot paths never pay it:
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Optional, Tuple, TypeVar
+from typing import Any, Callable, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -41,22 +41,38 @@ def run_with_deadline(
     """
     if timeout is None:
         return fn()
-    box: Tuple[Any, ...] = ()
+    box: List[Tuple[bool, Any]] = []
     done = threading.Event()
-
-    def work() -> None:
-        nonlocal box
-        try:
-            box = (True, fn())
-        except BaseException as exc:  # noqa: BLE001 - relayed to the caller
-            box = (False, exc)
-        done.set()
-
-    thread = threading.Thread(target=work, name=f"repro-deadline-{label}", daemon=True)
+    thread = threading.Thread(
+        target=_work, args=(fn, box, done), name=f"repro-deadline-{label}", daemon=True
+    )
     thread.start()
-    if not done.wait(timeout):
-        raise DeadlineExceeded(label, timeout)
-    ok, payload = box
-    if ok:
-        return payload  # type: ignore[no-any-return]
-    raise payload
+    try:
+        if not done.wait(timeout):
+            raise DeadlineExceeded(label, timeout)
+        ok, payload = box.pop()
+        if ok:
+            return payload  # type: ignore[no-any-return]
+        raise payload
+    finally:
+        # A relayed exception's traceback holds this frame: drop what the
+        # frame holds, or exception and frame keep each other (and what
+        # ``fn`` held) alive until the collector runs.
+        box = payload = None  # type: ignore[assignment]  # noqa: F841
+
+
+def _work(fn: Callable[[], Any], box: List[Tuple[bool, Any]], done: threading.Event) -> None:
+    """The helper thread's body: run *fn* and leave its outcome in *box*.
+
+    *box* is the only way out.  The helper drops its own reference to it
+    before it signals: *fn*'s traceback holds this frame, so an abandoned
+    helper that kept *box* would keep its exception, and everything that
+    exception's frames hold, in a cycle only the collector can free.
+    """
+    try:
+        outcome = (True, fn())
+    except BaseException as exc:  # noqa: BLE001 - relayed to the caller
+        outcome = (False, exc)
+    box.append(outcome)
+    box = outcome = None  # type: ignore[assignment]  # noqa: F841
+    done.set()

@@ -213,6 +213,7 @@ class CSRGraph:
         "_rev_lists",
         "_label_list",
         "_arrays",
+        "_rows",
         "_digest",
         "encoded",
         "__weakref__",
@@ -244,6 +245,7 @@ class CSRGraph:
         self._rev_lists = (rindptr, rindices)
         self._label_list = label_codes
         self._arrays: dict = {}
+        self._rows: Optional[Tuple[List[List[int]], ...]] = None
         self._digest: str = ""
         self.encoded: Optional[Tuple[bytes, List[int]]] = None
 
@@ -468,10 +470,42 @@ class CSRGraph:
         at = bisect_left(flat, iv, indptr[iu], hi)
         return at < hi and flat[at] == iv
 
-    def successors(self, i: int) -> array:
+    def edge_list(self) -> List[Tuple[Node, Node]]:
+        """Node-level edges, row by row in id order (each row ascending)."""
+        indptr, indices = self._fwd_lists
+        order = self.indexer.node_order()
+        return [
+            (order[i], order[j])
+            for i in range(self.n)
+            for j in indices[indptr[i] : indptr[i + 1]]
+        ]
+
+    def materialise_rows(self) -> "CSRGraph":
+        """Hold both directions as per-node row lists from now on; returns
+        the graph.
+
+        For ``Gr``: stock evaluators walk it node by node, and a held row
+        costs :meth:`successors` one index, as a ``DiGraph``'s successor set
+        did.  ``G`` and ``Gb`` are not given rows: their kernels read the
+        flat lists, and per-node lists would add ``|V|`` list objects per
+        direction to every snapshot.
+        """
+        self._rows = tuple(
+            list(map(indices.__getitem__, map(slice, indptr, indptr[1:])))
+            for indptr, indices in (self._fwd_lists, self._rev_lists)
+        )
+        return self
+
+    def successors(self, i: int) -> Sequence[int]:
+        rows = self._rows
+        if rows is not None:
+            return rows[0][i]
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
-    def predecessors(self, i: int) -> array:
+    def predecessors(self, i: int) -> Sequence[int]:
+        rows = self._rows
+        if rows is not None:
+            return rows[1][i]
         return self.rindices[self.rindptr[i] : self.rindptr[i + 1]]
 
     def out_degree(self, i: int) -> int:

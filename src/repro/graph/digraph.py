@@ -79,46 +79,6 @@ class DiGraph:
                 g.set_label(v, lab)
         return g
 
-    @classmethod
-    def from_rows(
-        cls,
-        nodes: Iterable[Node],
-        labels: Iterable[str],
-        rows: Iterable[Iterable[Node]],
-    ) -> "DiGraph":
-        """Build a graph in bulk from aligned node, label and successor rows.
-
-        ``rows[i]`` holds the successors of ``nodes[i]``.  Equal — node
-        order, label index order, edges, size — to ``add_node`` per node
-        followed by ``add_edge`` per row entry, at one ``set(row)`` per
-        node instead of a method call per element; the rehydration path
-        for persisted quotient graphs.  Raises ``ValueError`` on a
-        duplicate node, misaligned inputs or a successor that is not a
-        node.
-        """
-        g = cls()
-        nodes = list(nodes)
-        succ = g._succ = dict(zip(nodes, map(set, rows), strict=True))
-        label = g._label = dict(zip(nodes, labels, strict=True))
-        if len(succ) != len(nodes):
-            raise ValueError("duplicate node")
-        pred = g._pred = {v: set() for v in nodes}
-        try:
-            for v, targets in succ.items():
-                for w in targets:
-                    pred[w].add(v)
-        except KeyError as exc:
-            raise ValueError(f"successor {exc.args[0]!r} is not a node") from None
-        by_label = g._by_label
-        for v, lab in label.items():
-            bucket = by_label.get(lab)
-            if bucket is None:
-                by_label[lab] = {v: None}
-            else:
-                bucket[v] = None
-        g._num_edges = sum(map(len, succ.values()))
-        return g
-
     def copy(self) -> "DiGraph":
         """Return a deep structural copy (labels shared as immutable strs)."""
         g = DiGraph()

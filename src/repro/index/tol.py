@@ -41,7 +41,6 @@ inputs alike.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Callable, Collection, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.graph.csr import CSRGraph, flatten_rows, split_rows
@@ -61,17 +60,6 @@ class TOLError(RuntimeError):
     """
 
 
-def _csr_edges(csr: CSRGraph) -> List[Edge]:
-    """Node-level edge list of a frozen snapshot."""
-    indptr, indices = csr.fwd()
-    order = csr.node_order()
-    return [
-        (order[i], order[j])
-        for i in range(csr.n)
-        for j in indices[indptr[i]: indptr[i + 1]]
-    ]
-
-
 class TOLIndex:
     """A dynamic total-order reachability index over a directed graph.
 
@@ -84,11 +72,12 @@ class TOLIndex:
     :meth:`apply_delta` path only repairs DAG-shaped indexes (the serving
     use case: ``Gr`` is always a DAG) and asks for a rebuild otherwise.
 
-    A :class:`DiGraph` is frozen into a :class:`CSRGraph` first; the
-    condensation comes from :func:`~repro.graph.kernels.csr_condensation`
-    either way.  *backend* accepts only ``"csr"``: it is kept because the
-    end-to-end benchmark still passes ``backend="csr"``, and goes once a
-    benchmark change stops passing it.
+    A :class:`CSRGraph` (``Gr`` always is one) is indexed as it is and a
+    :class:`DiGraph` is frozen first; the condensation comes from
+    :func:`~repro.graph.kernels.csr_condensation` either way.  *backend*
+    accepts only ``"csr"``: it is kept because the end-to-end benchmark
+    still passes ``backend="csr"``, and goes once a benchmark change stops
+    passing it.
     """
 
     def __init__(
@@ -113,7 +102,7 @@ class TOLIndex:
         self._build(
             dict(zip(csr.node_order(), cond.comp)),
             [indices[indptr[c]: indptr[c + 1]] for c in range(cond.ncomp)],
-            partial(_csr_edges, csr),  # frozen: safe to read later
+            csr.edge_list,  # frozen: safe to read later
         )
 
     # ------------------------------------------------------------------
@@ -477,12 +466,8 @@ def refresh_index(index: TOLIndex, graph: Union[DiGraph, CSRGraph]) -> Optional[
       bounded repair succeeded, ``False`` when the caller must rebuild);
     * any removal → ``False`` immediately (labels cannot forget).
     """
-    if isinstance(graph, CSRGraph):
-        new_nodes: Set[Node] = set(graph.node_order())
-        new_edges: Set[Edge] = set(_csr_edges(graph))
-    else:
-        new_nodes = set(graph.nodes())
-        new_edges = set(graph.edges())
+    new_nodes: Set[Node] = set(graph.node_order() if isinstance(graph, CSRGraph) else graph.nodes())
+    new_edges: Set[Edge] = set(graph.edge_list())
     old_nodes = index.nodes()
     old_edges = index.edges()
     if old_nodes == new_nodes and old_edges == new_edges:

@@ -349,8 +349,8 @@ def run_stress(
         "epochs_published": service.version + 1,
         "versions_seen": sorted({v for v, _, _ in records}),
         # Under a plan a helper thread abandoned at a build deadline may
-        # still hold its epoch, or leave it in a cycle through the error it
-        # raised late, so only plan=None asserts this is 0.
+        # still be running, holding its epoch until it returns, so only
+        # plan=None asserts this is 0.
         "superseded_alive_after_close": sum(ref() is not None for ref in published),
         "counters": dict(service.counters),
         "per_class": service.stats.snapshot(),

@@ -811,9 +811,10 @@ class SnapshotCatalog:
     def reachability(self, source: GraphSource) -> ReachabilityCompression:
         """``compressR`` artifact for *source* — cached across sessions.
 
-        Warm hit: ``Gr``, the class map, the SCC index and the stats are
-        rehydrated from the variant file.  Cold miss: computed from the
-        base snapshot with the CSR kernels, persisted, returned.
+        Warm hit: ``Gr``'s rows, the class map, the SCC index and the
+        stats are adopted from the variant file's arrays once validated,
+        and no ``DiGraph`` is built.  Cold miss: computed from the base
+        snapshot with the CSR kernels, persisted, returned.
         """
         digest = self._resolve(source)
         csr = self.base(digest)
@@ -822,9 +823,7 @@ class SnapshotCatalog:
             arrays, writable = self._read_variant(path, digest)
             if arrays is not None:
                 try:
-                    comp = ReachabilityCompression.from_arrays(
-                        csr.node_order(), arrays
-                    )
+                    comp = ReachabilityCompression.from_arrays(csr, arrays)
                 except (KeyError, ValueError, IndexError):
                     pass  # malformed arrays from a buggy writer: recompute
                 else:
@@ -873,7 +872,7 @@ class SnapshotCatalog:
                 self._write_variant(path, digest, comp.to_arrays(csr.node_order()))
             return comp
 
-    def tol(self, source: GraphSource, gr: Optional[DiGraph] = None) -> TOLIndex:
+    def tol(self, source: GraphSource, gr: Optional[CSRGraph] = None) -> TOLIndex:
         """TOL reachability labels over ``Gr`` for *source* — cached.
 
         Warm hit: label sets and condensation map rehydrate from the
@@ -882,11 +881,10 @@ class SnapshotCatalog:
         ``Gr`` of *source* when the caller already holds it
         (``reachability(source).compressed``); without it ``Gr`` comes
         through :meth:`reachability`, which reads and decodes that variant
-        again.  ``tol.rpv`` stores labels only: a rehydrated index reads
-        ``Gr``'s edges back from *gr* the first time a repair asks for
-        them, so *gr* must stay as it is for as long as the index is used
-        (maintainers build their own ``Gr``; nothing mutates a catalog
-        artifact's).  The persisted arrays are aligned to ``Gr``'s
+        again.  ``tol.rpv`` stores labels only: ``Gr`` is a frozen
+        :class:`CSRGraph`, and a rehydrated index reads its edges back off
+        *gr* (:meth:`CSRGraph.edge_list`) the first time a repair asks for
+        them.  The persisted arrays are aligned to ``Gr``'s
         canonical class ids, so a rehydrated index answers byte-identically
         to a cold build — but only for *canonical* artifacts: callers
         serving an incrementally-maintained ``Gr`` must build their index
@@ -898,7 +896,7 @@ class SnapshotCatalog:
             arrays, writable = self._read_variant(path, digest)
             if gr is None:
                 gr = self.reachability(digest).compressed
-            order = sorted(gr.nodes())
+            order = gr.node_order()
             if arrays is not None:
                 try:
                     index = TOLIndex.from_arrays(order, arrays, gr.edge_list)

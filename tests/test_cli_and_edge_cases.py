@@ -48,7 +48,7 @@ def test_isolated_nodes_compress_together():
         g.add_node(v)
     rc = compress_reachability(g)
     # Isolated nodes share (∅, ∅) signatures: one hypernode.
-    assert rc.compressed.order() == 1
+    assert rc.compressed.n == 1
     assert rc.query(0, 0) is True
     assert rc.query(0, 1) is False
     pc = compress_pattern(g)
@@ -58,7 +58,7 @@ def test_isolated_nodes_compress_together():
 def test_two_node_cycle_pipeline():
     g = DiGraph.from_edges([("a", "b"), ("b", "a")])
     rc = compress_reachability(g)
-    assert rc.compressed.order() == 1
+    assert rc.compressed.n == 1
     assert rc.query("a", "b") and rc.query("b", "a")
     pc = compress_pattern(g)
     assert pc.compressed.n == 1

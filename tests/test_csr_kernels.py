@@ -295,7 +295,7 @@ def test_empty_and_singleton():
     single = DiGraph()
     single.add_node("x")
     rc = compress_reachability(single)
-    assert rc.compressed.order() == 1
+    assert rc.compressed.n == 1
     assert rc.query("x", "x") is True
 
     loop = DiGraph.from_edges([("x", "x")])

@@ -64,11 +64,11 @@ def _fingerprint():
                 rc.stats().original_nodes, rc.stats().original_edges,
                 rc.stats().compressed_nodes, rc.stats().compressed_edges,
             ],
-            "nodes": sorted(gr.nodes()),
-            "edges": sorted(gr.edges()),
+            "nodes": sorted(gr.node_order()),
+            "edges": sorted(gr.edge_list()),
             "class_of": sorted((str(v), rc.node_class(v)) for v in g.nodes()),
             "members": {
-                str(h): [str(v) for v in rc.members(h)] for h in gr.nodes()
+                str(h): [str(v) for v in rc.members(h)] for h in gr.node_order()
             },
         }
         reach = reach_partition(g)

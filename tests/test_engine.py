@@ -430,8 +430,8 @@ def test_incremental_maintainers_copy_opt_out():
     assert matcher.current() == ref_matcher.current()
     assert owned.structure_equal(ref_matcher.graph)  # adopted graph updated
     assert (
-        reach.compression().compressed.order()
-        == ref_reach.compression().compressed.order()
+        reach.compression().compressed.n
+        == ref_reach.compression().compressed.n
     )
     assert bisim.partition().as_frozen() == ref_bisim.partition().as_frozen()
 

@@ -7,10 +7,13 @@ reclamation tied to pid liveness, and bit-flip fuzzing over the snapshot
 format's header / label-table / varint regions.
 """
 
+import gc
 import os
 import subprocess
 import sys
+import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -193,6 +196,65 @@ class TestDeadline:
 
         with pytest.raises(KeyError):
             run_with_deadline(boom, 5.0)
+
+    # With the collector off, what ``fn`` held must die by reference
+    # counting alone once the call is over: a relayed exception or the
+    # late one of an abandoned helper must not sit in a reference cycle
+    # with the frames that raised it.
+    @staticmethod
+    def _held_by(body):
+        """A callable running ``body(held)`` for a fresh ``held``, and a
+        weak reference to that object."""
+
+        class Held:
+            pass
+
+        held = Held()
+        return (lambda: body(held)), weakref.ref(held)
+
+    @staticmethod
+    def _join_helpers(label):
+        for thread in threading.enumerate():
+            if thread.name == f"repro-deadline-{label}":
+                thread.join(10)
+
+    def test_relayed_exception_frees_what_fn_held_without_the_collector(self):
+        def boom(held):
+            raise KeyError("inner")
+
+        fn, ref = self._held_by(boom)
+        gc.disable()
+        try:
+            try:
+                run_with_deadline(fn, 5.0, label="relay")
+            except KeyError:
+                pass
+            del fn
+            self._join_helpers("relay")
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_abandoned_helper_that_raises_frees_what_fn_held_without_the_collector(self):
+        release = threading.Event()
+
+        def late(held):
+            release.wait(10)
+            raise RuntimeError("late")
+
+        fn, ref = self._held_by(late)
+        gc.disable()
+        try:
+            try:
+                run_with_deadline(fn, 0.01, label="abandoned")
+            except DeadlineExceeded:
+                pass
+            del fn
+            release.set()
+            self._join_helpers("abandoned")
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -8,17 +8,18 @@ updated graph *canonically* (same member sets, same member-set-level edges).
 import random
 
 from repro.core.incremental_reach import IncrementalReachabilityCompressor
-from repro.core.reachability import compress_reachability
+from repro.core.reachability import compress_reachability, compress_reachability_bfs
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnm_random_graph, preferential_attachment_graph
 from repro.graph.traversal import path_exists
 
 
 def canon(rc):
-    mem = {h: frozenset(rc.members(h)) for h in rc.compressed.nodes()}
+    mem = {h: frozenset(rc.members(h)) for h in rc.compressed.node_order()}
     return (
         frozenset(mem.values()),
-        frozenset((mem[a], mem[b]) for a, b in rc.compressed.edges()),
+        frozenset((mem[a], mem[b]) for a, b in rc.compressed.edge_list()),
     )
 
 
@@ -50,6 +51,38 @@ def test_randomized_update_sequences_match_batch():
                 (work.add_edge if op == "+" else work.remove_edge)(u, v)
             inc.apply(batch)
             assert_matches_batch(inc, work, f"trial {trial} step {step}: {batch}")
+
+
+def test_maintained_artifact_agrees_with_kernel_and_oracle():
+    """incRCM's ``Gr`` is a frozen ``CSRGraph`` over its own, gapped class
+    ids; with the ids erased it equals the kernel's and the paper-literal
+    oracle's, and so do its stats, its SCC graph size and its member rows
+    (each in ``G``'s node order)."""
+    rng = random.Random(3)
+    g = gnm_random_graph(18, 40, seed=5)
+    inc = IncrementalReachabilityCompressor(g)
+    work = g.copy()
+    for step in range(5):
+        batch = [("+", rng.randrange(20), rng.randrange(20)) for _ in range(3)]
+        batch += [("-", *rng.choice(work.edge_list()))]
+        for op, u, v in batch:
+            (work.add_edge if op == "+" else work.remove_edge)(u, v)
+        inc.apply(batch)
+        got = inc.compression()
+        kernel, oracle = compress_reachability(work), compress_reachability_bfs(work)
+        assert kernel.canonical_form() == oracle.canonical_form()
+        assert isinstance(got.compressed, CSRGraph)
+        assert canon(got) == canon(kernel) == canon(oracle), step
+        assert got.stats() == kernel.stats()
+        assert got.scc_graph_size == kernel.scc_graph_size
+        order = work.node_list()
+        for h in got.compressed.node_order():
+            members = got.members(h)
+            assert members == sorted(members, key=order.index)
+        for u in order:
+            assert got.node_class(u) in got.compressed
+            for v in order:
+                assert got.same_class(u, v) == kernel.same_class(u, v)
 
 
 def test_cycle_creation_and_destruction():

@@ -170,10 +170,10 @@ def test_incremental_reachability_agrees_with_batch(data):
     got = inc.compression()
 
     def canon(rc):
-        mem = {h: frozenset(rc.members(h)) for h in rc.compressed.nodes()}
+        mem = {h: frozenset(rc.members(h)) for h in rc.compressed.node_order()}
         return (
             frozenset(mem.values()),
-            frozenset((mem[a], mem[b]) for a, b in rc.compressed.edges()),
+            frozenset((mem[a], mem[b]) for a, b in rc.compressed.edge_list()),
         )
 
     assert canon(want) == canon(got)

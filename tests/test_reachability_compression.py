@@ -26,10 +26,10 @@ from repro.graph.traversal import is_acyclic, path_exists
 
 
 def canon(rc: ReachabilityCompression):
-    mem = {h: frozenset(rc.members(h)) for h in rc.compressed.nodes()}
+    mem = {h: frozenset(rc.members(h)) for h in rc.compressed.node_order()}
     return (
         frozenset(mem.values()),
-        frozenset((mem[a], mem[b]) for a, b in rc.compressed.edges()),
+        frozenset((mem[a], mem[b]) for a, b in rc.compressed.edge_list()),
     )
 
 
@@ -92,9 +92,9 @@ def test_compressed_graph_is_reduced_dag():
     for trial in range(10):
         g = gnm_random_graph(20, rng.randrange(5, 80), seed=trial + 40)
         rc = compress_reachability(g)
-        gr = rc.compressed
+        assert rc.compressed.graph_size() <= g.graph_size()
+        gr = rc.compressed.to_digraph()  # a mutable copy to knock edges out of
         assert is_acyclic(gr)
-        assert gr.graph_size() <= g.graph_size()
         # No redundant edges: removing any edge must change reachability.
         from repro.graph.transitive import transitive_closure_pairs
 
@@ -204,7 +204,7 @@ def test_empty_and_singleton_graphs():
     g = DiGraph()
     g.add_node("only")
     rc = compress_reachability(g)
-    assert rc.compressed.order() == 1
+    assert rc.compressed.n == 1
     assert rc.query("only", "only") is True
     loop = DiGraph.from_edges([("x", "x")])
     rcl = compress_reachability(loop)

@@ -31,6 +31,7 @@ from repro.datasets.updates import mixed_batch
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import attach_equivalent_leaves, gnm_random_graph
+from repro.graph.traversal import path_exists
 from repro.datasets.patterns import random_pattern
 from repro.obs.metrics import MetricsRegistry, current_registry, installed
 from repro.queries.matching import MatchContext, match, match_naive
@@ -265,7 +266,7 @@ def test_serving_writer_stays_frozen(tmp_path, monkeypatch, source):
 
 
 def _no_digraph(*args, **kwargs):
-    raise AssertionError("the pattern serving path built or froze a DiGraph")
+    raise AssertionError("the serving path built or froze a DiGraph")
 
 
 @pytest.mark.parametrize("source", ["csr", "catalog"])
@@ -295,6 +296,41 @@ def test_pattern_serving_builds_no_digraph(tmp_path, monkeypatch, source):
     answers = [[service.query(p) for p in patterns]]
     service.apply(batch)
     answers.append([service.query(p) for p in patterns])
+    counters = dict(service.counters)
+    service.close()
+    assert answers == expected
+    assert counters.get("degraded_builds", 0) == 0
+    assert counters["catalog_warm_hits"] == (1 if catalog is not None else 0)
+
+
+@pytest.mark.parametrize("source", ["csr", "catalog"])
+def test_reach_serving_builds_no_digraph(tmp_path, monkeypatch, source):
+    """compressR emits arrays: a served reach query runs on a ``CSRGraph``
+    Gr built (or rehydrated, with its labels) without one ``DiGraph`` edge
+    and without a freeze, before and after a publication, and answers like
+    BFS on ``G``."""
+    g = _mixed_graph(32, n=50, m=150)
+    batch = mixed_batch(g, 10, insert_ratio=0.5, seed=6)
+    after = g.copy()
+    for op, u, v in batch:
+        (after.add_edge if op == "+" else after.remove_edge)(u, v)
+    rng = random.Random(7)
+    nodes = after.node_list()
+    queries = [ReachabilityQuery(rng.choice(nodes), rng.choice(nodes)) for _ in range(40)]
+    expected = [[path_exists(graph, q.source, q.target) if q.source in graph else False
+                 for q in queries] for graph in (g, after)]
+    csr = CSRGraph.from_digraph(g)
+    catalog = None
+    if source == "catalog":
+        SnapshotCatalog(tmp_path).warm(csr)  # persists Gr and its labels
+        catalog = SnapshotCatalog(tmp_path)
+        csr = catalog.base(csr.digest())
+    monkeypatch.setattr(CSRGraph, "from_digraph", _no_digraph)
+    monkeypatch.setattr(DiGraph, "add_edge", _no_digraph)
+    service = EngineService(csr, catalog)
+    answers = [[service.query(q) for q in queries]]
+    service.apply(batch)
+    answers.append([service.query(q) for q in queries])
     counters = dict(service.counters)
     service.close()
     assert answers == expected

@@ -652,7 +652,7 @@ def test_from_arrays_rejects_inconsistent_block_counts():
     rc_arrays["nclasses"][0] += 1  # memberless phantom hypernode
     with pytest.raises(ValueError):
         from repro.core.reachability import ReachabilityCompression
-        ReachabilityCompression.from_arrays(order, rc_arrays)
+        ReachabilityCompression.from_arrays(csr, rc_arrays)
     pc = compress_pattern_csr(csr)
     pc_arrays = pc.to_arrays(order)
     pc_arrays["nblocks"][0] += 1

@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 import repro.store.format as format_module
-from repro.core.base import decode_quotient_arrays
 from repro.core.incremental_pattern import IncrementalPatternCompressor
 from repro.core.pattern import PatternCompression, compress_pattern, compress_pattern_csr
 from repro.core.reachability import (
@@ -30,7 +29,7 @@ from repro.core.reachability import (
     compress_reachability_csr,
 )
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DEFAULT_LABEL, DiGraph
+from repro.graph.digraph import DiGraph
 from repro.datasets.patterns import random_pattern
 from repro.graph.generators import (
     assign_labels,
@@ -192,13 +191,29 @@ def test_flag_rules_legacy_is_a_miss_and_unknown_bits_are_newer():
         decode_int_sections(bytes(legacy))
 
 
+#: A base of four nodes and a valid reachability variant over it:
+#: classes {a}, {b}, {c, d}; Gr edges 0 -> 1, 0 -> 2, 1 -> 2.
+_BASE4 = CSRGraph.from_digraph(DiGraph.from_edges([], nodes=["a", "b", "c", "d"]))
+
+
+def _reach_arrays(**changes):
+    arrays = {
+        "stats": [4, 0], "nclasses": [3], "class_of": [0, 1, 2, 2],
+        "scc_of": [0, 1, 2, 3], "cyclic_sccs": [],
+        "gr_indptr": [0, 2, 3, 3], "gr_targets": [1, 2, 2],
+    }
+    arrays.update(changes)
+    return arrays
+
+
 def test_decode_quotient_arrays_returns_maps_and_rows():
-    class_of, members, rows = decode_quotient_arrays(
-        ["a", "b", "c", "d"], [0, 1, 2, 2], 3, [0, 2, 3, 3], [1, 2, 2]
-    )
-    assert class_of == {"a": 0, "b": 1, "c": 2, "d": 2}
-    assert members == {0: ["a"], 1: ["b"], 2: ["c", "d"]}
-    assert list(rows) == [[1, 2], [2], []]
+    """A persisted quotient decodes, in ``ReachabilityCompression.from_arrays``,
+    into the class map, member rows in node order and ``Gr``'s rows."""
+    rc = ReachabilityCompression.from_arrays(_BASE4, _reach_arrays())
+    assert [rc.node_class(v) for v in "abcd"] == [0, 1, 2, 2]
+    assert [rc.members(h) for h in range(3)] == [["a"], ["b"], ["c", "d"]]
+    assert rc.compressed.edge_list() == [(0, 1), (0, 2), (1, 2)]
+    assert rc.to_arrays(_BASE4.node_order()) == _reach_arrays()
 
 
 @pytest.mark.parametrize(
@@ -217,7 +232,9 @@ def test_decode_quotient_arrays_returns_maps_and_rows():
 )
 def test_decode_quotient_arrays_rejects_malformed_rows(indptr, targets):
     with pytest.raises(ValueError):
-        decode_quotient_arrays(["a", "b", "c", "d"], [0, 1, 2, 2], 3, indptr, targets)
+        ReachabilityCompression.from_arrays(
+            _BASE4, _reach_arrays(gr_indptr=indptr, gr_targets=targets)
+        )
 
 
 def test_from_arrays_rejects_a_duplicate_edge_instead_of_deduplicating():
@@ -225,14 +242,14 @@ def test_from_arrays_rejects_a_duplicate_edge_instead_of_deduplicating():
     order = csr.node_order()
     rc = compress_reachability_csr(csr)
     arrays = rc.to_arrays(order)
-    row = next(c for c in range(rc.compressed.order()) if rc.compressed.out_degree(c))
+    row = next(c for c in range(rc.compressed.n) if rc.compressed.out_degree(c))
     start = arrays["gr_indptr"][row]
     arrays["gr_targets"].insert(start, arrays["gr_targets"][start])
     arrays["gr_indptr"][row + 1:] = [p + 1 for p in arrays["gr_indptr"][row + 1:]]
     with pytest.raises(ValueError):
-        ReachabilityCompression.from_arrays(order, arrays)
+        ReachabilityCompression.from_arrays(csr, arrays)
     tol = TOLIndex(rc.compressed)
-    gr_order = sorted(rc.compressed.nodes())
+    gr_order = rc.compressed.node_order()
     tol_arrays = tol.to_arrays(gr_order)
     tol_arrays["tol_out_indptr"][1], tol_arrays["tol_out_indptr"][2] = (
         tol_arrays["tol_out_indptr"][2] + 1, tol_arrays["tol_out_indptr"][1],
@@ -382,11 +399,11 @@ def test_body_flips_under_a_valid_crc_never_escape_the_error_contract(seeded_ent
         arrays.pop("__base_digest__", None)
         try:
             if "reachability" in name:
-                ReachabilityCompression.from_arrays(order, arrays)
+                ReachabilityCompression.from_arrays(csr, arrays)
             elif "bisimulation" in name:
                 PatternCompression.from_arrays(csr, arrays)
             else:
-                TOLIndex.from_arrays(sorted(gr.nodes()), arrays, gr.edge_list)
+                TOLIndex.from_arrays(gr.node_order(), arrays, gr.edge_list)
         except (KeyError, ValueError, IndexError):
             continue
         rehydrated += 1
@@ -466,8 +483,9 @@ def test_round_trip_identity_through_arrays_and_container(graph):
         return decode_int_sections(encode_int_sections(arrays))
 
     rc = compress_reachability_csr(csr)
-    warm_rc = ReachabilityCompression.from_arrays(order, through_file(rc.to_arrays(order)))
+    warm_rc = ReachabilityCompression.from_arrays(csr, through_file(rc.to_arrays(order)))
     assert warm_rc.canonical_form() == rc.canonical_form()
+    assert warm_rc.compressed.buffers() == rc.compressed.buffers()
     assert warm_rc.to_arrays(order) == rc.to_arrays(order)
 
     pc = compress_pattern_csr(csr)
@@ -476,8 +494,8 @@ def test_round_trip_identity_through_arrays_and_container(graph):
     assert warm_pc.compressed.buffers() == pc.compressed.buffers()
 
     gr = rc.compressed
-    gr_order = sorted(gr.nodes())
-    for source in (gr, CSRGraph.from_digraph(gr)):  # a DiGraph is frozen first
+    gr_order = gr.node_order()
+    for source in (gr, gr.to_digraph()):  # a DiGraph is frozen first
         tol = TOLIndex(source)
         warm_tol = TOLIndex.from_arrays(
             gr_order, through_file(tol.to_arrays(gr_order)), warm_rc.compressed.edge_list
@@ -544,45 +562,36 @@ def test_reachability_and_tol_variants_answers_not_bytes(tmp_path, name, graph):
     assert warm_tol.canonical_form() == TOLIndex(oracle.compressed).canonical_form()
 
 
-def _incremental(nodes, labels, rows) -> DiGraph:
-    g = DiGraph()
-    for v, label in zip(nodes, labels):
-        g.add_node(v, label)
-    for v, row in zip(nodes, rows):
-        for w in row:
-            g.add_edge(v, w)
-    return g
-
-
 @pytest.mark.parametrize("graph", [g for _, g in SEAM_GRAPHS], ids=[n for n, _ in SEAM_GRAPHS])
 def test_bulk_constructor_equals_the_incremental_build(graph):
-    nodes = graph.node_list()
-    labels = [graph.label(v) for v in nodes]
-    rows = [sorted(graph.successors(v), key=repr) for v in nodes]
-    bulk = DiGraph.from_rows(nodes, labels, rows)
-    slow = _incremental(nodes, labels, rows)
-    assert bulk.node_list() == slow.node_list()
-    assert bulk.labels() == slow.labels()
-    assert list(bulk.labels()) == list(slow.labels())
-    for label in sorted(slow.label_set()):
-        assert bulk.nodes_with_label(label) == slow.nodes_with_label(label)
-    assert bulk.size() == slow.size() == graph.size()
-    assert set(bulk.edges()) == set(slow.edges())
-    assert sorted(bulk.label_set()) == sorted(slow.label_set())
-    for v in nodes:
-        assert bulk.successors(v) == slow.successors(v)
-        assert bulk.predecessors(v) == slow.predecessors(v)
-    assert bulk.structure_equal(graph)
-    bulk.add_edge("fresh-u", "fresh-v")  # still an ordinary mutable graph
-    assert bulk.size() == slow.size() + 1
+    """``Gr``'s bulk constructor, a warm hit adopting the persisted rows,
+    equals the incremental build (the paper-literal oracle's ``DiGraph``,
+    edge by edge, then frozen) and the kernel's ``Gr`` buffer for buffer;
+    thawing it and freezing it again changes nothing."""
+    csr = CSRGraph.from_digraph(graph)
+    cold = compress_reachability_csr(csr)
+    warm = ReachabilityCompression.from_arrays(csr, cold.to_arrays(csr.node_order()))
+    gr = cold.compressed
+    assert warm.compressed.buffers() == gr.buffers()
+    assert compress_reachability_bfs(graph).compressed.buffers() == gr.buffers()
+    assert CSRGraph.from_digraph(gr.to_digraph()).buffers() == gr.buffers()
+    hypernodes = range(gr.n)
+    assert [warm.members(h) for h in hypernodes] == [cold.members(h) for h in hypernodes]
+    assert warm.class_sizes() == cold.class_sizes()
 
 
 def test_bulk_constructor_rejects_misaligned_or_dangling_input():
-    with pytest.raises(ValueError):
-        DiGraph.from_rows([0, 1], [DEFAULT_LABEL] * 2, [[1]])
-    with pytest.raises(ValueError):
-        DiGraph.from_rows([0, 1], [DEFAULT_LABEL], [[1], []])
-    with pytest.raises(ValueError):
-        DiGraph.from_rows([0, 0], [DEFAULT_LABEL] * 2, [[], []])
-    with pytest.raises(ValueError):
-        DiGraph.from_rows([0, 1], [DEFAULT_LABEL] * 2, [[2], []])
+    """Maps that do not fit the base (another graph's variant) or name ids
+    nothing holds raise ``ValueError``, which the catalog answers by
+    recomputing."""
+    for changes in (
+        {"class_of": [0, 1, 2]},  # class map shorter than the base
+        {"scc_of": [0, 1, 2]},  # SCC map shorter than the base
+        {"class_of": [0, 1, 1, 1]},  # a memberless hypernode
+        {"class_of": [0, 1, 2, 3]},  # a class id past nclasses
+        {"nclasses": [5]},  # more classes than nodes
+        {"scc_of": [0, 1, 2, 4]},  # an SCC id past the node count
+        {"cyclic_sccs": [1, 5]},  # a cyclic SCC no node is in
+    ):
+        with pytest.raises(ValueError):
+            ReachabilityCompression.from_arrays(_BASE4, _reach_arrays(**changes))
